@@ -45,7 +45,6 @@ DEFAULTS = {
     "batch_size": "16",
     "epochs": "100",
     "seed": "0",
-    "threads": "1",
     # synth
     "nodes": "15",
     "days": "30",
@@ -208,7 +207,13 @@ def cmd_train(args):
         series, graph, holidays, m, n, config.periods
     )
     basis = _build_basis(lap, config.k_cheb)
+    print(f"samples: train={len(windows['train'])} val={len(windows['val'])} "
+          f"test={len(windows['test'])}  params={model.init_params(config, tcfg.seed).count()}")
 
+    result = training.train(
+        config, basis, windows["train"], windows["val"], tcfg, normalizer, log=print
+    )
+    # allocated only now, so a failed run leaves no directory behind
     run = make_run_dir(args.out or "runs", "train")
     write_effective_config(cfg, run / "config.txt", extra={
         "readings_sha256": _file_sha256(cfg["readings"]),
@@ -216,12 +221,6 @@ def cmd_train(args):
         "config_hash": config.config_hash(),
     })
     print(f"run directory: {run}")
-    print(f"samples: train={len(windows['train'])} val={len(windows['val'])} "
-          f"test={len(windows['test'])}  params={model.init_params(config, tcfg.seed).count()}")
-
-    result = training.train(
-        config, basis, windows["train"], windows["val"], tcfg, normalizer, log=print
-    )
     model.save_checkpoint(run / "model.ckpt", result.params, config)
     with open(run / "trace.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_mae\n")
@@ -282,15 +281,15 @@ def cmd_predict(args):
             f"anchor range {args.anchors} outside [0, {len(samples)}) for split {args.split}"
         )
     picked = samples[lo:hi]
-    preds = training.predict(params, picked, config, basis)
+    preds, actual = training.forecast(params, picked, config, basis)
     out = Path(args.out or "predictions.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("anchor_timestamp,node,step,predicted,actual\n")
-        for i, sample in enumerate(picked):
-            stamp = series.timestamp(sample.anchor).isoformat()
+        for i, window in enumerate(picked):
+            stamp = series.timestamp(window.anchor).isoformat()
             pred_raw = normalizer.invert_feature(preds[i])
-            actual_raw = normalizer.invert_feature(sample.target)
+            actual_raw = normalizer.invert_feature(actual[i])
             for node in range(config.n_nodes):
                 for step in range(config.n):
                     fh.write(f"{stamp},{node},{step + 1},"
@@ -379,7 +378,6 @@ def build_parser():
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, help="RNG seed")
         p.add_argument("--out", help="output directory/file")
-        p.add_argument("--threads", type=int, help="worker threads (default 1, deterministic)")
         p.add_argument("--readings", help="readings CSV")
         p.add_argument("--adjacency", help="adjacency CSV")
         p.add_argument("--holidays", help="holiday list file")
@@ -441,7 +439,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError, model.CheckpointError) as exc:
+    except (ConfigError, ValueError, OSError, model.CheckpointError,
+            training.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

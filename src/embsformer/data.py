@@ -24,7 +24,7 @@ __all__ = [
     "RawSeries",
     "NormalizationStats",
     "CalendarFeatures",
-    "WindowSample",
+    "Window",
     "load_readings",
     "save_readings",
     "load_adjacency",
@@ -33,6 +33,7 @@ __all__ = [
     "chronological_split",
     "fit_normalizer",
     "calendar_features",
+    "window_offsets",
     "make_windows",
     "synth_generate",
 ]
@@ -107,38 +108,21 @@ class CalendarFeatures:
     day_of_week: np.ndarray
     is_holiday: np.ndarray
 
-    def slice(self, start, stop):
-        return (
-            self.minute_of_day[start:stop],
-            self.day_of_week[start:stop],
-            self.is_holiday[start:stop],
-        )
 
+@dataclass(eq=False, repr=False)
+class Window:
+    """One example: its anchor t plus the series and calendar its split shares.
 
-@dataclass
-class WindowSample:
-    """One training example anchored at time index t.
-
-    recent covers [t-m+1, t]; target covers [t+1, t+n]; period branch i is
-    the (m+n)-step window whose end sits exactly P_i steps before the
-    target's end, so its last n steps (the pseudo-future) align with the
-    target's clock time one period earlier.
+    A window owns no arrays; `model.make_batch` gathers its blocks from
+    ``series`` and ``calendar`` at the offsets of `window_offsets`.
     """
 
     anchor: int
-    recent: np.ndarray        # [m, N, F]
-    periods: np.ndarray       # [K, m+n, N, F]
-    target: np.ndarray        # [n, N]  (feature 0)
-    recent_minute: np.ndarray
-    recent_dow: np.ndarray
-    recent_holiday: np.ndarray
-    period_minute: np.ndarray   # [K, m+n]
-    period_dow: np.ndarray
-    period_holiday: np.ndarray
-
-    @property
-    def n_branches(self):
-        return self.periods.shape[0]
+    series: RawSeries
+    calendar: CalendarFeatures
+    m: int
+    n: int
+    periods: tuple
 
 
 # --------------------------------------------------------------------------
@@ -329,20 +313,34 @@ def calendar_features(series: RawSeries, holidays=()) -> CalendarFeatures:
 # --------------------------------------------------------------------------
 
 
+def window_offsets(m, n, periods):
+    """Offsets from the anchor t of the recent block, the target and each period window.
+
+    recent covers [t-m+1, t]; target covers [t+1, t+n]; period branch i is
+    the (m+n)-step window [t-m-P_i+1, t+n-P_i], whose end sits exactly P_i
+    steps before the target's end, so its last n steps (the pseudo-future)
+    align with the target's clock time one period earlier. Returns int64
+    arrays of shape [m], [n] and [K, m+n].
+    """
+    recent = np.arange(1 - m, 1)
+    target = np.arange(1, n + 1)
+    period = np.arange(1 - m, n + 1)[None, :] - np.asarray(periods, dtype=np.int64)[:, None]
+    return recent, target, period
+
+
 def make_windows(series: RawSeries, split_range, m, n, periods,
                  calendar: CalendarFeatures = None, anchor_floor=None):
-    """Materialize every valid WindowSample for one chronological split.
+    """Every valid Window for one chronological split, in anchor order.
 
-    For anchor t: recent = [t-m+1, t], target = [t+1, t+n]; period branch i
-    spans [t-m-P_i+1, t+n-P_i]. Recent and target stay inside the split;
-    period branches are inputs and may reach into earlier history, but
-    anchors whose largest-period window underflows the series are dropped.
+    Recent and target (see `window_offsets`) stay inside the split; period
+    branches are inputs and may reach into earlier history, but anchors
+    whose largest-period window underflows the series are dropped.
     ``anchor_floor`` optionally raises the first admissible anchor (used to
     keep anchor sets identical across period configurations).
     """
-    periods = list(periods)
-    if sorted(periods) != periods:
-        raise ValueError(f"periods must be sorted ascending, got {periods}")
+    periods = tuple(periods)
+    if sorted(periods) != list(periods):
+        raise ValueError(f"periods must be sorted ascending, got {list(periods)}")
     for p in periods:
         if p < m + n:
             raise ValueError(f"period {p} is shorter than m+n={m + n}")
@@ -355,40 +353,11 @@ def make_windows(series: RawSeries, split_range, m, n, periods,
     if anchor_floor is not None:
         first = max(first, anchor_floor)
     last = hi - 1 - n  # target must end inside the split
-    values = series.values
-
-    samples = []
-    for t in range(first, last + 1):
-        rec_lo, rec_hi = t - m + 1, t + 1
-        blocks = []
-        cal_min, cal_dow, cal_hol = [], [], []
-        for p in periods:
-            w_lo, w_hi = t - m - p + 1, t + n - p + 1
-            blocks.append(values[w_lo:w_hi])
-            mn, dw, hl = calendar.slice(w_lo, w_hi)
-            cal_min.append(mn)
-            cal_dow.append(dw)
-            cal_hol.append(hl)
-        rmn, rdw, rhl = calendar.slice(rec_lo, rec_hi)
-        samples.append(
-            WindowSample(
-                anchor=t,
-                recent=values[rec_lo:rec_hi].copy(),
-                periods=np.stack(blocks) if blocks else np.zeros((0, m + n) + values.shape[1:]),
-                target=values[t + 1:t + n + 1, :, 0].copy(),
-                recent_minute=rmn.copy(),
-                recent_dow=rdw.copy(),
-                recent_holiday=rhl.copy(),
-                period_minute=np.stack(cal_min) if blocks else np.zeros((0, m + n), dtype=np.int64),
-                period_dow=np.stack(cal_dow) if blocks else np.zeros((0, m + n), dtype=np.int64),
-                period_holiday=np.stack(cal_hol) if blocks else np.zeros((0, m + n), dtype=np.int64),
-            )
-        )
-    if not samples:
+    if first > last:
         raise ValueError(
-            f"no valid anchors in split {split_range} for m={m}, n={n}, periods={periods}"
+            f"no valid anchors in split {split_range} for m={m}, n={n}, periods={list(periods)}"
         )
-    return samples
+    return [Window(t, series, calendar, m, n, periods) for t in range(first, last + 1)]
 
 
 # --------------------------------------------------------------------------

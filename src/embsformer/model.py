@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from embsformer import tensor as T
+from embsformer.data import window_offsets
 from embsformer.graph import ChebyshevBasis, cheb_graph_conv
 from embsformer.tensor import Tensor
 
@@ -47,7 +49,6 @@ __all__ = [
     "fuse",
     "mse_loss",
     "forward",
-    "forward_sample",
     "make_batch",
     "save_checkpoint",
     "load_checkpoint",
@@ -237,36 +238,42 @@ def positional_table(length, d_e):
 
 @dataclass
 class Batch:
-    """Stacked window samples ready for a batched forward pass."""
+    """Input blocks, calendar indices and targets of B windows, ready for `forward`."""
 
     recent: np.ndarray          # [B, m, N, F]
     periods: np.ndarray         # [B, K, m+n, N, F]
-    target: np.ndarray          # [B, n, N]
+    target: np.ndarray          # [B, n, N]  (feature 0)
     recent_minute: np.ndarray   # [B, m]
     recent_dow: np.ndarray
     recent_holiday: np.ndarray
     period_minute: np.ndarray   # [B, K, m+n]
     period_dow: np.ndarray
     period_holiday: np.ndarray
-    anchors: np.ndarray = field(default=None)
-
-    @property
-    def size(self):
-        return self.recent.shape[0]
 
 
-def make_batch(samples) -> Batch:
+def make_batch(windows) -> Batch:
+    """Gather a Batch from the series the windows share, one fancy index per field."""
+    first = windows[0]
+    shape = (first.m, first.n, first.periods)
+    for w in windows:
+        if (w.series is not first.series or w.calendar is not first.calendar
+                or (w.m, w.n, w.periods) != shape):
+            raise ValueError("make_batch: windows must share one series, calendar and shape")
+    anchors = np.array([w.anchor for w in windows], dtype=np.int64)
+    recent, target, period = window_offsets(*shape)
+    r = anchors[:, None] + recent               # [B, m]
+    p = anchors[:, None, None] + period         # [B, K, m+n]
+    values, cal = first.series.values, first.calendar
     return Batch(
-        recent=np.stack([s.recent for s in samples]),
-        periods=np.stack([s.periods for s in samples]),
-        target=np.stack([s.target for s in samples]),
-        recent_minute=np.stack([s.recent_minute for s in samples]),
-        recent_dow=np.stack([s.recent_dow for s in samples]),
-        recent_holiday=np.stack([s.recent_holiday for s in samples]),
-        period_minute=np.stack([s.period_minute for s in samples]),
-        period_dow=np.stack([s.period_dow for s in samples]),
-        period_holiday=np.stack([s.period_holiday for s in samples]),
-        anchors=np.asarray([s.anchor for s in samples]),
+        recent=values[r],
+        periods=values[p],
+        target=values[anchors[:, None] + target, :, 0],
+        recent_minute=cal.minute_of_day[r],
+        recent_dow=cal.day_of_week[r],
+        recent_holiday=cal.is_holiday[r],
+        period_minute=cal.minute_of_day[p],
+        period_dow=cal.day_of_week[p],
+        period_holiday=cal.is_holiday[p],
     )
 
 
@@ -480,12 +487,6 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
     return fuse(params, config, y_recent, y_branches)
 
 
-def forward_sample(sample, params, config, basis, sink=None):
-    """Single-sample convenience wrapper returning an [n, N] prediction."""
-    out = forward(make_batch([sample]), params, config, basis, sink)
-    return T.reshape(out, (config.n, config.n_nodes))
-
-
 # --------------------------------------------------------------------------
 # checkpointing
 # --------------------------------------------------------------------------
@@ -512,23 +513,44 @@ def save_checkpoint(path, params: ModelParameters, config: ModelConfig):
 
 
 def load_checkpoint(path):
+    """Parse a checkpoint; any malformed file raises CheckpointError naming ``path``."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        (cfg_len,) = struct.unpack("<I", fh.read(4))
-        config = ModelConfig.from_dict(json.loads(fh.read(cfg_len).decode("utf-8")))
-        (count,) = struct.unpack("<I", fh.read(4))
-        params = ModelParameters()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            n_bytes = int(np.prod(shape)) * 8 if shape else 8
-            data = np.frombuffer(fh.read(n_bytes), dtype="<f8").reshape(shape)
-            params.new(name, data.copy())
-        trailing = fh.read(1)
-        if trailing:
-            raise CheckpointError(f"{path}: trailing bytes after parameter table")
+        raw = fh.read()
+    if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise CheckpointError(
+            f"{path}: bad magic {raw[:len(CHECKPOINT_MAGIC)]!r}, expected {CHECKPOINT_MAGIC!r}"
+        )
+    pos = len(CHECKPOINT_MAGIC)
+
+    def take(size):
+        nonlocal pos
+        if size > len(raw) - pos:
+            raise CheckpointError(
+                f"{path}: truncated: {size} bytes needed at offset {pos}, file has {len(raw)}"
+            )
+        pos += size
+        return raw[pos - size:pos]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
+    blob = take(unpack("<I"))
+    try:
+        config = ModelConfig.from_dict(json.loads(blob))
+    except (ValueError, TypeError) as exc:  # bad UTF-8/JSON, unknown or invalid keys
+        raise CheckpointError(f"{path}: bad model config: {exc}") from None
+    params = ModelParameters()
+    for _ in range(unpack("<I")):
+        try:
+            name = take(unpack("<H")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
+        shape = tuple(unpack("<I") for _ in range(unpack("<B")))
+        data = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
+        params.new(name, data.copy())
+    if pos != len(raw):
+        raise CheckpointError(f"{path}: trailing bytes after parameter table")
+    layout = {name: t.shape for name, t in init_params(config).items()}
+    if {name: t.shape for name, t in params.items()} != layout:
+        raise CheckpointError(f"{path}: parameter names or shapes do not match the model config")
     return params, config

@@ -31,13 +31,11 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "relu",
     "scale",
     "reduce",
     "permute",
     "reshape",
-    "concat",
     "slice_axis",
     "conv_time",
     "gather_rows",
@@ -106,7 +104,7 @@ class Tensor:
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, 1.0 / other)
-        return div(self, other)
+        return NotImplemented
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -297,21 +295,6 @@ def mul(a, b):
     return _record("mul", [a, b], out, fn)
 
 
-def div(a, b):
-    a, b = _as_tensor_pair("div", a, b)
-    _check_suffix_broadcast("div", a.shape, b.shape)
-    if np.any(b.data == 0.0):
-        raise ZeroDivisionError("div: divisor contains exact zeros; mask before dividing")
-    out = Tensor(a.data / b.data, dtype=np.result_type(a.data, b.data))
-    da, db = a.data, b.data
-    sa, sb = a.shape, b.shape
-
-    def fn(g):
-        return _sum_to(g / db, sa), _sum_to(-g * da / (db * db), sb)
-
-    return _record("div", [a, b], out, fn)
-
-
 def relu(x):
     out = Tensor(np.maximum(x.data, 0.0), dtype=x.data.dtype)
     mask = x.data > 0  # subgradient at 0 is 0
@@ -444,28 +427,6 @@ def reshape(x, shape):
         return (g.reshape(in_shape),)
 
     return _record("reshape", [x], out, fn)
-
-
-def concat(xs, axis=0):
-    xs = list(xs)
-    if not xs:
-        raise ShapeError("concat: empty input list")
-    nd = xs[0].ndim
-    axis = axis % nd
-    for t in xs[1:]:
-        if t.ndim != nd:
-            raise ShapeError("concat: rank mismatch")
-        for ax in range(nd):
-            if ax != axis and t.shape[ax] != xs[0].shape[ax]:
-                raise ShapeError(f"concat: shapes {xs[0].shape} and {t.shape} differ off-axis")
-    out = Tensor(np.concatenate([t.data for t in xs], axis=axis))
-    sizes = [t.shape[axis] for t in xs]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def fn(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets, axis=axis))
-
-    return _record("concat", xs, out, fn)
 
 
 def slice_axis(x, axis, start, stop):

@@ -32,6 +32,7 @@ __all__ = [
     "adam_step",
     "train",
     "TrainResult",
+    "forecast",
     "predict",
     "evaluate",
     "compute_metrics",
@@ -119,11 +120,11 @@ class TrainResult:
     best_val_mae: float
 
 
-def train(config: ModelConfig, basis, train_samples, val_samples,
+def train(config: ModelConfig, basis, train_windows, val_windows,
           tcfg: TrainConfig, normalizer: NormalizationStats,
           init: ModelParameters = None, log=None) -> TrainResult:
     """Epoch loop with seeded shuffling and best-on-validation selection."""
-    if not train_samples or not val_samples:
+    if not train_windows or not val_windows:
         raise ValueError("need at least one sample per split")
     params = init if init is not None else init_params(config, seed=tcfg.seed)
     state = AdamState(params)
@@ -133,12 +134,11 @@ def train(config: ModelConfig, basis, train_samples, val_samples,
     trace = []
 
     for epoch in range(tcfg.epochs):
-        order = _shuffled_indices(len(train_samples), tcfg.seed, epoch)
+        order = _shuffled_indices(len(train_windows), tcfg.seed, epoch)
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, len(order), tcfg.batch_size):
-            chunk = [train_samples[i] for i in order[lo:lo + tcfg.batch_size]]
-            batch = make_batch(chunk)
+            batch = make_batch([train_windows[i] for i in order[lo:lo + tcfg.batch_size]])
             params.zero_grads()
             pred = forward(batch, params, config, basis)
             loss = mse_loss(pred, batch.target)
@@ -150,7 +150,7 @@ def train(config: ModelConfig, basis, train_samples, val_samples,
             epoch_loss += value
             n_batches += 1
         train_loss = epoch_loss / n_batches
-        val_mae = evaluate(params, val_samples, normalizer, config, basis).mae_avg
+        val_mae = evaluate(params, val_windows, normalizer, config, basis).mae_avg
         trace.append((epoch, train_loss, val_mae))
         if log:
             log(f"epoch {epoch:3d}  train_loss {train_loss:.6f}  val_mae {val_mae:.4f}")
@@ -233,24 +233,33 @@ def compute_metrics(pred, actual, meta=None) -> MetricsReport:
     )
 
 
-def predict(params, samples, config, basis, batch_size=64):
-    """Model predictions for a sample list, stacked to [S, n, N] (normalized scale)."""
-    outputs = []
+def forecast(params, windows, config, basis, batch_size=64):
+    """Predictions and targets for a window list, each stacked to [S, n, N] (normalized scale).
+
+    Both come from one `make_batch` per batch, so no split-sized input
+    array is ever built.
+    """
+    preds, targets = [], []
     with T.no_grad():
-        for lo in range(0, len(samples), batch_size):
-            batch = make_batch(samples[lo:lo + batch_size])
-            outputs.append(forward(batch, params, config, basis).data)
-    return np.concatenate(outputs, axis=0)
+        for lo in range(0, len(windows), batch_size):
+            batch = make_batch(windows[lo:lo + batch_size])
+            preds.append(forward(batch, params, config, basis).data)
+            targets.append(batch.target)
+    return np.concatenate(preds, axis=0), np.concatenate(targets, axis=0)
 
 
-def evaluate(params, samples, normalizer: NormalizationStats, config, basis,
+def predict(params, windows, config, basis, batch_size=64):
+    """Model predictions for a window list, stacked to [S, n, N] (normalized scale)."""
+    return forecast(params, windows, config, basis, batch_size)[0]
+
+
+def evaluate(params, windows, normalizer: NormalizationStats, config, basis,
              batch_size=64, meta=None) -> MetricsReport:
     """Denormalize predictions and targets, then report MAE/RMSE/MAPE."""
-    if not samples:
+    if not windows:
         raise ValueError("evaluate: empty sample list")
     start = time.perf_counter()
-    pred = predict(params, samples, config, basis, batch_size)
-    actual = np.stack([s.target for s in samples])
+    pred, actual = forecast(params, windows, config, basis, batch_size)
     report = compute_metrics(
         normalizer.invert_feature(pred), normalizer.invert_feature(actual), meta=meta
     )
@@ -264,28 +273,26 @@ def evaluate(params, samples, normalizer: NormalizationStats, config, basis,
 # --------------------------------------------------------------------------
 
 
-def persistence_baseline(sample):
-    """Repeat the last observed flow across the horizon: [n, N]."""
-    n = sample.target.shape[0]
-    last = sample.recent[-1, :, 0]
-    return np.tile(last, (n, 1))
+def persistence_baseline(batch):
+    """Repeat the last observed flow across the horizon: [B, n, N]."""
+    n = batch.target.shape[1]
+    return np.repeat(batch.recent[:, -1:, :, 0], n, axis=1)
 
 
-def historical_average_baseline(sample, branches=None):
-    """Mean of the period branches' pseudo-futures (feature 0): [n, N]."""
-    if sample.n_branches == 0:
-        raise ValueError("sample has no period branches")
-    sel = list(range(sample.n_branches)) if branches is None else list(branches)
-    m_plus_n = sample.periods.shape[1]
-    n = sample.target.shape[0]
-    futures = sample.periods[sel, m_plus_n - n:, :, 0]  # [K, n, N]
-    return futures.mean(axis=0)
+def historical_average_baseline(batch, branches=None):
+    """Mean of the period branches' pseudo-futures (feature 0): [B, n, N]."""
+    k = batch.periods.shape[1]
+    if k == 0:
+        raise ValueError("batch has no period branches")
+    sel = list(range(k)) if branches is None else list(branches)
+    n = batch.target.shape[1]
+    return batch.periods[..., 0][:, sel, -n:].mean(axis=1)
 
 
-def _baseline_metrics(samples, fn, normalizer):
-    pred = np.stack([fn(s) for s in samples])
-    actual = np.stack([s.target for s in samples])
-    return compute_metrics(normalizer.invert_feature(pred), normalizer.invert_feature(actual))
+def _baseline_metrics(windows, fn, normalizer):
+    batch = make_batch(windows)
+    return compute_metrics(normalizer.invert_feature(fn(batch)),
+                           normalizer.invert_feature(batch.target))
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from embsformer.graph import (
     normalized_laplacian,
 )
 from embsformer.model import (
+    Batch,
     ModelConfig,
     forward,
     init_params,
@@ -208,14 +209,15 @@ def test_windowing_correctness():
     vals = np.tile(np.arange(t_total, dtype=float)[:, None, None], (1, 2, 1))
     series = data.RawSeries(values=vals, start=datetime(2023, 4, 3), step_minutes=60)
     samples = data.make_windows(series, (0, t_total), m, n, periods)
+    batch = make_batch(samples)
     exhaustive = True
-    for s in samples:
+    for j, s in enumerate(samples):
         t = s.anchor
-        exhaustive &= np.array_equal(s.recent[:, 0, 0], np.arange(t - m + 1, t + 1))
-        exhaustive &= np.array_equal(s.target[:, 0], np.arange(t + 1, t + n + 1))
+        exhaustive &= np.array_equal(batch.recent[j, :, 0, 0], np.arange(t - m + 1, t + 1))
+        exhaustive &= np.array_equal(batch.target[j, :, 0], np.arange(t + 1, t + n + 1))
         for i, p in enumerate(periods):
             lo = t - m - p + 1
-            exhaustive &= np.array_equal(s.periods[i, :, 0, 0], np.arange(lo, lo + m + n))
+            exhaustive &= np.array_equal(batch.periods[j, i, :, 0, 0], np.arange(lo, lo + m + n))
             exhaustive &= lo >= 0
 
     cal_series = data.RawSeries(
@@ -224,12 +226,12 @@ def test_windowing_correctness():
     )
     cal_samples = data.make_windows(cal_series, (0, 26 * 24), 1, 1, [24, 168])
     anchor = (date(2023, 4, 27) - date(2023, 4, 3)).days * 24 + 7  # 7:00 Apr 27
-    smp = next(x for x in cal_samples if x.anchor == anchor)
+    smp = make_batch([x for x in cal_samples if x.anchor == anchor])
     calendar_ok = (
-        smp.recent[0, 0, 0] == anchor                      # recent 7:00-8:00 Apr 27
-        and smp.target[0, 0] == anchor + 1                 # target 8:00-9:00 Apr 27
-        and np.array_equal(smp.periods[0, :, 0, 0], [anchor - 24, anchor - 23])
-        and np.array_equal(smp.periods[1, :, 0, 0], [anchor - 168, anchor - 167])
+        smp.recent[0, 0, 0, 0] == anchor                   # recent 7:00-8:00 Apr 27
+        and smp.target[0, 0, 0] == anchor + 1              # target 8:00-9:00 Apr 27
+        and np.array_equal(smp.periods[0, 0, :, 0, 0], [anchor - 24, anchor - 23])
+        and np.array_equal(smp.periods[0, 1, :, 0, 0], [anchor - 168, anchor - 167])
     )
     ok = exhaustive and calendar_ok
     report(
@@ -313,10 +315,9 @@ def test_lookup_sanity():
     result = train(config, basis, windows["train"], windows["val"], tcfg, normalizer)
     rep = evaluate(result.params, windows["test"], normalizer, config, basis)
 
-    oracle_pred = np.stack(
-        [training.historical_average_baseline(s) for s in windows["test"]]
-    )
-    actual = np.stack([s.target for s in windows["test"]])
+    test_batch = make_batch(windows["test"])
+    oracle_pred = training.historical_average_baseline(test_batch)
+    actual = test_batch.target
     oracle = training.compute_metrics(
         normalizer.invert_feature(oracle_pred), normalizer.invert_feature(actual)
     )
@@ -386,8 +387,6 @@ def test_determinism_and_persistence(tmp_path):
 
 
 def test_shape_config_sweep():
-    from embsformer.data import WindowSample
-
     rng = np.random.default_rng(91)
     n_nodes = 5
     failures = []
@@ -409,19 +408,18 @@ def test_shape_config_sweep():
                 lap = normalized_laplacian(graph)
                 basis = chebyshev_basis(lap, estimate_lambda_max(lap), k_cheb)
                 k = len(periods)
-                sample = WindowSample(
-                    anchor=0,
-                    recent=rng.standard_normal((m, n_nodes, 1)),
-                    periods=rng.standard_normal((k, m + n, n_nodes, 1)),
-                    target=rng.standard_normal((n, n_nodes)),
-                    recent_minute=rng.integers(0, 1440, m),
-                    recent_dow=rng.integers(0, 7, m),
-                    recent_holiday=rng.integers(0, 2, m),
-                    period_minute=rng.integers(0, 1440, (k, m + n)),
-                    period_dow=rng.integers(0, 7, (k, m + n)),
-                    period_holiday=rng.integers(0, 2, (k, m + n)),
+                batch = Batch(
+                    recent=rng.standard_normal((1, m, n_nodes, 1)),
+                    periods=rng.standard_normal((1, k, m + n, n_nodes, 1)),
+                    target=rng.standard_normal((1, n, n_nodes)),
+                    recent_minute=rng.integers(0, 1440, (1, m)),
+                    recent_dow=rng.integers(0, 7, (1, m)),
+                    recent_holiday=rng.integers(0, 2, (1, m)),
+                    period_minute=rng.integers(0, 1440, (1, k, m + n)),
+                    period_dow=rng.integers(0, 7, (1, k, m + n)),
+                    period_holiday=rng.integers(0, 2, (1, k, m + n)),
                 )
-                out = forward(make_batch([sample]), params, config, basis)
+                out = forward(batch, params, config, basis)
                 if out.shape != (1, n, n_nodes):
                     failures.append((m, n, k_cheb, branches, out.shape))
     ok = not failures

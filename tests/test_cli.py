@@ -97,7 +97,8 @@ class TestTrain:
     def test_config_file_with_override(self, dataset, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("epochs = 1\nseed = 1\nm = 4\nn = 4\nperiods_hours = 24\n"
-                            "d_e = 4\nd_s = 4\nd_t = 4\nh_prime = 4\nk_cheb = 2\nn_blocks = 1\n")
+                            "d_e = 4\nd_s = 4\nd_t = 4\nh_prime = 4\nk_cheb = 2\nn_blocks = 1\n"
+                            "threads = 1\n")  # a key older versions wrote still parses
         out = tmp_path / "runs"
         assert run_cli(["train", "--config", cfg_file,
                         "--readings", dataset / "readings.csv",
@@ -111,6 +112,15 @@ class TestTrain:
         assert run_cli(train_args(dataset, out, ["--m", 4, "--n", 4, "--periods", "24"])) == 0
         assert run_cli(train_args(dataset, out, ["--m", 4, "--n", 4, "--periods", "24"])) == 0
         assert len(list(out.glob("run-train-*"))) == 2
+
+    def test_divergence_fails_cleanly_without_run_dir(self, dataset, tmp_path, capsys):
+        out = tmp_path / "runs"
+        rc = run_cli(train_args(dataset, out, ["--m", 4, "--n", 4, "--periods", "24",
+                                               "--lr", 1e300]))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not list(out.glob("run-train-*"))
 
     def test_missing_dataset_fails_cleanly(self, tmp_path):
         rc = run_cli(["train", "--readings", tmp_path / "nope.csv",

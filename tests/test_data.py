@@ -19,6 +19,7 @@ from embsformer.data import (
     save_readings,
     synth_generate,
 )
+from embsformer.model import make_batch
 
 
 def series_of(values, start=datetime(2018, 1, 1), step=5):
@@ -205,11 +206,11 @@ class TestWindows:
         s = index_series(26 * 24, start=datetime(2023, 4, 3, 0, 0), step=60)
         samples = make_windows(s, (0, 26 * 24), m=1, n=1, periods=[24, 168])
         anchor_7am_apr27 = (date(2023, 4, 27) - date(2023, 4, 3)).days * 24 + 7
-        sample = next(x for x in samples if x.anchor == anchor_7am_apr27)
-        assert sample.recent[0, 0, 0] == anchor_7am_apr27            # 7:00 Apr 27
-        assert sample.target[0, 0] == anchor_7am_apr27 + 1           # 8:00 Apr 27
-        daily = sample.periods[0, :, 0, 0]
-        weekly = sample.periods[1, :, 0, 0]
+        batch = make_batch([x for x in samples if x.anchor == anchor_7am_apr27])
+        assert batch.recent[0, 0, 0, 0] == anchor_7am_apr27          # 7:00 Apr 27
+        assert batch.target[0, 0, 0] == anchor_7am_apr27 + 1         # 8:00 Apr 27
+        daily = batch.periods[0, 0, :, 0, 0]
+        weekly = batch.periods[0, 1, :, 0, 0]
         apr26_7am = anchor_7am_apr27 - 24
         apr20_7am = anchor_7am_apr27 - 168
         assert np.array_equal(daily, [apr26_7am, apr26_7am + 1])     # 7:00-9:00 Apr 26
@@ -218,20 +219,21 @@ class TestWindows:
     def test_no_periods(self):
         s = index_series(50)
         samples = make_windows(s, (0, 50), m=4, n=2, periods=[])
-        assert samples[0].periods.shape == (0, 6, 2, 1)
+        assert make_batch(samples[:1]).periods.shape == (1, 0, 6, 2, 1)
         assert len(samples) == 50 - 4 - 2 + 1
 
     def test_index_identity_exhaustive(self):
         s = index_series(80)
         m, n, periods = 4, 2, [8, 12]
         samples = make_windows(s, (0, 80), m, n, periods)
-        for smp in samples:
+        batch = make_batch(samples)
+        for i, smp in enumerate(samples):
             t = smp.anchor
-            assert np.array_equal(smp.recent[:, 0, 0], np.arange(t - m + 1, t + 1))
-            assert np.array_equal(smp.target[:, 0], np.arange(t + 1, t + n + 1))
-            for i, p in enumerate(periods):
+            assert np.array_equal(batch.recent[i, :, 0, 0], np.arange(t - m + 1, t + 1))
+            assert np.array_equal(batch.target[i, :, 0], np.arange(t + 1, t + n + 1))
+            for j, p in enumerate(periods):
                 lo = t - m - p + 1
-                assert np.array_equal(smp.periods[i, :, 0, 0], np.arange(lo, lo + m + n))
+                assert np.array_equal(batch.periods[i, j, :, 0, 0], np.arange(lo, lo + m + n))
         # anchors whose largest-period window would underflow are dropped
         assert min(s.anchor for s in samples) == m + max(periods) - 1
 
@@ -242,34 +244,31 @@ class TestWindows:
                 samples = make_windows(s, split, 3, 2, [6])
             except ValueError:
                 continue
-            for smp in samples:
-                assert smp.periods.min() >= 0
-                assert smp.target.max() <= 59
+            batch = make_batch(samples)
+            assert batch.periods.min() >= 0
+            assert batch.target.max() <= 59
 
     def test_no_target_leakage_across_splits(self):
         s = index_series(60)
         splits = ((0, 36), (36, 48), (48, 60))
         targets = []
         for split in splits:
-            samples = make_windows(s, split, 3, 2, [6])
-            targets.append({int(v) for smp in samples for v in smp.target[:, 0]})
+            batch = make_batch(make_windows(s, split, 3, 2, [6]))
+            targets.append({int(v) for v in batch.target[:, :, 0].ravel()})
         assert not (targets[0] & targets[1])
         assert not (targets[1] & targets[2])
         # period branches of later splits may reach into earlier partitions
-        val_period_min = min(
-            int(smp.periods.min()) for smp in make_windows(s, splits[1], 3, 2, [6])
-        )
+        val_period_min = int(make_batch(make_windows(s, splits[1], 3, 2, [6])).periods.min())
         assert val_period_min < 36
 
     def test_pure_function(self):
         s = index_series(70)
         a = make_windows(s, (0, 70), 3, 3, [7])
         b = make_windows(s, (0, 70), 3, 3, [7])
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert x.anchor == y.anchor
-            assert np.array_equal(x.recent, y.recent)
-            assert np.array_equal(x.periods, y.periods)
+        assert [x.anchor for x in a] == [y.anchor for y in b]
+        batch_a, batch_b = make_batch(a), make_batch(b)
+        assert np.array_equal(batch_a.recent, batch_b.recent)
+        assert np.array_equal(batch_a.periods, batch_b.periods)
 
     def test_period_shorter_than_window_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
@@ -282,6 +281,58 @@ class TestWindows:
     def test_no_valid_anchor_raises(self):
         with pytest.raises(ValueError, match="anchors"):
             make_windows(index_series(20), (0, 20), 4, 4, [16])
+
+    def test_windows_from_different_series_rejected(self):
+        a = make_windows(index_series(50), (0, 50), 4, 2, [])
+        b = make_windows(index_series(50), (0, 50), 4, 2, [])
+        with pytest.raises(ValueError, match="share"):
+            make_batch([a[0], b[1]])
+
+
+def reference_batch(windows):
+    """Slice every field of every window straight from the series, then stack."""
+    rows = []
+    for w in windows:
+        v, cal, t, m, n = w.series.values, w.calendar, w.anchor, w.m, w.n
+        recent = slice(t - m + 1, t + 1)
+        spans = [slice(t - m - p + 1, t + n - p + 1) for p in w.periods]
+
+        def branches(a):
+            return np.array([a[s] for s in spans], dtype=a.dtype).reshape(
+                (len(spans), m + n) + a.shape[1:])
+
+        rows.append({
+            "recent": v[recent],
+            "periods": branches(v),
+            "target": v[t + 1:t + n + 1, :, 0],
+            "recent_minute": cal.minute_of_day[recent],
+            "recent_dow": cal.day_of_week[recent],
+            "recent_holiday": cal.is_holiday[recent],
+            "period_minute": branches(cal.minute_of_day),
+            "period_dow": branches(cal.day_of_week),
+            "period_holiday": branches(cal.is_holiday),
+        })
+    return {name: np.stack([row[name] for row in rows]) for name in rows[0]}
+
+
+@pytest.mark.parametrize("shape", ["index", "desk"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_gather_matches_slicing_reference_bytewise(shape, k):
+    if shape == "index":
+        series, m, n, periods = index_series(80), 4, 2, (8, 12)[:k]
+    else:
+        series, _ = synth_generate(n_nodes=15, days=30, step_minutes=15, seed=4)
+        m, n, periods = 12, 12, (96, 672)[:k]  # 24 h and 168 h at 15-minute steps
+    calendar = calendar_features(series, holidays={date(2023, 4, 4), date(2023, 4, 17)})
+    for split in chronological_split(series):
+        windows = make_windows(series, split, m, n, periods, calendar=calendar)
+        assert not any(isinstance(v, np.ndarray) for w in windows for v in vars(w).values())
+        batch = make_batch(windows)
+        for name, expected in reference_batch(windows).items():
+            got = getattr(batch, name)
+            assert got.shape == expected.shape, name
+            assert got.dtype == expected.dtype, name
+            assert got.tobytes() == expected.tobytes(), name
 
 
 class TestSynth:

