@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from embsformer import checks, data, model, training
 from embsformer.graph import chebyshev_basis, estimate_lambda_max, normalized_laplacian
 
@@ -210,9 +212,12 @@ def cmd_train(args):
     print(f"samples: train={len(windows['train'])} val={len(windows['val'])} "
           f"test={len(windows['test'])}  params={model.init_params(config, tcfg.seed).count()}")
 
-    result = training.train(
-        config, basis, windows["train"], windows["val"], tcfg, normalizer, log=print
-    )
+    # divergence is raised as DivergenceError, so numpy's overflow warnings
+    # would only put noise ahead of the one error line
+    with np.errstate(all="ignore"):
+        result = training.train(
+            config, basis, windows["train"], windows["val"], tcfg, normalizer, log=print
+        )
     # allocated only now, so a failed run leaves no directory behind
     run = make_run_dir(args.out or "runs", "train")
     write_effective_config(cfg, run / "config.txt", extra={
@@ -250,11 +255,12 @@ def cmd_evaluate(args):
     cfg = merged_config(args)
     params, config, _, normalizer, windows, basis = _load_for_checkpoint(args, cfg)
     samples = windows[args.split]
-    report = training.evaluate(
-        params, samples, normalizer, config, basis,
-        meta={"split": args.split, "seed": int(cfg["seed"]),
-              "n_samples": len(samples)},
-    )
+    with np.errstate(all="ignore"):
+        report = training.evaluate(
+            params, samples, normalizer, config, basis,
+            meta={"split": args.split, "seed": int(cfg["seed"]),
+                  "n_samples": len(samples)},
+        )
     doc = report.to_dict()
     print(f"split={args.split}  samples={len(samples)}  horizon={config.n}")
     print(f"{'step':>4s} {'MAE':>10s} {'RMSE':>10s} {'MAPE%':>10s}")
@@ -337,10 +343,11 @@ def cmd_ablation(args):
         h_prime=int(cfg["h_prime"]), k_cheb=int(cfg["k_cheb"]),
         n_blocks=int(cfg["n_blocks"]),
     )
-    rows = training.ablation_grid(
-        normalized, basis, variants, model_kwargs, tcfg, splits, normalizer,
-        calendar=calendar, log=print,
-    )
+    with np.errstate(all="ignore"):
+        rows = training.ablation_grid(
+            normalized, basis, variants, model_kwargs, tcfg, splits, normalizer,
+            calendar=calendar, log=print,
+        )
     ranked = sorted(rows, key=lambda r: r["mae"])
     header = f"{'variant':18s} {'MAE':>10s} {'RMSE':>10s} {'MAPE%':>8s} {'persist':>10s} {'params':>8s}"
     table_lines = [header]

@@ -149,9 +149,8 @@ def cheb_graph_conv(x: Tensor, basis: ChebyshevBasis, theta: Tensor) -> Tensor:
         raise ValueError(
             f"x has {x.shape[-2]} nodes but basis was built for {basis.num_nodes}"
         )
-    acc = None
-    for k, t_k in enumerate(basis.tensors()):
+    acc = matmul(x, gather_rows(theta, np.asarray(0)))  # T_0 = I
+    for k in range(1, basis.order):
         theta_k = gather_rows(theta, np.asarray(k))  # [C_in, C_out]
-        term = matmul(matmul(t_k, x), theta_k)
-        acc = term if acc is None else add(acc, term)
+        acc = add(acc, matmul(matmul(basis.tensors()[k], x), theta_k))
     return relu(acc)

@@ -282,19 +282,18 @@ def make_batch(windows) -> Batch:
 # --------------------------------------------------------------------------
 
 
-def _lookup(table, idx, n_nodes):
-    # idx: [B, steps] shared by all nodes -> [B, steps, N, d_e]
-    tiled = np.repeat(idx[:, :, None], n_nodes, axis=2)
-    return T.gather_rows(table, tiled)
-
-
 def embed(params, config, block, minute, dow, holiday, position_offset=0):
     """Project a data block and add calendar + positional embeddings.
 
     block: [B, steps, N, F] -> [B, steps, N, d_e]. Calendar index arrays are
-    [B, steps] (one clock per time step, shared across nodes).
+    [B, steps] (one clock per time step, shared across nodes), so each table
+    is gathered once per step. The sum is built node-major, [N, B, steps,
+    d_e], where the [B, steps, d_e] calendar rows and the [steps, d_e]
+    positional table are trailing suffixes that broadcast over nodes. The
+    projection runs before the permute: the same matmul on the same layout
+    keeps its bits for every shape (BLAS picks its kernel by matrix shape).
     """
-    steps, n_nodes = block.shape[1], block.shape[2]
+    steps = block.shape[1]
     if minute.min() < 0 or minute.max() >= MINUTE_VOCAB:
         raise ValueError("minute-of-day index out of range [0, 1439]")
     if dow.min() < 0 or dow.max() >= DOW_VOCAB:
@@ -302,13 +301,13 @@ def embed(params, config, block, minute, dow, holiday, position_offset=0):
     if holiday.min() < 0 or holiday.max() >= HOLIDAY_VOCAB:
         raise ValueError("holiday flag out of range {0, 1}")
     x = block if isinstance(block, Tensor) else Tensor(block)
-    e = T.matmul(x, params["embed.proj"])
-    e = T.add(e, _lookup(params["embed.minute"], minute, n_nodes))
-    e = T.add(e, _lookup(params["embed.dow"], dow, n_nodes))
-    e = T.add(e, _lookup(params["embed.holiday"], holiday, n_nodes))
+    e = T.permute(T.matmul(x, params["embed.proj"]), (2, 0, 1, 3))  # [N, B, steps, d_e]
+    e = T.add(e, T.gather_rows(params["embed.minute"], minute))
+    e = T.add(e, T.gather_rows(params["embed.dow"], dow))
+    e = T.add(e, T.gather_rows(params["embed.holiday"], holiday))
     pos = positional_table(position_offset + steps, config.d_e)[position_offset:]
-    pos_b = np.broadcast_to(pos[None, :, None, :], (block.shape[0], steps, n_nodes, config.d_e))
-    return T.add(e, Tensor(np.ascontiguousarray(pos_b)))
+    e = T.add(e, Tensor(pos))
+    return T.permute(e, (1, 2, 0, 3))
 
 
 def _affine(x, w, b):
@@ -350,12 +349,9 @@ def temporal_self_attention(params, prefix, x, d_t, sink=None):
 
 
 def _conv_over_time(x, kernel):
-    # x: [B, L, N, C] -> conv along L with the node axis folded into the batch
-    b, length, n_nodes, c = x.shape
-    folded = T.reshape(T.permute(x, (0, 2, 1, 3)), (b * n_nodes, length, c))
-    out = T.conv_time(folded, kernel)
-    l_out, c_out = out.shape[1], out.shape[2]
-    return T.permute(T.reshape(out, (b, n_nodes, l_out, c_out)), (0, 2, 1, 3))
+    # A width-1 temporal conv is the same channel map at every step and node:
+    # x: [B, L, N, C], kernel: [1, C, C_out] -> [B, L, N, C_out]
+    return T.matmul(x, T.reshape(kernel, kernel.shape[1:]))
 
 
 def transition_block(params, prefix, e, basis: ChebyshevBasis, config, sink=None):

@@ -1,11 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Storage is row-major numpy, float64 by default (float32 is an opt-in
-storage mode, never used for gradient checking). Differentiable ops
+storage mode, never used for gradient checking). The public ``Tensor``
+constructor copies the caller's array, because Adam updates parameter
+data in place; op outputs are not copied: an op wraps the array it just
+computed (a view, for ``reshape``), and copies only a strided result such
+as a ``slice_axis`` view to keep storage row-major. Differentiable ops
 record nodes on a thread-local tape; ``backward`` replays that tape once
 in reverse, accumulating gradients into ``.grad`` of every
-``requires_grad`` ancestor. A tape belongs to a single forward pass and
-is discarded after backward, so there are no higher-order derivatives.
+``requires_grad`` ancestor. An op computes an input's gradient only when
+that input is ``requires_grad`` or itself recorded, so constants such as
+data blocks and graph bases cost no backward work. A tape belongs to a
+single forward pass and is discarded after backward, so there are no
+higher-order derivatives.
 
 Broadcasting is deliberately restricted: the shorter operand of an
 elementwise op must equal a trailing suffix of the longer one (classic
@@ -113,6 +120,21 @@ class Tensor:
         return matmul(self, other)
 
 
+def _wrap(data):
+    """Tensor around an op's freshly computed result, copied only if strided."""
+    data = np.asarray(data)
+    out = Tensor.__new__(Tensor)
+    out.data = data if data.flags.c_contiguous else data.copy()
+    out.requires_grad = False
+    out.grad = None
+    out._tracked = False
+    return out
+
+
+def _needs_grad(t):
+    return t.requires_grad or t._tracked
+
+
 class _Node:
     """One executed op: inputs, output, and the function producing input grads.
 
@@ -177,7 +199,7 @@ def no_grad():
 
 def _record(op, inputs, out, fn):
     st = _st()
-    if st.enabled and any(t.requires_grad or t._tracked for t in inputs):
+    if st.enabled and any(_needs_grad(t) for t in inputs):
         if st.tape is None:
             st.tape = Tape()
         out._tracked = True
@@ -261,7 +283,7 @@ def _as_tensor_pair(op, a, b):
 def add(a, b):
     a, b = _as_tensor_pair("add", a, b)
     _check_suffix_broadcast("add", a.shape, b.shape)
-    out = Tensor(a.data + b.data, dtype=np.result_type(a.data, b.data))
+    out = _wrap(a.data + b.data)
     sa, sb = a.shape, b.shape
 
     def fn(g):
@@ -273,7 +295,7 @@ def add(a, b):
 def sub(a, b):
     a, b = _as_tensor_pair("sub", a, b)
     _check_suffix_broadcast("sub", a.shape, b.shape)
-    out = Tensor(a.data - b.data, dtype=np.result_type(a.data, b.data))
+    out = _wrap(a.data - b.data)
     sa, sb = a.shape, b.shape
 
     def fn(g):
@@ -285,18 +307,20 @@ def sub(a, b):
 def mul(a, b):
     a, b = _as_tensor_pair("mul", a, b)
     _check_suffix_broadcast("mul", a.shape, b.shape)
-    out = Tensor(a.data * b.data, dtype=np.result_type(a.data, b.data))
+    out = _wrap(a.data * b.data)
     da, db = a.data, b.data
     sa, sb = a.shape, b.shape
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def fn(g):
-        return _sum_to(g * db, sa), _sum_to(g * da, sb)
+        return (_sum_to(g * db, sa) if need_a else None,
+                _sum_to(g * da, sb) if need_b else None)
 
     return _record("mul", [a, b], out, fn)
 
 
 def relu(x):
-    out = Tensor(np.maximum(x.data, 0.0), dtype=x.data.dtype)
+    out = _wrap(np.maximum(x.data, 0.0))
     mask = x.data > 0  # subgradient at 0 is 0
 
     def fn(g):
@@ -307,7 +331,7 @@ def relu(x):
 
 def scale(x, c):
     c = float(c)
-    out = Tensor(x.data * c, dtype=x.data.dtype)
+    out = _wrap(x.data * c)
 
     def fn(g):
         return (g * c,)
@@ -324,7 +348,8 @@ def matmul(a, b):
     """Batched matrix product [..,p,q] x [..,q,r] -> [..,p,r].
 
     Leading batch dims must match exactly, or one operand is 2-D and is
-    shared across the other's batch.
+    shared across the other's batch. A constant operand (neither
+    ``requires_grad`` nor recorded) gets no gradient.
     """
     a, b = _as_tensor_pair("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
@@ -334,16 +359,20 @@ def matmul(a, b):
     la, lb = a.shape[:-2], b.shape[:-2]
     if la != lb and la != () and lb != ():
         raise ShapeError(f"matmul: batch dims differ between {a.shape} and {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data), dtype=np.result_type(a.data, b.data))
+    out = _wrap(np.matmul(a.data, b.data))
     da, db = a.data, b.data
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def fn(g):
-        ga = np.matmul(g, np.swapaxes(db, -1, -2))
-        gb = np.matmul(np.swapaxes(da, -1, -2), g)
-        if ga.ndim > da.ndim:
-            ga = ga.sum(axis=tuple(range(ga.ndim - da.ndim)))
-        if gb.ndim > db.ndim:
-            gb = gb.sum(axis=tuple(range(gb.ndim - db.ndim)))
+        ga = gb = None
+        if need_a:
+            ga = np.matmul(g, np.swapaxes(db, -1, -2))
+            if ga.ndim > da.ndim:
+                ga = ga.sum(axis=tuple(range(ga.ndim - da.ndim)))
+        if need_b:
+            gb = np.matmul(np.swapaxes(da, -1, -2), g)
+            if gb.ndim > db.ndim:
+                gb = gb.sum(axis=tuple(range(gb.ndim - db.ndim)))
         return ga, gb
 
     return _record("matmul", [a, b], out, fn)
@@ -360,7 +389,7 @@ def softmax(x, axis=-1):
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, dtype=x.data.dtype)
+    out = _wrap(y)
 
     def fn(g):
         return (_softmax_grad(out.data, g, axis),)
@@ -389,7 +418,7 @@ def reduce(x, axis=None, kind="sum"):
     data = x.data.sum(axis=axes)
     if kind == "mean":
         data = data / count
-    out = Tensor(data, dtype=x.data.dtype)
+    out = _wrap(data)
     in_shape = x.shape
     factor = 1.0 / count if kind == "mean" else 1.0
 
@@ -403,11 +432,11 @@ def reduce(x, axis=None, kind="sum"):
 
 
 def permute(x, axes):
-    """Reorder axes; the result is a materialized row-major copy."""
+    """Reorder axes; the result is stored row-major."""
     axes = tuple(axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"permute: axes {axes} invalid for shape {x.shape}")
-    out = Tensor(np.ascontiguousarray(np.transpose(x.data, axes)), dtype=x.data.dtype)
+    out = _wrap(np.transpose(x.data, axes))
     inv = np.argsort(axes)
 
     def fn(g):
@@ -417,10 +446,11 @@ def permute(x, axes):
 
 
 def reshape(x, shape):
+    """View ``x`` under a new shape; the output shares the input's storage."""
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out = Tensor(x.data.reshape(shape), dtype=x.data.dtype)
+    out = _wrap(x.data.reshape(shape))
     in_shape = x.shape
 
     def fn(g):
@@ -436,7 +466,7 @@ def slice_axis(x, axis, start, stop):
     if not (0 <= start < stop <= n):
         raise ShapeError(f"slice_axis: [{start},{stop}) invalid for axis {axis} of {x.shape}")
     idx = tuple(slice(None) if ax != axis else slice(start, stop) for ax in range(x.ndim))
-    out = Tensor(x.data[idx], dtype=x.data.dtype)
+    out = _wrap(x.data[idx])
     in_shape = x.shape
 
     def fn(g):
@@ -467,7 +497,7 @@ def conv_time(x, kernel):
     if w > x.shape[1]:
         raise ShapeError(f"conv_time: kernel width {w} exceeds sequence length {x.shape[1]}")
     windows = np.lib.stride_tricks.sliding_window_view(x.data, w, axis=1)  # [B,T',C,w]
-    out = Tensor(np.einsum("bscj,jcd->bsd", windows, kernel.data))
+    out = _wrap(np.einsum("bscj,jcd->bsd", windows, kernel.data).astype(np.float64, copy=False))
     xd, kd = x.data, kernel.data
     t_out = out.shape[1]
 
@@ -494,7 +524,7 @@ def gather_rows(table, indices):
             f"gather_rows: index out of range [0, {table.shape[0]}): "
             f"min={idx.min()}, max={idx.max()}"
         )
-    out = Tensor(table.data[idx], dtype=table.data.dtype)
+    out = _wrap(table.data[idx])
     tshape = table.shape
 
     def fn(g):

@@ -214,3 +214,22 @@ class TestChebGraphConv:
 
         assert T.gradient_check(f_x, x) <= 1e-4
         assert T.gradient_check(f_theta, theta) <= 1e-4
+
+    def test_basis_is_constant_on_the_tape(self):
+        g = random_graph(78, 5)
+        lap = normalized_laplacian(g)
+        basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
+        rng = np.random.default_rng(78)
+        x = T.Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+        theta = T.Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
+        y = cheb_graph_conv(x, basis, theta)
+        nodes = list(T.current_tape().nodes)
+        T.backward(T.reduce(y, kind="sum"))
+        basis_ids = {id(t) for t in basis.tensors()}
+        slots = [ig for node in nodes
+                 for t, ig in zip(node.inputs, node.fn(np.ones(node.out.shape)))
+                 if id(t) in basis_ids]
+        assert len(slots) == basis.order - 1  # T_0 = I is applied as x itself
+        assert all(ig is None for ig in slots)
+        assert all(t.grad is None for t in basis.tensors())
+        assert x.grad is not None and theta.grad is not None

@@ -15,6 +15,7 @@ from embsformer.model import (
     Batch,
     CheckpointError,
     ModelConfig,
+    _conv_over_time,
     embed,
     forward,
     fuse,
@@ -73,6 +74,17 @@ class TestConfig:
         assert a.config_hash() != c.config_hash()
 
 
+def tiled_embed(params, config, block, minute, dow, holiday):
+    """Reference for `embed`: every calendar index tiled over the N nodes."""
+    steps, n_nodes = block.shape[1], block.shape[2]
+    x = block if isinstance(block, T.Tensor) else T.Tensor(block)
+    e = T.matmul(x, params["embed.proj"])
+    for name, idx in (("embed.minute", minute), ("embed.dow", dow), ("embed.holiday", holiday)):
+        e = T.add(e, T.gather_rows(params[name], np.repeat(idx[:, :, None], n_nodes, axis=2)))
+    pos = positional_table(steps, config.d_e)[None, :, None, :]
+    return T.add(e, T.Tensor(np.broadcast_to(pos, e.shape)))
+
+
 class TestEmbed:
     def test_additive_decomposition(self):
         config = ModelConfig(m=4, n=2, n_nodes=3, d_e=4, periods=(6,))
@@ -118,6 +130,56 @@ class TestEmbed:
         with pytest.raises(ValueError, match="minute"):
             embed(params, config, np.zeros((1, 2, 2, 1)),
                   np.array([[0, 1440]]), np.zeros((1, 2), int), np.zeros((1, 2), int))
+
+    @pytest.mark.parametrize("n_nodes,n_features,steps", [(1, 1, 4), (1, 2, 4), (15, 1, 12), (6, 3, 1)])
+    @pytest.mark.parametrize("tensor_block", [False, True])
+    def test_matches_tiled_reference(self, n_nodes, n_features, steps, tensor_block):
+        config = ModelConfig(m=4, n=2, n_nodes=n_nodes, n_features=n_features, d_e=8, periods=(6,))
+        params = init_params(config, seed=5)
+        rng = np.random.default_rng(n_nodes * 10 + n_features)
+        data = rng.standard_normal((3, steps, n_nodes, n_features))
+        calendar = (rng.integers(0, 1440, (3, steps)), rng.integers(0, 7, (3, steps)),
+                    rng.integers(0, 2, (3, steps)))
+        w = T.Tensor(rng.standard_normal((3, steps, n_nodes, config.d_e)))
+        names = ("embed.minute", "embed.dow", "embed.holiday", "embed.proj")
+
+        def run(fn):
+            params.zero_grads()
+            block = T.Tensor(data, requires_grad=True)
+            out = fn(params, config, block if tensor_block else data, *calendar)
+            T.backward(T.reduce(T.mul(out, w), kind="sum"))
+            grads = [params[k].grad for k in names]
+            return out.data, grads + ([block.grad] if tensor_block else [])
+
+        got, got_grads = run(embed)
+        ref, ref_grads = run(tiled_embed)
+        assert got.tobytes() == ref.tobytes()
+        for g, r in zip(got_grads, ref_grads):
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+class TestConvOverTime:
+    def test_width1_matches_conv_time_on_folded_layout(self):
+        rng = np.random.default_rng(9)
+        b, length, n_nodes, c, c_out = 2, 5, 3, 4, 6
+        x_data = rng.standard_normal((b, length, n_nodes, c))
+        k_data = rng.standard_normal((1, c, c_out))
+        w = rng.standard_normal((b, length, n_nodes, c_out))
+
+        def run(fn):
+            x = T.Tensor(x_data, requires_grad=True)
+            k = T.Tensor(k_data, requires_grad=True)
+            out = fn(x, k)
+            T.backward(T.reduce(T.mul(out, T.Tensor(w)), kind="sum"))
+            return out.data, x.grad, k.grad
+
+        def folded(x, k):
+            f = T.reshape(T.permute(x, (0, 2, 1, 3)), (b * n_nodes, length, c))
+            out = T.reshape(T.conv_time(f, k), (b, n_nodes, length, c_out))
+            return T.permute(out, (0, 2, 1, 3))
+
+        for got, ref in zip(run(_conv_over_time), run(folded)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSpatialAttention:

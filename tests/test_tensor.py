@@ -160,6 +160,36 @@ class TestElementwise:
         assert T.add(x, x).dtype == np.float32
 
 
+class TestStorage:
+    def test_constructor_copies_caller_array(self):
+        a = np.arange(3.0)
+        t = T.Tensor(a)
+        a[0] = 9.0
+        assert not np.shares_memory(a, t.data)
+        assert t.data[0] == 0.0
+
+    def test_reshape_output_is_a_view(self):
+        x = T.Tensor(np.arange(6.0))
+        assert np.shares_memory(T.reshape(x, (2, 3)).data, x.data)
+
+    def test_strided_results_stored_row_major(self):
+        x = T.Tensor(np.arange(24.0).reshape(2, 3, 4))
+        assert T.permute(x, (2, 0, 1)).data.flags.c_contiguous
+        assert T.slice_axis(x, 1, 1, 3).data.flags.c_contiguous
+
+    @pytest.mark.parametrize("op", [T.matmul, T.mul])
+    def test_constant_operand_gets_no_gradient(self, op):
+        rng = rng_for(12)
+        const = T.Tensor(rng.standard_normal((3, 3)))
+        w = T.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        y = op(const, w)
+        node = T.current_tape().nodes[-1]
+        T.backward(T.reduce(y, kind="sum"))
+        g_const, g_w = node.fn(np.ones(y.shape))
+        assert g_const is None and g_w is not None
+        assert const.grad is None
+
+
 # --------------------------------------------------------------------------
 # conv_time
 # --------------------------------------------------------------------------
