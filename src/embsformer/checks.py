@@ -199,21 +199,6 @@ def check_slice():
     return _check(f, x)
 
 
-def check_conv_time():
-    rng = _rng(15)
-    x = T.Tensor(rng.standard_normal((2, 6, 3)))
-    k = T.Tensor(rng.standard_normal((2, 3, 4)))
-    w = rng.standard_normal((2, 5, 4))
-
-    def f_x(t):
-        return T.reduce(T.mul(T.conv_time(t, k), T.Tensor(w)), kind="sum")
-
-    def f_k(t):
-        return T.reduce(T.mul(T.conv_time(x, t), T.Tensor(w)), kind="sum")
-
-    return max(_check(f_x, x), _check(f_k, k))
-
-
 def check_gather():
     rng = _rng(16)
     table = T.Tensor(rng.standard_normal((6, 3)))
@@ -313,21 +298,24 @@ def check_temporal_attention():
 
 
 def check_similarity_attention():
+    """Inputs and, for m != n, the alignment kernels, on an m == n and an m > n toy."""
     rng = _rng(20)
-    config, params, basis, batch = toy_setup()
-    e_r = T.Tensor(rng.standard_normal((1, config.m, config.n_nodes, config.d_e)))
-    e_p = T.Tensor(rng.standard_normal((1, config.m + config.n, config.n_nodes, config.d_e)))
-    w = rng.standard_normal((1, config.n, config.n_nodes, config.h_prime))
+    worst = 0.0
+    for m, n in ((3, 3), (5, 2)):
+        config, params, basis, batch = toy_setup(m=m, n=n)
+        e_r = T.Tensor(rng.standard_normal((1, m, config.n_nodes, config.d_e)))
+        e_p = T.Tensor(rng.standard_normal((1, m + n, config.n_nodes, config.d_e)))
+        w = rng.standard_normal((1, n, config.n_nodes, config.h_prime))
 
-    def f_r(t):
-        return T.reduce(T.mul(
-            similarity_attention(params, 0, t, e_p, config), T.Tensor(w)), kind="sum")
+        def f(t):
+            return T.reduce(T.mul(
+                similarity_attention(params, 0, e_r, e_p, config), T.Tensor(w)), kind="sum")
 
-    def f_p(t):
-        return T.reduce(T.mul(
-            similarity_attention(params, 0, e_r, t, config), T.Tensor(w)), kind="sum")
-
-    return max(_check(f_r, e_r), _check(f_p, e_p))
+        targets = [e_r, e_p]
+        if m != n:
+            targets += [params["branch.0.align_q"], params["branch.0.align_k"]]
+        worst = max([worst] + [_check(f, t) for t in targets])
+    return worst
 
 
 def check_transition_block():
@@ -415,7 +403,6 @@ def registered_checks():
         ("permute", check_permute),
         ("reshape", check_reshape),
         ("slice_axis", check_slice),
-        ("conv_time", check_conv_time),
         ("gather_rows", check_gather),
         ("cheb_graph_conv", check_cheb_conv),
         ("spatial-attention", check_spatial_attention),

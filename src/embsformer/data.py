@@ -93,9 +93,6 @@ class NormalizationStats:
     def invert(self, values):
         return np.asarray(values) * self.std + self.mean
 
-    def apply_feature(self, values, feature=0):
-        return (np.asarray(values) - self.mean[feature]) / self.std[feature]
-
     def invert_feature(self, values, feature=0):
         return np.asarray(values) * self.std[feature] + self.mean[feature]
 

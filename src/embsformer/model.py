@@ -2,19 +2,22 @@
 
 Flow transition (recent path): spatial self-attention over nodes, then
 temporal self-attention over steps, then Chebyshev graph convolution and
-a width-1 temporal conv back to the embedding width, wrapped in a learned
-residual; a full-width temporal conv plus a feature conv read the stack
-out to an n-step forecast.
+a per-step channel map back to the embedding width, wrapped in a learned
+residual. The readout is two matmuls: a feature map collapses d_e to 1,
+then a time mix maps the m input steps to the n forecast steps.
 
 Flow generation (one branch per period P_i): similarity attention where
 queries come from the recent embedding, keys from the branch window's
 first m steps (pseudo-input) and values from its last n steps
 (pseudo-future) -- a soft lookup that retrieves the future of historically
-similar moments. Branch outputs are sum-normalized (divided by the branch
-count) and fused with the transition forecast through elementwise
-trainable weights.
+similar moments. When m != n, queries and keys are aligned to n steps by
+a width-(m-n+1) correlation over time, one matmul on gathered windows.
+Branch outputs are sum-normalized (divided by the branch count) and fused
+with the transition forecast through elementwise trainable weights.
 
-Everything operates on batches; shapes are commented as [B, ...].
+Everything operates on batches; shapes are commented as [B, ...]. Every
+learned linear map is a matmul, and each weight has the shape of the map
+it applies.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, asdict
 
@@ -195,10 +199,10 @@ def init_params(config: ModelConfig, seed=0) -> ModelParameters:
             for nm, width in (("temporal.bq", c.d_t), ("temporal.bk", c.d_t), ("temporal.bv", c.d_t)):
                 p.new(f"{pre}.{nm}", np.zeros(width))
             p.new(f"{pre}.theta", _uniform(rng, c.d_t * c.k_cheb, (c.k_cheb, c.d_t, c.h_prime)))
-            p.new(f"{pre}.conv_t", _uniform(rng, c.h_prime, (1, c.h_prime, c.d_e)))
+            p.new(f"{pre}.conv_t", _uniform(rng, c.h_prime, (c.h_prime, c.d_e)))
             p.new(f"{pre}.residual", _uniform(rng, c.d_e, (c.d_e, c.d_e)))
-        p.new("readout.time_mix", _uniform(rng, c.m, (c.m, 1, c.n)))
-        p.new("readout.feature", _uniform(rng, c.d_e, (1, c.d_e, 1)))
+        p.new("readout.time_mix", _uniform(rng, c.m, (c.m, c.n)))
+        p.new("readout.feature", _uniform(rng, c.d_e, (c.d_e, 1)))
 
     for i in range(c.n_branches):
         pre = f"branch.{i}"
@@ -210,8 +214,8 @@ def init_params(config: ModelConfig, seed=0) -> ModelParameters:
             width = c.m - c.n + 1
             p.new(f"{pre}.align_q", _uniform(rng, width * c.h_prime, (width, c.h_prime, c.h_prime)))
             p.new(f"{pre}.align_k", _uniform(rng, width * c.h_prime, (width, c.h_prime, c.h_prime)))
-        p.new(f"{pre}.conv_t", _uniform(rng, c.h_prime, (1, c.h_prime, c.h_prime)))
-        p.new(f"{pre}.conv_c", _uniform(rng, c.h_prime, (1, c.h_prime, 1)))
+        p.new(f"{pre}.conv_t", _uniform(rng, c.h_prime, (c.h_prime, c.h_prime)))
+        p.new(f"{pre}.conv_c", _uniform(rng, c.h_prime, (c.h_prime, 1)))
 
     if c.enable_recent:
         p.new("head.w_r", np.ones((c.n, c.n_nodes)))
@@ -348,22 +352,16 @@ def temporal_self_attention(params, prefix, x, d_t, sink=None):
     return T.permute(out, (0, 2, 1, 3))  # [B, m, N, d_t]
 
 
-def _conv_over_time(x, kernel):
-    # A width-1 temporal conv is the same channel map at every step and node:
-    # x: [B, L, N, C], kernel: [1, C, C_out] -> [B, L, N, C_out]
-    return T.matmul(x, T.reshape(kernel, kernel.shape[1:]))
-
-
 def transition_block(params, prefix, e, basis: ChebyshevBasis, config, sink=None):
     """One stacked flow-transition unit; output shape equals input shape.
 
-    residual(e) + conv_t(gcn(temporal_sa(spatial_sa(e)))), where conv_t is a
-    width-1 map h' -> d_e so blocks stack.
+    residual(e) + conv_t(gcn(temporal_sa(spatial_sa(e)))), where conv_t is the
+    per-step channel map h' -> d_e, so blocks stack.
     """
     s = spatial_self_attention(params, prefix, e, config.d_s, sink)
     t = temporal_self_attention(params, prefix, s, config.d_t, sink)
     g = cheb_graph_conv(t, basis, params[f"{prefix}.theta"])  # [B, m, N, h']
-    back = _conv_over_time(g, params[f"{prefix}.conv_t"])     # [B, m, N, d_e]
+    back = T.matmul(g, params[f"{prefix}.conv_t"])            # [B, m, N, d_e]
     res = T.matmul(e, params[f"{prefix}.residual"])
     return T.add(res, back)
 
@@ -371,18 +369,32 @@ def transition_block(params, prefix, e, basis: ChebyshevBasis, config, sink=None
 def transition_readout(params, h, config):
     """Map the stacked representation to the forecast: [B, m, N, d_e] -> [B, n, N].
 
-    The temporal conv uses a full-width kernel with n output channels shared
-    across features (m steps in, n steps out); the feature conv then
-    collapses d_e to 1.
+    Two chained linear maps with nothing between them: ``readout.feature``
+    [d_e, 1] collapses the features at every step and node, then
+    ``readout.time_mix`` [m, n] maps the m input steps to the n forecast
+    steps, shared across nodes. Collapsing the features first regroups the
+    same sum and never builds a [B, N, d_e, n] intermediate.
     """
-    b, m, n_nodes, d_e = h.shape
-    # time mix: fold nodes and features into the batch, convolve full width
-    folded = T.reshape(T.permute(h, (0, 2, 3, 1)), (b * n_nodes * d_e, m, 1))
-    mixed = T.conv_time(folded, params["readout.time_mix"])  # [B*N*d_e, 1, n]
-    mixed = T.permute(T.reshape(mixed, (b, n_nodes, d_e, config.n)), (0, 3, 1, 2))
-    # feature collapse: [B, n, N, d_e] -> [B, n, N]
-    out = _conv_over_time(mixed, params["readout.feature"])  # [B, n, N, 1]
-    return T.reshape(out, (b, config.n, n_nodes))
+    b, m, n_nodes, _ = h.shape
+    y = T.reshape(T.matmul(h, params["readout.feature"]), (b, m, n_nodes))
+    out = T.matmul(T.permute(y, (0, 2, 1)), params["readout.time_mix"])  # [B, N, n]
+    return T.permute(out, (0, 2, 1))
+
+
+def _align(x, kernel):
+    """Valid correlation over time as one matmul on gathered windows (im2col).
+
+    x: [B, L, N, C], kernel: [w, C, C_out] -> [B, N, L-w+1, C_out], where
+    output step s is sum_j x[:, s+j] @ kernel[j]. The L-w+1 overlapping
+    windows are gathered at once along the time-leading layout.
+    """
+    w, c, c_out = kernel.shape
+    steps = x.shape[1] - w + 1
+    windows = T.gather_rows(T.permute(x, (1, 0, 2, 3)),
+                            np.arange(steps)[:, None] + np.arange(w))  # [L', w, B, N, C]
+    windows = T.permute(windows, (2, 3, 0, 1, 4))                      # [B, N, L', w, C]
+    windows = T.reshape(windows, windows.shape[:3] + (w * c,))
+    return T.matmul(windows, T.reshape(kernel, (w * c, c_out)))
 
 
 def similarity_attention(params, branch, e_recent, e_period, config, sink=None):
@@ -390,8 +402,8 @@ def similarity_attention(params, branch, e_recent, e_period, config, sink=None):
 
     e_recent: [B, m, N, d_e]; e_period: [B, m+n, N, d_e]. Queries come from
     the recent embedding, keys from the first m period steps, values from
-    the last n (the pseudo-future). When m != n a width-(m-n+1) temporal
-    conv aligns query/key length to n. Returns [B, n, N, h'].
+    the last n (the pseudo-future). When m != n a width-(m-n+1) correlation
+    over time (`_align`) maps query/key length to n. Returns [B, n, N, h'].
     """
     m, n = config.m, config.n
     if e_period.shape[1] != m + n:
@@ -406,30 +418,26 @@ def similarity_attention(params, branch, e_recent, e_period, config, sink=None):
     k = _affine(e_in, params[f"{pre}.wk"], params[f"{pre}.bk"])      # [B, m, N, h']
     v = _affine(e_out, params[f"{pre}.wv"], params[f"{pre}.bv"])     # [B, n, N, h']
 
-    q = T.permute(q, (0, 2, 1, 3))  # [B, N, m, h']
-    k = T.permute(k, (0, 2, 1, 3))
-    v = T.permute(v, (0, 2, 1, 3))  # [B, N, n, h']
     if m != n:
-        b, n_nodes = q.shape[0], q.shape[1]
-        q = T.reshape(q, (b * n_nodes, m, config.h_prime))
-        k = T.reshape(k, (b * n_nodes, m, config.h_prime))
-        q = T.conv_time(q, params[f"{pre}.align_q"])
-        k = T.conv_time(k, params[f"{pre}.align_k"])
-        q = T.reshape(q, (b, n_nodes, n, config.h_prime))
-        k = T.reshape(k, (b, n_nodes, n, config.h_prime))
+        q = _align(q, params[f"{pre}.align_q"])  # [B, N, n, h']
+        k = _align(k, params[f"{pre}.align_k"])
+    else:
+        q = T.permute(q, (0, 2, 1, 3))
+        k = T.permute(k, (0, 2, 1, 3))
+    v = T.permute(v, (0, 2, 1, 3))  # [B, N, n, h']
     out = _attend(q, k, v, config.h_prime, sink, f"similarity.{branch}")
     return T.permute(out, (0, 2, 1, 3))  # [B, n, N, h']
 
 
 def generation_branch(params, branch, asr, config):
-    """Branch readout: width-1 temporal conv then feature conv, [B,n,N,h'] -> [B,n,N].
+    """Branch readout: per-step channel map then feature map, [B,n,N,h'] -> [B,n,N].
 
     Sum normalization (division by the active branch count) happens at
     fusion time, keeping per-branch outputs separate for the head weights.
     """
     pre = f"branch.{branch}"
-    h = _conv_over_time(asr, params[f"{pre}.conv_t"])   # [B, n, N, h']
-    y = _conv_over_time(h, params[f"{pre}.conv_c"])     # [B, n, N, 1]
+    h = T.matmul(asr, params[f"{pre}.conv_t"])   # [B, n, N, h']
+    y = T.matmul(h, params[f"{pre}.conv_c"])     # [B, n, N, 1]
     b, n_steps, n_nodes = y.shape[0], y.shape[1], y.shape[2]
     return T.reshape(y, (b, n_steps, n_nodes))
 
@@ -489,23 +497,35 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
 
 
 def save_checkpoint(path, params: ModelParameters, config: ModelConfig):
-    """Versioned binary container; identical inputs produce identical bytes."""
+    """Versioned binary container; identical inputs produce identical bytes.
+
+    The bytes go to ``<path>.tmp`` first, which then replaces ``path``, so a
+    write that fails part way leaves neither a partial checkpoint nor the
+    temp file.
+    """
     blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        names = sorted(params.names())
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            raw = name.encode("utf-8")
-            arr = np.ascontiguousarray(params[name].data, dtype="<f8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            names = sorted(params.names())
+            fh.write(struct.pack("<I", len(names)))
+            for name in names:
+                raw = name.encode("utf-8")
+                arr = np.ascontiguousarray(params[name].data, dtype="<f8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<B", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

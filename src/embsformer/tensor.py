@@ -1,11 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Storage is row-major numpy, float64 by default (float32 is an opt-in
-storage mode, never used for gradient checking). The public ``Tensor``
-constructor copies the caller's array, because Adam updates parameter
-data in place; op outputs are not copied: an op wraps the array it just
-computed (a view, for ``reshape``), and copies only a strided result such
-as a ``slice_axis`` view to keep storage row-major. Differentiable ops
+Storage is row-major float64 numpy. The public ``Tensor`` constructor
+copies the caller's array, because Adam updates parameter data in place;
+op outputs are not copied: an op wraps the array it just computed (a
+view, for ``reshape``), and copies only a strided result such as a
+``slice_axis`` view to keep storage row-major. Differentiable ops
 record nodes on a thread-local tape; ``backward`` replays that tape once
 in reverse, accumulating gradients into ``.grad`` of every
 ``requires_grad`` ancestor. An op computes an input's gradient only when
@@ -44,7 +43,6 @@ __all__ = [
     "permute",
     "reshape",
     "slice_axis",
-    "conv_time",
     "gather_rows",
     "backward",
     "zero_grads",
@@ -61,8 +59,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_tracked")
 
-    def __init__(self, data, requires_grad=False, dtype=np.float64):
-        self.data = np.array(data, dtype=dtype, order="C")
+    def __init__(self, data, requires_grad=False):
+        self.data = np.array(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._tracked = False
@@ -478,37 +476,8 @@ def slice_axis(x, axis, start, stop):
 
 
 # --------------------------------------------------------------------------
-# convolution / gather
+# gather
 # --------------------------------------------------------------------------
-
-
-def conv_time(x, kernel):
-    """Valid correlation along the time axis.
-
-    x: [B, T, C_in], kernel: [w, C_in, C_out] -> [B, T-w+1, C_out].
-    w=1 reduces to a per-step linear map.
-    """
-    x, kernel = _as_tensor_pair("conv_time", x, kernel)
-    if x.ndim != 3 or kernel.ndim != 3:
-        raise ShapeError(f"conv_time: expected 3-D x and kernel, got {x.shape}, {kernel.shape}")
-    w, c_in, _ = kernel.shape
-    if c_in != x.shape[2]:
-        raise ShapeError(f"conv_time: channel mismatch between {x.shape} and {kernel.shape}")
-    if w > x.shape[1]:
-        raise ShapeError(f"conv_time: kernel width {w} exceeds sequence length {x.shape[1]}")
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, w, axis=1)  # [B,T',C,w]
-    out = _wrap(np.einsum("bscj,jcd->bsd", windows, kernel.data).astype(np.float64, copy=False))
-    xd, kd = x.data, kernel.data
-    t_out = out.shape[1]
-
-    def fn(g):
-        gk = np.einsum("bscj,bsd->jcd", windows, g)
-        gx = np.zeros_like(xd)
-        for j in range(w):
-            gx[:, j:j + t_out, :] += np.matmul(g, kd[j].T)
-        return gx, gk
-
-    return _record("conv_time", [x, kernel], out, fn)
 
 
 def gather_rows(table, indices):
@@ -546,10 +515,8 @@ def gradient_check(f, x, eps=1e-5, elements=None):
     ``f`` must be a deterministic scalar-valued function of ``x`` (checked by
     double evaluation). ``elements`` optionally restricts the check to a list
     of flat indices into ``x`` (used for large lookup tables where only a few
-    rows participate); default checks every element. 64-bit inputs only.
+    rows participate); default checks every element.
     """
-    if x.data.dtype != np.float64:
-        raise TypeError("gradient_check requires float64 storage")
     with no_grad():
         y0 = f(x)
         y1 = f(x)

@@ -57,7 +57,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    clip_norm: float = None  # global-norm clipping, off unless set
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
@@ -77,17 +76,6 @@ def adam_step(params: ModelParameters, state: AdamState, cfg: TrainConfig):
     """Standard bias-corrected Adam update; params without grads are skipped."""
     state.step += 1
     t = state.step
-    if cfg.clip_norm is not None:
-        total = 0.0
-        for _, tens in params.items():
-            if tens.grad is not None:
-                total += float((tens.grad * tens.grad).sum())
-        norm = np.sqrt(total)
-        if norm > cfg.clip_norm:
-            factor = cfg.clip_norm / norm
-            for _, tens in params.items():
-                if tens.grad is not None:
-                    tens.grad = tens.grad * factor
     for name, tens in params.items():
         g = tens.grad
         if g is None:

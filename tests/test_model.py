@@ -15,7 +15,6 @@ from embsformer.model import (
     Batch,
     CheckpointError,
     ModelConfig,
-    _conv_over_time,
     embed,
     forward,
     fuse,
@@ -61,6 +60,11 @@ class TestConfig:
     def test_rejects_short_periods(self):
         with pytest.raises(ValueError, match="period"):
             ModelConfig(m=6, n=6, periods=(10,))
+
+    def test_rejects_fewer_inputs_than_outputs_with_branches(self):
+        # the m != n alignment gathers m-n+1 steps per window
+        with pytest.raises(ValueError, match="m >= n"):
+            ModelConfig(m=2, n=3, periods=(5,))
 
     def test_rejects_no_active_path(self):
         with pytest.raises(ValueError, match="active"):
@@ -156,30 +160,6 @@ class TestEmbed:
         assert got.tobytes() == ref.tobytes()
         for g, r in zip(got_grads, ref_grads):
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
-
-
-class TestConvOverTime:
-    def test_width1_matches_conv_time_on_folded_layout(self):
-        rng = np.random.default_rng(9)
-        b, length, n_nodes, c, c_out = 2, 5, 3, 4, 6
-        x_data = rng.standard_normal((b, length, n_nodes, c))
-        k_data = rng.standard_normal((1, c, c_out))
-        w = rng.standard_normal((b, length, n_nodes, c_out))
-
-        def run(fn):
-            x = T.Tensor(x_data, requires_grad=True)
-            k = T.Tensor(k_data, requires_grad=True)
-            out = fn(x, k)
-            T.backward(T.reduce(T.mul(out, T.Tensor(w)), kind="sum"))
-            return out.data, x.grad, k.grad
-
-        def folded(x, k):
-            f = T.reshape(T.permute(x, (0, 2, 1, 3)), (b * n_nodes, length, c))
-            out = T.reshape(T.conv_time(f, k), (b, n_nodes, length, c_out))
-            return T.permute(out, (0, 2, 1, 3))
-
-        for got, ref in zip(run(_conv_over_time), run(folded)):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSpatialAttention:
@@ -279,12 +259,9 @@ class TestTransitionReadout:
     def test_constructed_kernels_select_channel(self):
         config, params, basis, _ = toy_setup(m=3, n=3)
         # time mix = identity over steps; feature kernel selects channel 0
-        tm = np.zeros((3, 1, 3))
-        for s in range(3):
-            tm[s, 0, s] = 1.0
-        params["readout.time_mix"].data[:] = tm
-        fk = np.zeros((1, config.d_e, 1))
-        fk[0, 0, 0] = 1.0
+        params["readout.time_mix"].data[:] = np.eye(3)
+        fk = np.zeros((config.d_e, 1))
+        fk[0, 0] = 1.0
         params["readout.feature"].data[:] = fk
         h = np.random.default_rng(13).standard_normal((1, 3, 4, config.d_e))
         out = transition_readout(params, T.Tensor(h), config)
@@ -575,11 +552,24 @@ class TestCheckpoint:
 
     def test_parameter_table_must_match_config(self, tmp_path):
         config, params, basis, _ = toy_setup()
+        old_layout = params.copy()
+        kernel = old_layout["branch.0.conv_c"]
+        kernel.data = kernel.data[None]  # a width-1 conv kernel [1, h', 1]
         del params.tensors["head.w_r"]
-        path = tmp_path / "missing.ckpt"
-        save_checkpoint(path, params, config)
-        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*do not match"):
-            load_checkpoint(path)
+        for name, table in (("missing", params), ("old-layout", old_layout)):
+            path = tmp_path / f"{name}.ckpt"
+            save_checkpoint(path, table, config)
+            with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*do not match"):
+                load_checkpoint(path)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        config, params, basis, _ = toy_setup()
+        params.new("\ud800", np.zeros(1))  # sorts last; cannot be encoded as UTF-8
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(UnicodeEncodeError):
+            save_checkpoint(path, params, config)
+        assert not path.exists()
+        assert not (tmp_path / "model.ckpt.tmp").exists()
 
     def test_param_count_formula(self):
         # documented closed form: embeddings + per-block + readout + branches + head
