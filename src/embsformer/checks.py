@@ -23,6 +23,8 @@ from embsformer.graph import (
     normalized_laplacian,
 )
 from embsformer.model import (
+    CALENDAR_OFFSETS,
+    CALENDAR_VOCAB,
     Batch,
     ModelConfig,
     forward,
@@ -248,7 +250,6 @@ def toy_setup(seed=42, n_nodes=4, m=3, n=3, width=4, k_cheb=2, periods=1):
         m=m, n=n, n_nodes=n_nodes, n_features=1, d_e=width, d_s=width,
         d_t=width, h_prime=width, k_cheb=k_cheb, n_blocks=1,
         periods=tuple(m + n + 2 * i for i in range(periods)),
-        enable_recent=True, enable_period=periods > 0,
     )
     params = init_params(config, seed=seed)
     k = len(config.periods)
@@ -256,12 +257,8 @@ def toy_setup(seed=42, n_nodes=4, m=3, n=3, width=4, k_cheb=2, periods=1):
         recent=rng.standard_normal((1, m, n_nodes, 1)),
         periods=rng.standard_normal((1, k, m + n, n_nodes, 1)),
         target=np.zeros((1, n, n_nodes)),
-        recent_minute=rng.integers(0, 1440, (1, m)),
-        recent_dow=rng.integers(0, 7, (1, m)),
-        recent_holiday=rng.integers(0, 2, (1, m)),
-        period_minute=rng.integers(0, 1440, (1, k, m + n)),
-        period_dow=rng.integers(0, 7, (1, k, m + n)),
-        period_holiday=rng.integers(0, 2, (1, k, m + n)),
+        recent_calendar=np.stack([rng.integers(0, v, (1, m)) for v in CALENDAR_VOCAB], -1),
+        period_calendar=np.stack([rng.integers(0, v, (1, k, m + n)) for v in CALENDAR_VOCAB], -1),
     )
     with T.no_grad():
         pred0 = forward(batch, params, config, basis).data
@@ -344,21 +341,16 @@ def check_transition_readout():
     return _check(f, h)
 
 
-def _used_table_elements(batch, name, d_e):
-    used = {
-        "embed.minute": np.concatenate(
-            [batch.recent_minute.ravel(), batch.period_minute.ravel()]
-        ),
-        "embed.dow": np.concatenate([batch.recent_dow.ravel(), batch.period_dow.ravel()]),
-        "embed.holiday": np.arange(2),
-    }[name]
-    return sorted({int(r) * d_e + j for r in used for j in range(d_e)})
+def _used_table_elements(batch, d_e):
+    rows = np.concatenate([(batch.recent_calendar + CALENDAR_OFFSETS).ravel(),
+                           (batch.period_calendar + CALENDAR_OFFSETS).ravel()])
+    return sorted({int(r) * d_e + j for r in rows for j in range(d_e)})
 
 
 def check_full_model():
     """End-to-end loss gradient w.r.t. the input block and every parameter.
 
-    Embedding tables are checked on the rows the toy calendar touches (the
+    The calendar table is checked on the rows the toy calendar touches (the
     rest provably receive zero gradient from gather's scatter-add).
     """
     import dataclasses
@@ -380,11 +372,8 @@ def check_full_model():
         def f(t):
             return loss_fn()
 
-        if name in ("embed.minute", "embed.dow", "embed.holiday"):
-            elems = _used_table_elements(batch, name, tens.shape[1])
-            worst = max(worst, _check(f, tens, elements=elems))
-        else:
-            worst = max(worst, _check(f, tens))
+        elems = _used_table_elements(batch, tens.shape[1]) if name == "embed.calendar" else None
+        worst = max(worst, _check(f, tens, elements=elems))
     return worst
 
 

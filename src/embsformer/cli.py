@@ -159,6 +159,19 @@ def _build_basis(lap, k_cheb):
     return chebyshev_basis(lap, estimate_lambda_max(lap), k_cheb)
 
 
+def _model_widths(cfg):
+    """The `ModelConfig` sizes the config sets: horizons, widths, Chebyshev order, depth."""
+    return {key: int(cfg[key])
+            for key in ("m", "n", "d_e", "d_s", "d_t", "h_prime", "k_cheb", "n_blocks")}
+
+
+def _train_config(cfg):
+    return training.TrainConfig(
+        learning_rate=float(cfg["lr"]), batch_size=int(cfg["batch_size"]),
+        epochs=int(cfg["epochs"]), seed=int(cfg["seed"]),
+    )
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -190,23 +203,14 @@ def cmd_train(args):
     cfg = merged_config(args)
     series, graph, holidays = _load_dataset(cfg)
     periods = _periods_steps(cfg, series.step_minutes)
-    m, n = int(cfg["m"]), int(cfg["n"])
-    enable_period = _bool(cfg["enable_period"]) and bool(periods)
     config = model.ModelConfig(
-        m=m, n=n, n_nodes=series.n_nodes, n_features=series.n_features,
-        d_e=int(cfg["d_e"]), d_s=int(cfg["d_s"]), d_t=int(cfg["d_t"]),
-        h_prime=int(cfg["h_prime"]), k_cheb=int(cfg["k_cheb"]),
-        n_blocks=int(cfg["n_blocks"]),
-        periods=periods if enable_period else (),
-        enable_recent=_bool(cfg["enable_recent"]),
-        enable_period=enable_period,
+        n_nodes=series.n_nodes, n_features=series.n_features,
+        periods=periods if _bool(cfg["enable_period"]) else (),
+        enable_recent=_bool(cfg["enable_recent"]), **_model_widths(cfg),
     )
-    tcfg = training.TrainConfig(
-        learning_rate=float(cfg["lr"]), batch_size=int(cfg["batch_size"]),
-        epochs=int(cfg["epochs"]), seed=int(cfg["seed"]),
-    )
+    tcfg = _train_config(cfg)
     _, normalizer, windows, lap, _ = _prepare(
-        series, graph, holidays, m, n, config.periods
+        series, graph, holidays, config.m, config.n, config.periods
     )
     basis = _build_basis(lap, config.k_cheb)
     print(f"samples: train={len(windows['train'])} val={len(windows['val'])} "
@@ -327,25 +331,16 @@ def cmd_ablation(args):
         raise ConfigError(
             f"dataset spans {span_hours:.0f}h, need >= {2 * max_hours}h for the ablation grid"
         )
-    m, n = int(cfg["m"]), int(cfg["n"])
+    model_kwargs = _model_widths(cfg)
     splits = data.chronological_split(series)
     normalizer = data.fit_normalizer(series, splits[0])
     normalized = series.with_values(normalizer.apply(series.values))
     calendar = data.calendar_features(series, holidays)
     lap = normalized_laplacian(graph)
-    basis = _build_basis(lap, int(cfg["k_cheb"]))
-    tcfg = training.TrainConfig(
-        learning_rate=float(cfg["lr"]), batch_size=int(cfg["batch_size"]),
-        epochs=int(cfg["epochs"]), seed=int(cfg["seed"]),
-    )
-    model_kwargs = dict(
-        m=m, n=n, d_e=int(cfg["d_e"]), d_s=int(cfg["d_s"]), d_t=int(cfg["d_t"]),
-        h_prime=int(cfg["h_prime"]), k_cheb=int(cfg["k_cheb"]),
-        n_blocks=int(cfg["n_blocks"]),
-    )
+    basis = _build_basis(lap, model_kwargs["k_cheb"])
     with np.errstate(all="ignore"):
         rows = training.ablation_grid(
-            normalized, basis, variants, model_kwargs, tcfg, splits, normalizer,
+            normalized, basis, variants, model_kwargs, _train_config(cfg), splits, normalizer,
             calendar=calendar, log=print,
         )
     ranked = sorted(rows, key=lambda r: r["mae"])

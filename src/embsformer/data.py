@@ -23,7 +23,6 @@ from embsformer.graph import TrafficGraph
 __all__ = [
     "RawSeries",
     "NormalizationStats",
-    "CalendarFeatures",
     "Window",
     "load_readings",
     "save_readings",
@@ -97,26 +96,19 @@ class NormalizationStats:
         return np.asarray(values) * self.std[feature] + self.mean[feature]
 
 
-@dataclass
-class CalendarFeatures:
-    """Per-index minute of day [0,1439], day of week [0,6], holiday flag {0,1}."""
-
-    minute_of_day: np.ndarray
-    day_of_week: np.ndarray
-    is_holiday: np.ndarray
-
-
 @dataclass(eq=False, repr=False)
 class Window:
     """One example: its anchor t plus the series and calendar its split shares.
 
-    A window owns no arrays; `model.make_batch` gathers its blocks from
-    ``series`` and ``calendar`` at the offsets of `window_offsets`.
+    A window copies nothing: ``series`` and the [T, 3] ``calendar`` index
+    array (see `calendar_features`) are shared by every window of a split,
+    and `model.make_batch` gathers its blocks from them at the offsets of
+    `window_offsets`.
     """
 
     anchor: int
     series: RawSeries
-    calendar: CalendarFeatures
+    calendar: np.ndarray
     m: int
     n: int
     periods: tuple
@@ -279,7 +271,12 @@ def fit_normalizer(series: RawSeries, train_range) -> NormalizationStats:
     return NormalizationStats(mean=mean, std=std)
 
 
-def calendar_features(series: RawSeries, holidays=()) -> CalendarFeatures:
+def calendar_features(series: RawSeries, holidays=()) -> np.ndarray:
+    """Per-step calendar indices, int64 [T, 3].
+
+    Columns: minute of day [0, 1439], day of week [0, 6] (Monday = 0) and
+    holiday flag {0, 1}, set for every step of a date in ``holidays``.
+    """
     holidays = set(holidays)
     t_total = series.n_steps
     start_minute = series.start.hour * 60 + series.start.minute
@@ -298,11 +295,7 @@ def calendar_features(series: RawSeries, holidays=()) -> CalendarFeatures:
         hol = np.asarray([flag_by_day[int(d)] for d in days_elapsed], dtype=np.int64)
     else:
         hol = np.zeros(t_total, dtype=np.int64)
-    return CalendarFeatures(
-        minute_of_day=minute.astype(np.int64),
-        day_of_week=dow.astype(np.int64),
-        is_holiday=hol,
-    )
+    return np.stack([minute, dow, hol], axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -326,14 +319,16 @@ def window_offsets(m, n, periods):
 
 
 def make_windows(series: RawSeries, split_range, m, n, periods,
-                 calendar: CalendarFeatures = None, anchor_floor=None):
+                 calendar=None, anchor_floor=None):
     """Every valid Window for one chronological split, in anchor order.
 
     Recent and target (see `window_offsets`) stay inside the split; period
     branches are inputs and may reach into earlier history, but anchors
     whose largest-period window underflows the series are dropped.
-    ``anchor_floor`` optionally raises the first admissible anchor (used to
-    keep anchor sets identical across period configurations).
+    ``calendar`` is the series' [T, 3] `calendar_features` array, built
+    without holidays when omitted. ``anchor_floor`` optionally raises the
+    first admissible anchor (used to keep anchor sets identical across
+    period configurations).
     """
     periods = tuple(periods)
     if sorted(periods) != list(periods):

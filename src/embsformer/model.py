@@ -58,9 +58,11 @@ __all__ = [
     "load_checkpoint",
 ]
 
-MINUTE_VOCAB = 1440
-DOW_VOCAB = 7
-HOLIDAY_VOCAB = 2
+# the columns of a [..., 3] calendar index array (see `data.calendar_features`),
+# their vocabulary sizes, and the first row of each column in `embed.calendar`
+CALENDAR_COLUMNS = ("minute-of-day", "day-of-week", "holiday")
+CALENDAR_VOCAB = np.array([1440, 7, 2])
+CALENDAR_OFFSETS = np.cumsum(CALENDAR_VOCAB) - CALENDAR_VOCAB   # 0, 1440, 1447
 
 CHECKPOINT_MAGIC = b"EMBS1"
 
@@ -81,9 +83,8 @@ class ModelConfig:
     h_prime: int = 32           # hidden width h'
     k_cheb: int = 3
     n_blocks: int = 2
-    periods: tuple = ()         # period lags P_i in steps, ascending
+    periods: tuple = ()         # period lags P_i in steps, ascending; one branch each
     enable_recent: bool = True
-    enable_period: bool = True
 
     def __post_init__(self):
         self.periods = tuple(int(p) for p in self.periods)
@@ -91,7 +92,7 @@ class ModelConfig:
                      "h_prime", "k_cheb", "n_blocks"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.m < self.n and self.enable_period and self.periods:
+        if self.m < self.n and self.periods:
             raise ValueError(
                 "m >= n required when period branches are active "
                 "(query/key alignment convolution has width m-n+1)"
@@ -101,12 +102,12 @@ class ModelConfig:
                 raise ValueError(f"period {p} must be >= m+n = {self.m + self.n}")
         if list(self.periods) != sorted(self.periods):
             raise ValueError("periods must be ascending")
-        if not self.enable_recent and not (self.enable_period and self.periods):
+        if not self.enable_recent and not self.periods:
             raise ValueError("model needs at least one active path")
 
     @property
     def n_branches(self):
-        return len(self.periods) if self.enable_period else 0
+        return len(self.periods)
 
     def to_dict(self):
         d = asdict(self)
@@ -168,16 +169,14 @@ def init_params(config: ModelConfig, seed=0) -> ModelParameters:
 
     Affine/conv weights are uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), biases
     zero, fusion weights start at ones (period weights scaled by
-    1/(1+branch count)). Embedding tables use fan_in = d_e.
+    1/(1+branch count)). The calendar embedding table uses fan_in = d_e.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     p = ModelParameters()
     c = config
 
     p.new("embed.proj", _uniform(rng, c.n_features, (c.n_features, c.d_e)))
-    p.new("embed.minute", _uniform(rng, c.d_e, (MINUTE_VOCAB, c.d_e)))
-    p.new("embed.dow", _uniform(rng, c.d_e, (DOW_VOCAB, c.d_e)))
-    p.new("embed.holiday", _uniform(rng, c.d_e, (HOLIDAY_VOCAB, c.d_e)))
+    p.new("embed.calendar", _uniform(rng, c.d_e, (int(CALENDAR_VOCAB.sum()), c.d_e)))
 
     if c.enable_recent:
         for b in range(c.n_blocks):
@@ -244,15 +243,11 @@ def positional_table(length, d_e):
 class Batch:
     """Input blocks, calendar indices and targets of B windows, ready for `forward`."""
 
-    recent: np.ndarray          # [B, m, N, F]
-    periods: np.ndarray         # [B, K, m+n, N, F]
-    target: np.ndarray          # [B, n, N]  (feature 0)
-    recent_minute: np.ndarray   # [B, m]
-    recent_dow: np.ndarray
-    recent_holiday: np.ndarray
-    period_minute: np.ndarray   # [B, K, m+n]
-    period_dow: np.ndarray
-    period_holiday: np.ndarray
+    recent: np.ndarray            # [B, m, N, F]
+    periods: np.ndarray           # [B, K, m+n, N, F]
+    target: np.ndarray            # [B, n, N]  (feature 0)
+    recent_calendar: np.ndarray   # [B, m, 3]  (columns of `CALENDAR_COLUMNS`)
+    period_calendar: np.ndarray   # [B, K, m+n, 3]
 
 
 def make_batch(windows) -> Batch:
@@ -267,17 +262,13 @@ def make_batch(windows) -> Batch:
     recent, target, period = window_offsets(*shape)
     r = anchors[:, None] + recent               # [B, m]
     p = anchors[:, None, None] + period         # [B, K, m+n]
-    values, cal = first.series.values, first.calendar
+    values, calendar = first.series.values, first.calendar
     return Batch(
         recent=values[r],
         periods=values[p],
         target=values[anchors[:, None] + target, :, 0],
-        recent_minute=cal.minute_of_day[r],
-        recent_dow=cal.day_of_week[r],
-        recent_holiday=cal.is_holiday[r],
-        period_minute=cal.minute_of_day[p],
-        period_dow=cal.day_of_week[p],
-        period_holiday=cal.is_holiday[p],
+        recent_calendar=calendar[r],
+        period_calendar=calendar[p],
     )
 
 
@@ -286,32 +277,31 @@ def make_batch(windows) -> Batch:
 # --------------------------------------------------------------------------
 
 
-def embed(params, config, block, minute, dow, holiday, position_offset=0):
+def embed(params, config, block, calendar):
     """Project a data block and add calendar + positional embeddings.
 
-    block: [B, steps, N, F] -> [B, steps, N, d_e]. Calendar index arrays are
-    [B, steps] (one clock per time step, shared across nodes), so each table
-    is gathered once per step. The sum is built node-major, [N, B, steps,
-    d_e], where the [B, steps, d_e] calendar rows and the [steps, d_e]
-    positional table are trailing suffixes that broadcast over nodes. The
-    projection runs before the permute: the same matmul on the same layout
-    keeps its bits for every shape (BLAS picks its kernel by matrix shape).
+    block: [B, steps, N, F] -> [B, steps, N, d_e]. ``calendar`` is the
+    [B, steps, 3] index array of `CALENDAR_COLUMNS`, one clock per time step
+    shared across nodes. Its three rows of ``embed.calendar`` are gathered
+    at once and summed, the positional table is added to that [B, steps,
+    d_e] clock, and one add broadcasts the clock over nodes on the
+    node-major layout [N, B, steps, d_e]. The projection runs before the
+    permute: the same matmul on the same layout keeps its bits for every
+    shape (BLAS picks its kernel by matrix shape).
     """
-    steps = block.shape[1]
-    if minute.min() < 0 or minute.max() >= MINUTE_VOCAB:
-        raise ValueError("minute-of-day index out of range [0, 1439]")
-    if dow.min() < 0 or dow.max() >= DOW_VOCAB:
-        raise ValueError("day-of-week index out of range [0, 6]")
-    if holiday.min() < 0 or holiday.max() >= HOLIDAY_VOCAB:
-        raise ValueError("holiday flag out of range {0, 1}")
+    bad = (calendar < 0) | (calendar >= CALENDAR_VOCAB)
+    if bad.any():
+        col = int(np.nonzero(bad)[-1][0])
+        raise ValueError(
+            f"{CALENDAR_COLUMNS[col]} index out of range [0, {CALENDAR_VOCAB[col] - 1}]"
+        )
+    table = params["embed.calendar"]
+    rows = T.gather_rows(table, calendar + CALENDAR_OFFSETS)       # [B, steps, 3, d_e]
+    pos = Tensor(positional_table(block.shape[1], config.d_e))
+    clock = T.add(T.reduce(rows, axis=-2), pos)                    # [B, steps, d_e]
     x = block if isinstance(block, Tensor) else Tensor(block)
     e = T.permute(T.matmul(x, params["embed.proj"]), (2, 0, 1, 3))  # [N, B, steps, d_e]
-    e = T.add(e, T.gather_rows(params["embed.minute"], minute))
-    e = T.add(e, T.gather_rows(params["embed.dow"], dow))
-    e = T.add(e, T.gather_rows(params["embed.holiday"], holiday))
-    pos = positional_table(position_offset + steps, config.d_e)[position_offset:]
-    e = T.add(e, Tensor(pos))
-    return T.permute(e, (1, 2, 0, 3))
+    return T.permute(T.add(e, clock), (1, 2, 0, 3))
 
 
 def _affine(x, w, b):
@@ -472,8 +462,7 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
     ``sink``, when given, collects (label, score-matrix) pairs from every
     attention in the pass.
     """
-    e_recent = embed(params, config, batch.recent, batch.recent_minute,
-                     batch.recent_dow, batch.recent_holiday)
+    e_recent = embed(params, config, batch.recent, batch.recent_calendar)
     y_recent = None
     if config.enable_recent:
         h = e_recent
@@ -482,12 +471,10 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
         y_recent = transition_readout(params, h, config)
 
     y_branches = []
-    if config.enable_period:
-        for i in range(len(config.periods)):
-            e_p = embed(params, config, batch.periods[:, i], batch.period_minute[:, i],
-                        batch.period_dow[:, i], batch.period_holiday[:, i])
-            asr = similarity_attention(params, i, e_recent, e_p, config, sink)
-            y_branches.append(generation_branch(params, i, asr, config))
+    for i in range(config.n_branches):
+        e_p = embed(params, config, batch.periods[:, i], batch.period_calendar[:, i])
+        asr = similarity_attention(params, i, e_recent, e_p, config, sink)
+        y_branches.append(generation_branch(params, i, asr, config))
     return fuse(params, config, y_recent, y_branches)
 
 

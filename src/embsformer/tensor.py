@@ -367,10 +367,10 @@ def matmul(a, b):
             ga = np.matmul(g, np.swapaxes(db, -1, -2))
             if ga.ndim > da.ndim:
                 ga = ga.sum(axis=tuple(range(ga.ndim - da.ndim)))
-        if need_b:
+        if need_b and db.ndim < da.ndim:  # shared 2-D weight: one GEMM over all batch rows
+            gb = da.reshape(-1, da.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif need_b:
             gb = np.matmul(np.swapaxes(da, -1, -2), g)
-            if gb.ndim > db.ndim:
-                gb = gb.sum(axis=tuple(range(gb.ndim - db.ndim)))
         return ga, gb
 
     return _record("matmul", [a, b], out, fn)

@@ -291,9 +291,8 @@ def _baseline_metrics(windows, fn, normalizer):
 @dataclass
 class AblationVariant:
     name: str
-    periods_hours: tuple
+    periods_hours: tuple        # empty: no period branches
     enable_recent: bool = True
-    enable_period: bool = True
 
 
 def standard_variants(full=(8, 12, 24, 168)):
@@ -302,7 +301,7 @@ def standard_variants(full=(8, 12, 24, 168)):
         AblationVariant("full", tuple(full)),
         AblationVariant("period(24)", (24,)),
         AblationVariant("period(24,168)", (24, 168)),
-        AblationVariant("w/o-period", (), enable_period=False),
+        AblationVariant("w/o-period", ()),
         AblationVariant("w/o-recent", tuple(full), enable_recent=False),
     ]
 
@@ -342,7 +341,6 @@ def ablation_grid(series, basis, variants, model_kwargs, tcfg: TrainConfig,
             n_features=series.n_features,
             periods=period_steps,
             enable_recent=variant.enable_recent,
-            enable_period=variant.enable_period and bool(period_steps),
             **model_kwargs,
         )
         splits = {}

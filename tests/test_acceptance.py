@@ -306,7 +306,7 @@ def test_lookup_sanity():
     periods = (32, 96)  # 8h and 24h lags at 15-minute steps
     config = ModelConfig(m=m, n=n, n_nodes=8, n_features=1, d_e=16, d_s=16, d_t=16,
                          h_prime=16, k_cheb=2, n_blocks=1, periods=periods,
-                         enable_recent=False, enable_period=True)
+                         enable_recent=False)
     windows = {
         label: data.make_windows(normalized, rng, m, n, periods, calendar=calendar)
         for label, rng in zip(("train", "val", "test"), splits)
@@ -399,7 +399,7 @@ def test_shape_config_sweep():
                 config = ModelConfig(
                     m=m, n=n, n_nodes=n_nodes, n_features=1, d_e=4, d_s=4, d_t=4,
                     h_prime=4, k_cheb=k_cheb, n_blocks=1, periods=periods,
-                    enable_recent=True, enable_period=branches > 0,
+                    enable_recent=True,
                 )
                 params = init_params(config, seed=0)
                 graph = TrafficGraph(
@@ -412,12 +412,10 @@ def test_shape_config_sweep():
                     recent=rng.standard_normal((1, m, n_nodes, 1)),
                     periods=rng.standard_normal((1, k, m + n, n_nodes, 1)),
                     target=rng.standard_normal((1, n, n_nodes)),
-                    recent_minute=rng.integers(0, 1440, (1, m)),
-                    recent_dow=rng.integers(0, 7, (1, m)),
-                    recent_holiday=rng.integers(0, 2, (1, m)),
-                    period_minute=rng.integers(0, 1440, (1, k, m + n)),
-                    period_dow=rng.integers(0, 7, (1, k, m + n)),
-                    period_holiday=rng.integers(0, 2, (1, k, m + n)),
+                    recent_calendar=np.stack(
+                        [rng.integers(0, v, (1, m)) for v in (1440, 7, 2)], axis=-1),
+                    period_calendar=np.stack(
+                        [rng.integers(0, v, (1, k, m + n)) for v in (1440, 7, 2)], axis=-1),
                 )
                 out = forward(batch, params, config, basis)
                 if out.shape != (1, n, n_nodes):

@@ -80,6 +80,13 @@ class TestTrain:
         params, config = load_checkpoint(next(out.glob("run-train-*/model.ckpt")))
         assert len(config.periods) == 2
         assert "branch.1.wq" in params
+        # --enable-period false empties the period list: no branches, no flag
+        off = tmp_path / "off"
+        assert run_cli(train_args(dataset, off, ["--m", 4, "--n", 4, "--periods", "24,168",
+                                                 "--enable-period", "false"])) == 0
+        params, config = load_checkpoint(next(off.glob("run-train-*/model.ckpt")))
+        assert config.periods == () and "enable_period" not in config.to_dict()
+        assert not any(name.startswith(("branch.", "head.w_p")) for name in params.names())
 
     def test_run_dir_contains_reproduction_info(self, dataset, tmp_path):
         out = tmp_path / "runs"

@@ -1,5 +1,6 @@
 """Ingestion, splitting, normalization, windowing, and synthetic generation."""
 
+import dataclasses
 from datetime import date, datetime
 
 import numpy as np
@@ -19,7 +20,7 @@ from embsformer.data import (
     save_readings,
     synth_generate,
 )
-from embsformer.model import make_batch
+from embsformer.model import Batch, make_batch
 
 
 def series_of(values, start=datetime(2018, 1, 1), step=5):
@@ -180,18 +181,17 @@ class TestCalendar:
     def test_minute_and_dow(self):
         s = index_series(300, start=datetime(2018, 1, 1), step=5)  # a Monday
         cal = calendar_features(s)
-        assert cal.minute_of_day[12] == 60
-        assert cal.day_of_week[12] == 0
-        assert cal.minute_of_day[288] == 0
-        assert cal.day_of_week[288] == 1
+        assert cal.shape == (300, 3) and cal.dtype == np.int64
+        assert list(cal[12]) == [60, 0, 0]   # minute of day, day of week, holiday
+        assert list(cal[288]) == [0, 1, 0]
 
     def test_holiday_flags_whole_day(self):
         s = index_series(3 * 24, start=datetime(2023, 4, 3), step=60)
         cal = calendar_features(s, holidays={date(2023, 4, 4)})
         day2 = slice(24, 48)
-        assert np.all(cal.is_holiday[day2] == 1)
-        assert not np.any(cal.is_holiday[:24])
-        assert not np.any(cal.is_holiday[48:])
+        assert np.all(cal[day2, 2] == 1)
+        assert not np.any(cal[:24, 2])
+        assert not np.any(cal[48:, 2])
 
     def test_holiday_file(self, tmp_path):
         path = tmp_path / "holidays.txt"
@@ -305,12 +305,8 @@ def reference_batch(windows):
             "recent": v[recent],
             "periods": branches(v),
             "target": v[t + 1:t + n + 1, :, 0],
-            "recent_minute": cal.minute_of_day[recent],
-            "recent_dow": cal.day_of_week[recent],
-            "recent_holiday": cal.is_holiday[recent],
-            "period_minute": branches(cal.minute_of_day),
-            "period_dow": branches(cal.day_of_week),
-            "period_holiday": branches(cal.is_holiday),
+            "recent_calendar": cal[recent],
+            "period_calendar": branches(cal),
         })
     return {name: np.stack([row[name] for row in rows]) for name in rows[0]}
 
@@ -326,9 +322,13 @@ def test_gather_matches_slicing_reference_bytewise(shape, k):
     calendar = calendar_features(series, holidays={date(2023, 4, 4), date(2023, 4, 17)})
     for split in chronological_split(series):
         windows = make_windows(series, split, m, n, periods, calendar=calendar)
-        assert not any(isinstance(v, np.ndarray) for w in windows for v in vars(w).values())
+        # the only array a window holds is the calendar its split shares
+        assert all(v is calendar for w in windows for v in vars(w).values()
+                   if isinstance(v, np.ndarray))
         batch = make_batch(windows)
-        for name, expected in reference_batch(windows).items():
+        reference = reference_batch(windows)
+        assert list(reference) == [f.name for f in dataclasses.fields(Batch)]
+        for name, expected in reference.items():
             got = getattr(batch, name)
             assert got.shape == expected.shape, name
             assert got.dtype == expected.dtype, name

@@ -1,6 +1,7 @@
 """Network blocks: embedding, attentions, transition path, branches, fusion."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import struct
@@ -32,6 +33,14 @@ from embsformer.model import (
 )
 
 
+CALENDAR_VOCAB = (1440, 7, 2)     # minute of day, day of week, holiday flag
+CALENDAR_OFFSETS = np.array([0, 1440, 1447])  # their first rows in `embed.calendar`
+
+
+def random_calendar(rng, shape):
+    return np.stack([rng.integers(0, v, shape) for v in CALENDAR_VOCAB], axis=-1)
+
+
 def random_batch(rng, config):
     m, n, N = config.m, config.n, config.n_nodes
     k = len(config.periods)
@@ -39,12 +48,8 @@ def random_batch(rng, config):
         recent=rng.standard_normal((1, m, N, config.n_features)),
         periods=rng.standard_normal((1, k, m + n, N, config.n_features)),
         target=rng.standard_normal((1, n, N)),
-        recent_minute=rng.integers(0, 1440, (1, m)),
-        recent_dow=rng.integers(0, 7, (1, m)),
-        recent_holiday=rng.integers(0, 2, (1, m)),
-        period_minute=rng.integers(0, 1440, (1, k, m + n)),
-        period_dow=rng.integers(0, 7, (1, k, m + n)),
-        period_holiday=rng.integers(0, 2, (1, k, m + n)),
+        recent_calendar=random_calendar(rng, (1, m)),
+        period_calendar=random_calendar(rng, (1, k, m + n)),
     )
 
 
@@ -68,7 +73,7 @@ class TestConfig:
 
     def test_rejects_no_active_path(self):
         with pytest.raises(ValueError, match="active"):
-            ModelConfig(enable_recent=False, enable_period=False)
+            ModelConfig(enable_recent=False, periods=())
 
     def test_hash_stable(self):
         a = ModelConfig(m=3, n=3, periods=(6,))
@@ -78,29 +83,47 @@ class TestConfig:
         assert a.config_hash() != c.config_hash()
 
 
-def tiled_embed(params, config, block, minute, dow, holiday):
-    """Reference for `embed`: every calendar index tiled over the N nodes."""
+class TestInitParams:
+    def test_calendar_table_keeps_the_three_table_values(self):
+        # embed.calendar is drawn where the minute [1440], day-of-week [7] and
+        # holiday [2] tables were drawn in turn, with the same bound, so its
+        # rows are their concatenation and every later draw is unchanged
+        config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
+        params = init_params(config, seed=3)
+        assert params.names()[:2] == ["embed.proj", "embed.calendar"]
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+        rng.uniform(-1.0, 1.0, (1, config.d_e))  # embed.proj: fan_in = n_features = 1
+        bound = 1.0 / np.sqrt(config.d_e)
+        three = [rng.uniform(-bound, bound, (rows, config.d_e)) for rows in CALENDAR_VOCAB]
+        assert params["embed.calendar"].data.tobytes() == np.concatenate(three).tobytes()
+        # every other parameter, in path order, as the three-table layout drew it
+        rest = b"".join(t.data.tobytes() for name, t in params.items() if name != "embed.calendar")
+        assert hashlib.sha256(rest).hexdigest() == (
+            "cb75591162386769ff054cafb1ad7a2f9b65181b71816c8da95aa94b14094d24")
+
+
+def tiled_embed(params, config, block, calendar):
+    """Reference for `embed`: every calendar index tiled over the N nodes.
+
+    Sums in `embed`'s order: projection + ((minute + dow + holiday) + position).
+    """
     steps, n_nodes = block.shape[1], block.shape[2]
     x = block if isinstance(block, T.Tensor) else T.Tensor(block)
     e = T.matmul(x, params["embed.proj"])
-    for name, idx in (("embed.minute", minute), ("embed.dow", dow), ("embed.holiday", holiday)):
-        e = T.add(e, T.gather_rows(params[name], np.repeat(idx[:, :, None], n_nodes, axis=2)))
+    rows = np.repeat((calendar + CALENDAR_OFFSETS)[:, :, None, :], n_nodes, axis=2)
+    clock = T.reduce(T.gather_rows(params["embed.calendar"], rows), axis=-2)
     pos = positional_table(steps, config.d_e)[None, :, None, :]
-    return T.add(e, T.Tensor(np.broadcast_to(pos, e.shape)))
+    return T.add(e, T.add(clock, T.Tensor(np.broadcast_to(pos, e.shape))))
 
 
 class TestEmbed:
     def test_additive_decomposition(self):
         config = ModelConfig(m=4, n=2, n_nodes=3, d_e=4, periods=(6,))
         params = init_params(config, seed=0)
-        for name in ("embed.minute", "embed.dow", "embed.holiday"):
-            params[name].data[:] = 0.0
+        params["embed.calendar"].data[:] = 0.0
         rng = np.random.default_rng(1)
         block = rng.standard_normal((2, 4, 3, 1))
-        minute = rng.integers(0, 1440, (2, 4))
-        dow = rng.integers(0, 7, (2, 4))
-        hol = np.zeros((2, 4), dtype=int)
-        out = embed(params, config, block, minute, dow, hol)
+        out = embed(params, config, block, random_calendar(rng, (2, 4)))
         proj = np.einsum("bsnf,fd->bsnd", block, params["embed.proj"].data)
         expected = proj + positional_table(4, 4)[None, :, None, :]
         assert np.allclose(out.data, expected, atol=1e-14)
@@ -108,11 +131,9 @@ class TestEmbed:
     def test_identical_calendar_gives_identical_non_data_terms(self):
         config = ModelConfig(m=2, n=2, n_nodes=2, d_e=4, periods=(4,))
         params = init_params(config, seed=3)
-        minute = np.array([[30, 30]])
-        dow = np.array([[2, 2]])
-        hol = np.array([[1, 1]])
+        calendar = np.array([[[30, 2, 1], [30, 2, 1]]])  # (minute, dow, holiday) per step
         zero = np.zeros((1, 2, 2, 1))
-        out = embed(params, config, zero, minute, dow, hol).data
+        out = embed(params, config, zero, calendar).data
         # same (minute, dow, holiday); only position differs, remove it
         depos = out - positional_table(2, 4)[None, :, None, :]
         assert np.allclose(depos[0, 0], depos[0, 1], atol=1e-14)
@@ -121,19 +142,34 @@ class TestEmbed:
         config = ModelConfig(m=5, n=3, n_nodes=4, d_e=8, periods=(8,))
         params = init_params(config, seed=0)
         rng = np.random.default_rng(2)
-        rec = embed(params, config, rng.standard_normal((1, 5, 4, 1)),
-                    np.zeros((1, 5), int), np.zeros((1, 5), int), np.zeros((1, 5), int))
+        rec = embed(params, config, rng.standard_normal((1, 5, 4, 1)), np.zeros((1, 5, 3), int))
         assert rec.shape == (1, 5, 4, 8)
-        per = embed(params, config, rng.standard_normal((1, 8, 4, 1)),
-                    np.zeros((1, 8), int), np.zeros((1, 8), int), np.zeros((1, 8), int))
+        per = embed(params, config, rng.standard_normal((1, 8, 4, 1)), np.zeros((1, 8, 3), int))
         assert per.shape == (1, 8, 4, 8)
 
-    def test_calendar_out_of_range(self):
+    @pytest.mark.parametrize("column,name", [(0, "minute-of-day"), (1, "day-of-week"),
+                                             (2, "holiday")], ids=["minute", "dow", "holiday"])
+    @pytest.mark.parametrize("bound", ["below", "above"])
+    def test_calendar_out_of_range(self, column, name, bound):
         config = ModelConfig(m=2, n=2, n_nodes=2, d_e=4, periods=(4,))
         params = init_params(config, seed=0)
-        with pytest.raises(ValueError, match="minute"):
-            embed(params, config, np.zeros((1, 2, 2, 1)),
-                  np.array([[0, 1440]]), np.zeros((1, 2), int), np.zeros((1, 2), int))
+        calendar = np.zeros((1, 2, 3), int)
+        vocab = CALENDAR_VOCAB[column]
+        calendar[0, 1, column] = -1 if bound == "below" else vocab
+        with pytest.raises(ValueError, match=re.escape(f"{name} index out of range [0, {vocab - 1}]")):
+            embed(params, config, np.zeros((1, 2, 2, 1)), calendar)
+
+    def test_one_gather_per_call(self):
+        config = ModelConfig(m=4, n=2, n_nodes=3, d_e=4, periods=(6,))
+        params = init_params(config, seed=0)
+        rng = np.random.default_rng(3)
+        block, calendar = rng.standard_normal((2, 4, 3, 1)), random_calendar(rng, (2, 4))
+        start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
+        out = embed(params, config, block, calendar)
+        ops = [node.op for node in T.current_tape().nodes[start:]]
+        T.backward(T.reduce(out, kind="sum"))
+        assert ops.count("gather_rows") == 1
+        assert ops.count("add") == 2   # the positional table, then the clock over all nodes
 
     @pytest.mark.parametrize("n_nodes,n_features,steps", [(1, 1, 4), (1, 2, 4), (15, 1, 12), (6, 3, 1)])
     @pytest.mark.parametrize("tensor_block", [False, True])
@@ -142,15 +178,14 @@ class TestEmbed:
         params = init_params(config, seed=5)
         rng = np.random.default_rng(n_nodes * 10 + n_features)
         data = rng.standard_normal((3, steps, n_nodes, n_features))
-        calendar = (rng.integers(0, 1440, (3, steps)), rng.integers(0, 7, (3, steps)),
-                    rng.integers(0, 2, (3, steps)))
+        calendar = random_calendar(rng, (3, steps))
         w = T.Tensor(rng.standard_normal((3, steps, n_nodes, config.d_e)))
-        names = ("embed.minute", "embed.dow", "embed.holiday", "embed.proj")
+        names = ("embed.calendar", "embed.proj")
 
         def run(fn):
             params.zero_grads()
             block = T.Tensor(data, requires_grad=True)
-            out = fn(params, config, block if tensor_block else data, *calendar)
+            out = fn(params, config, block if tensor_block else data, calendar)
             T.backward(T.reduce(T.mul(out, w), kind="sum"))
             grads = [params[k].grad for k in names]
             return out.data, grads + ([block.grad] if tensor_block else [])
@@ -271,8 +306,7 @@ class TestTransitionReadout:
     def test_shapes(self, m, n):
         # m < n is legal for the recent-only path; branches need m >= n
         config = ModelConfig(m=m, n=n, n_nodes=5, d_e=4, d_s=4, d_t=4, h_prime=4,
-                             k_cheb=2, n_blocks=1, periods=(),
-                             enable_recent=True, enable_period=False)
+                             k_cheb=2, n_blocks=1, periods=(), enable_recent=True)
         params = init_params(config, seed=0)
         h = T.Tensor(np.random.default_rng(14).standard_normal((2, m, 5, 4)))
         assert transition_readout(params, h, config).shape == (2, n, 5)
@@ -388,8 +422,7 @@ class TestFuse:
         config, params, basis, batch = toy_setup()
         params.zero_grads()
         rng = np.random.default_rng(23)
-        e = embed(params, config, batch.recent, batch.recent_minute,
-                  batch.recent_dow, batch.recent_holiday)
+        e = embed(params, config, batch.recent, batch.recent_calendar)
         h = transition_block(params, "transition.0", e, basis, config)
         y_r = transition_readout(params, h, config)
         pred = fuse(params, config, y_r, [])
@@ -432,12 +465,10 @@ class TestMseLoss:
 
 class TestForward:
     def test_ablation_flags(self):
-        for flags in ((True, False), (False, True), (True, True)):
-            enable_recent, enable_period = flags
+        for enable_recent, periods in ((True, ()), (False, (6,)), (True, (6,))):
             config = ModelConfig(m=3, n=3, n_nodes=4, d_e=4, d_s=4, d_t=4, h_prime=4,
-                                 k_cheb=2, n_blocks=1,
-                                 periods=(6,) if enable_period else (),
-                                 enable_recent=enable_recent, enable_period=enable_period)
+                                 k_cheb=2, n_blocks=1, periods=periods,
+                                 enable_recent=enable_recent)
             params = init_params(config, seed=1)
             basis = basis_for(config)
             batch = random_batch(np.random.default_rng(26), config)
@@ -445,14 +476,12 @@ class TestForward:
             assert out.shape == (1, 3, 4)
 
     def test_disabled_period_has_no_branch_parameters(self):
-        config = ModelConfig(m=3, n=3, n_nodes=4, d_e=4, periods=(),
-                             enable_recent=True, enable_period=False)
+        config = ModelConfig(m=3, n=3, n_nodes=4, d_e=4, periods=(), enable_recent=True)
         params = init_params(config, seed=1)
         assert not any(name.startswith(("branch.", "head.w_p")) for name in params.names())
 
     def test_disabled_recent_has_no_transition_parameters(self):
-        config = ModelConfig(m=3, n=3, n_nodes=4, d_e=4, periods=(6,),
-                             enable_recent=False, enable_period=True)
+        config = ModelConfig(m=3, n=3, n_nodes=4, d_e=4, periods=(6,), enable_recent=False)
         params = init_params(config, seed=1)
         assert not any(
             name.startswith(("transition.", "readout.", "head.w_r"))
@@ -466,8 +495,7 @@ class TestForward:
         periods = tuple(m + n + 4 * i for i in range(branches))
         config = ModelConfig(m=m, n=n, n_nodes=5, n_features=2, d_e=4, d_s=4,
                              d_t=4, h_prime=4, k_cheb=k_cheb, n_blocks=1,
-                             periods=periods, enable_recent=True,
-                             enable_period=branches > 0)
+                             periods=periods, enable_recent=True)
         params = init_params(config, seed=0)
         basis = basis_for(config)
         batch = random_batch(np.random.default_rng(27), config)
@@ -539,24 +567,41 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    @staticmethod
+    def _replace_config(path, doc):
+        """Rewrite the config blob of the checkpoint at ``path`` as the JSON of ``doc``."""
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", raw[5:9])
+        blob = json.dumps(doc).encode("utf-8")
+        path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + cfg_len:])
+
     def test_unknown_config_key_names_path(self, tmp_path):
         config, params, basis, _ = toy_setup()
         path = tmp_path / "extra.ckpt"
         save_checkpoint(path, params, config)
-        raw = path.read_bytes()
-        (cfg_len,) = struct.unpack("<I", raw[5:9])
-        blob = json.dumps({**config.to_dict(), "bogus": 1}).encode("utf-8")
-        path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + cfg_len:])
+        self._replace_config(path, {**config.to_dict(), "bogus": 1})
         with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*bogus"):
             load_checkpoint(path)
 
     def test_parameter_table_must_match_config(self, tmp_path):
         config, params, basis, _ = toy_setup()
-        old_layout = params.copy()
-        kernel = old_layout["branch.0.conv_c"]
+        # a config written while ModelConfig still had an enable_period flag
+        path = tmp_path / "enable-period.ckpt"
+        save_checkpoint(path, params, config)
+        self._replace_config(path, {**config.to_dict(), "enable_period": True})
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*enable_period"):
+            load_checkpoint(path)
+
+        old_kernel = params.copy()
+        kernel = old_kernel["branch.0.conv_c"]
         kernel.data = kernel.data[None]  # a width-1 conv kernel [1, h', 1]
+        three_tables = params.copy()     # separate minute, day-of-week and holiday tables
+        table = three_tables.tensors.pop("embed.calendar").data
+        for name, lo, hi in (("minute", 0, 1440), ("dow", 1440, 1447), ("holiday", 1447, 1449)):
+            three_tables.new(f"embed.{name}", table[lo:hi])
         del params.tensors["head.w_r"]
-        for name, table in (("missing", params), ("old-layout", old_layout)):
+        for name, table in (("missing", params), ("old-kernel", old_kernel),
+                            ("three-tables", three_tables)):
             path = tmp_path / f"{name}.ckpt"
             save_checkpoint(path, table, config)
             with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*do not match"):
@@ -576,7 +621,7 @@ class TestCheckpoint:
         c = ModelConfig(m=5, n=3, n_nodes=7, n_features=2, d_e=6, d_s=5, d_t=4,
                         h_prime=3, k_cheb=2, n_blocks=2, periods=(8, 16))
         params = init_params(c, seed=0)
-        embedding = (1440 + 7 + 2) * c.d_e + c.n_features * c.d_e
+        embedding = (1440 + 7 + 2) * c.d_e + c.n_features * c.d_e  # embed.calendar, embed.proj
         per_block = (3 * c.d_e * c.d_s + 3 * c.d_s + 3 * c.d_s * c.d_t + 3 * c.d_t
                      + c.k_cheb * c.d_t * c.h_prime + c.h_prime * c.d_e + c.d_e * c.d_e)
         readout = c.m * c.n + c.d_e

@@ -64,6 +64,18 @@ class TestMatmul:
         for i in range(5):
             assert np.allclose(got[i], a[i] @ b[i], atol=1e-12)
 
+    def test_shared_weight_gradient_matches_batched_sum(self):
+        # desk shapes: a [B, m, N, d] block times a shared [d, d] weight
+        rng = rng_for(2)
+        a = T.Tensor(rng.standard_normal((16, 15, 12, 32)), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((32, 32)), requires_grad=True)
+        g = rng.standard_normal((16, 15, 12, 32))
+        T.backward(T.reduce(T.mul(T.matmul(a, w), T.Tensor(g)), kind="sum"))
+        batched = np.matmul(np.swapaxes(a.data, -1, -2), g).sum(axis=(0, 1))
+        assert w.grad.shape == (32, 32)
+        assert np.max(np.abs(w.grad - batched)) <= 1e-12 * np.max(np.abs(batched))
+        assert np.max(np.abs(a.grad - g @ w.data.T)) <= 1e-12 * np.max(np.abs(a.grad))
+
 
 # --------------------------------------------------------------------------
 # softmax
