@@ -90,15 +90,20 @@ def check_matmul_batched():
     return max(_check(f_a, a), _check(f_b, b))
 
 
-def check_softmax():
+def check_attention():
+    # a batch dim and L_q != L_k, so a transposed gradient cannot pass
     rng = _rng(3)
-    x = T.Tensor(rng.standard_normal((4, 5)))
-    w = rng.standard_normal((4, 5))
+    q = T.Tensor(rng.standard_normal((2, 3, 4)))
+    k = T.Tensor(rng.standard_normal((2, 5, 4)))
+    v = T.Tensor(rng.standard_normal((2, 5, 6)))
+    w = rng.standard_normal((2, 3, 6))
 
-    def f(t):
-        return T.reduce(T.mul(T.softmax(t, axis=-1), T.Tensor(w)), kind="sum")
+    def loss(qq, kk, vv):
+        return T.reduce(T.mul(T.attention(qq, kk, vv, 0.7)[0], T.Tensor(w)), kind="sum")
 
-    return _check(f, x)
+    return max(_check(lambda t: loss(t, k, v), q),
+               _check(lambda t: loss(q, t, v), k),
+               _check(lambda t: loss(q, k, t), v))
 
 
 def _elementwise_check(op, salt):
@@ -382,7 +387,7 @@ def registered_checks():
     return [
         ("matmul", check_matmul),
         ("matmul-batched", check_matmul_batched),
-        ("softmax", check_softmax),
+        ("attention", check_attention),
         ("add", check_add),
         ("sub", check_sub),
         ("mul", check_mul),

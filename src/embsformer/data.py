@@ -89,9 +89,6 @@ class NormalizationStats:
         """(x - mean) / std over the trailing feature axis."""
         return (np.asarray(values) - self.mean) / self.std
 
-    def invert(self, values):
-        return np.asarray(values) * self.std + self.mean
-
     def invert_feature(self, values, feature=0):
         return np.asarray(values) * self.std[feature] + self.mean[feature]
 
@@ -183,11 +180,11 @@ def save_readings(series: RawSeries, path):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_adjacency(path, n_nodes, binarize=True) -> TrafficGraph:
-    """Edge-list CSV ``from,to,cost`` -> symmetric adjacency; self-loops dropped.
+def load_adjacency(path, n_nodes) -> TrafficGraph:
+    """Edge-list CSV ``from,to,cost`` -> symmetric 0/1 adjacency; self-loops dropped.
 
-    Costs are ignored under the default binarization; ``binarize=False``
-    keeps them as symmetric weights (max of the two directions).
+    A cost cell must parse as a number but is otherwise ignored: every edge
+    gets weight 1.
     """
     a = np.zeros((n_nodes, n_nodes), dtype=np.float64)
     n_edges = 0
@@ -201,7 +198,8 @@ def load_adjacency(path, n_nodes, binarize=True) -> TrafficGraph:
                 raise ValueError(f"{path}: line {lineno}: expected 'from,to,cost'")
             try:
                 u, v = int(cells[0]), int(cells[1])
-                cost = float(cells[2]) if len(cells) > 2 else 1.0
+                if len(cells) > 2:
+                    float(cells[2])   # validated, not used
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric edge entry") from None
             if u >= n_nodes or v >= n_nodes or u < 0 or v < 0:
@@ -210,9 +208,7 @@ def load_adjacency(path, n_nodes, binarize=True) -> TrafficGraph:
                 )
             if u == v:
                 continue
-            weight = 1.0 if binarize else cost
-            a[u, v] = max(a[u, v], weight)
-            a[v, u] = max(a[v, u], weight)
+            a[u, v] = a[v, u] = 1.0
             n_edges += 1
     if n_edges == 0:
         warnings.warn(f"{path}: no edges loaded; adjacency is all zeros")

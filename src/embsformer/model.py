@@ -309,13 +309,10 @@ def _affine(x, w, b):
 
 
 def _attend(q, k, v, width, sink, label):
-    # q,k: [..., L_q, d] / [..., L_k, d]; v: [..., L_k, d_v]
-    logits = T.scale(T.matmul(q, T.permute(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))),
-                     1.0 / np.sqrt(width))
-    scores = T.softmax(logits, axis=-1)
+    out, scores = T.attention(q, k, v, 1.0 / np.sqrt(width))
     if sink is not None:
-        sink.append((label, scores.data.copy()))
-    return T.matmul(scores, v)
+        sink.append((label, scores))
+    return out
 
 
 def spatial_self_attention(params, prefix, e, d_s, sink=None):

@@ -15,9 +15,9 @@ higher-order derivatives.
 
 Broadcasting is deliberately restricted: the shorter operand of an
 elementwise op must equal a trailing suffix of the longer one (classic
-bias-add), and matmul only broadcasts a 2-D operand across the other
-side's leading batch dims. Anything else needs an explicit reshape,
-which keeps shape errors loud.
+bias-add), matmul only broadcasts a 2-D operand across the other side's
+leading batch dims, and attention broadcasts nothing. Anything else
+needs an explicit reshape, which keeps shape errors loud.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
     "ShapeError",
     "no_grad",
     "matmul",
-    "softmax",
+    "attention",
     "add",
     "sub",
     "mul",
@@ -88,34 +88,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; scalars only where the op is a scalar op.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / other)
-        return NotImplemented
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _wrap(data):
@@ -338,7 +310,7 @@ def scale(x, c):
 
 
 # --------------------------------------------------------------------------
-# matmul / softmax
+# matmul / attention
 # --------------------------------------------------------------------------
 
 
@@ -376,23 +348,52 @@ def matmul(a, b):
     return _record("matmul", [a, b], out, fn)
 
 
-def _softmax_grad(y, g, axis):
-    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+def _softmax_grad(p, g):
+    """Gradient through a row softmax ``p`` (last axis), written into ``g``."""
+    g -= (g * p).sum(axis=-1, keepdims=True)
+    g *= p
+    return g
 
 
-def softmax(x, axis=-1):
-    """Softmax along ``axis``, computed with max-subtraction for stability."""
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = _wrap(y)
+def attention(q, k, v, scale):
+    """Scaled dot-product attention over the last two axes; returns (out, scores).
+
+    q: [..., L_q, d], k: [..., L_k, d], v: [..., L_k, d_v] with equal batch
+    dims (no broadcasting) -> out [..., L_q, d_v] = scores @ v, where scores
+    [..., L_q, L_k] = softmax(scale * q kᵀ) along the last axis, computed in
+    place with max-subtraction. ``scores`` is a read-only array, kept for
+    the backward pass; a constant operand gets no gradient.
+    """
+    sq, sk, sv = q.shape, k.shape, v.shape
+    if (min(map(len, (sq, sk, sv))) < 2 or not sq[:-2] == sk[:-2] == sv[:-2]
+            or sq[-1] != sk[-1] or sk[-2] != sv[-2]):
+        raise ShapeError(f"attention: need q [..., L_q, d], k [..., L_k, d], v [..., L_k, d_v]; "
+                         f"got {sq}, {sk}, {sv}")
+    c = float(scale)
+    dq, dk, dv = q.data, k.data, v.data
+    p = np.matmul(dq, np.swapaxes(dk, -1, -2))
+    p *= c
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    p.flags.writeable = False
+    out = _wrap(np.matmul(p, dv))
+    need_q, need_k, need_v = _needs_grad(q), _needs_grad(k), _needs_grad(v)
 
     def fn(g):
-        return (_softmax_grad(out.data, g, axis),)
+        gq = gk = gv = None
+        if need_v:
+            gv = np.matmul(np.swapaxes(p, -1, -2), g)
+        if need_q or need_k:
+            gs = _softmax_grad(p, np.matmul(g, np.swapaxes(dv, -1, -2)))
+            gs *= c
+            if need_q:
+                gq = np.matmul(gs, dk)
+            if need_k:
+                gk = np.matmul(np.swapaxes(gs, -1, -2), dq)
+        return gq, gk, gv
 
-    return _record("softmax", [x], out, fn)
+    return _record("attention", [q, k, v], out, fn), p
 
 
 # --------------------------------------------------------------------------

@@ -131,9 +131,9 @@ def train(config: ModelConfig, basis, train_windows, val_windows,
             pred = forward(batch, params, config, basis)
             loss = mse_loss(pred, batch.target)
             value = loss.item()
+            T.backward(loss)   # replays and drops the tape even if the pass diverged
             if not np.isfinite(value):
                 raise DivergenceError(f"training loss diverged at epoch {epoch}")
-            T.backward(loss)
             adam_step(params, state, tcfg)
             epoch_loss += value
             n_batches += 1

@@ -128,6 +128,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not list(out.glob("run-train-*"))
+        assert T.current_tape() is None
 
     def test_missing_dataset_fails_cleanly(self, tmp_path):
         rc = run_cli(["train", "--readings", tmp_path / "nope.csv",
@@ -249,14 +250,13 @@ class TestGradcheckCommand:
         assert len(lines) >= 12
 
     def test_corrupted_softmax_backward_is_caught(self, capsys, monkeypatch):
-        def broken(y, g, axis):
-            return g * y  # missing the row-sum correction term
+        def broken(p, g):
+            return g * p  # missing the row-sum correction term
 
         monkeypatch.setattr(T, "_softmax_grad", broken)
         assert run_cli(["gradcheck"]) == 1
         out = capsys.readouterr().out
-        assert any(line.startswith("FAIL") and "softmax" in line
-                   for line in out.splitlines())
+        assert any(line.split()[:2] == ["FAIL", "attention"] for line in out.splitlines())
 
 
 class TestAblationCommand:

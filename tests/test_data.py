@@ -109,11 +109,11 @@ class TestAdjacencyIO:
         with pytest.raises(ValueError, match="out of range"):
             load_adjacency(path, 3)
 
-    def test_weights_preserved_when_requested(self, tmp_path):
-        path = tmp_path / "w.csv"
-        path.write_text("from,to,cost\n0,1,2.5\n")
-        g = load_adjacency(path, 2, binarize=False)
-        assert g.adjacency[0, 1] == 2.5
+    def test_non_numeric_cost_names_line(self, tmp_path):
+        path = tmp_path / "cost.csv"
+        path.write_text("from,to,cost\n0,1,1\n1,2,far\n")
+        with pytest.raises(ValueError, match="line 2: non-numeric"):
+            load_adjacency(path, 3)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "rt.csv"
@@ -161,7 +161,9 @@ class TestNormalizer:
         s = series_of(rng.random((30, 2, 2)) * 50)
         stats = fit_normalizer(s, (0, 18))
         x = rng.random((5, 2, 2)) * 50
-        assert np.max(np.abs(stats.invert(stats.apply(x)) - x)) < 1e-9
+        y = stats.apply(x)
+        for f in range(2):
+            assert np.max(np.abs(stats.invert_feature(y[..., f], f) - x[..., f])) < 1e-9
 
     def test_constant_feature_rejected(self):
         s = series_of(np.ones((20, 2, 1)))

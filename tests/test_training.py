@@ -173,8 +173,9 @@ class TestTrain:
         bad_init = init_params(config, seed=0)
         bad_init["head.w_r"].data[:] = 1e300  # overflow on the first squared error
         tcfg = TrainConfig(learning_rate=1e-3, epochs=2, seed=0)
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="epoch 0"):
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0"):
             train(config, basis, tr, val, tcfg, normalizer, init=bad_init)
+        assert T.current_tape() is None
 
 
 class TestMetrics:
