@@ -65,6 +65,8 @@ def check_matmul():
     a = T.Tensor(rng.standard_normal((3, 4)))
     b = T.Tensor(rng.standard_normal((4, 2)))
     w = rng.standard_normal((3, 2))
+    bias = T.Tensor(rng.standard_normal(2))        # addends: a bias [r] and a full [p, r]
+    full = T.Tensor(rng.standard_normal((3, 2)))
 
     def f_a(t):
         return T.reduce(T.mul(T.matmul(t, b), T.Tensor(w)), kind="sum")
@@ -72,7 +74,10 @@ def check_matmul():
     def f_b(t):
         return T.reduce(T.mul(T.matmul(a, t), T.Tensor(w)), kind="sum")
 
-    return max(_check(f_a, a), _check(f_b, b))
+    def f_c(t):
+        return T.reduce(T.mul(T.matmul(a, b, t), T.Tensor(w)), kind="sum")
+
+    return max(_check(f_a, a), _check(f_b, b), _check(f_c, bias), _check(f_c, full))
 
 
 def check_matmul_batched():

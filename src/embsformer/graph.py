@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from embsformer.tensor import Tensor, add, gather_rows, matmul, relu
+from embsformer.tensor import Tensor, gather_rows, matmul, relu
 
 __all__ = [
     "TrafficGraph",
@@ -152,5 +152,5 @@ def cheb_graph_conv(x: Tensor, basis: ChebyshevBasis, theta: Tensor) -> Tensor:
     acc = matmul(x, gather_rows(theta, np.asarray(0)))  # T_0 = I
     for k in range(1, basis.order):
         theta_k = gather_rows(theta, np.asarray(k))  # [C_in, C_out]
-        acc = add(acc, matmul(matmul(basis.tensors()[k], x), theta_k))
+        acc = matmul(matmul(basis.tensors()[k], x), theta_k, acc)
     return relu(acc)

@@ -304,10 +304,6 @@ def embed(params, config, block, calendar):
     return T.permute(T.add(e, clock), (1, 2, 0, 3))
 
 
-def _affine(x, w, b):
-    return T.add(T.matmul(x, w), b)
-
-
 def _attend(q, k, v, width, sink, label):
     out, scores = T.attention(q, k, v, 1.0 / np.sqrt(width))
     if sink is not None:
@@ -320,9 +316,9 @@ def spatial_self_attention(params, prefix, e, d_s, sink=None):
 
     e: [B, m, N, d_e] -> [B, m, N, d_s]; scores are [B, m, N, N] row-stochastic.
     """
-    q = _affine(e, params[f"{prefix}.spatial.wq"], params[f"{prefix}.spatial.bq"])
-    k = _affine(e, params[f"{prefix}.spatial.wk"], params[f"{prefix}.spatial.bk"])
-    v = _affine(e, params[f"{prefix}.spatial.wv"], params[f"{prefix}.spatial.bv"])
+    q = T.matmul(e, params[f"{prefix}.spatial.wq"], params[f"{prefix}.spatial.bq"])
+    k = T.matmul(e, params[f"{prefix}.spatial.wk"], params[f"{prefix}.spatial.bk"])
+    v = T.matmul(e, params[f"{prefix}.spatial.wv"], params[f"{prefix}.spatial.bv"])
     return _attend(q, k, v, d_s, sink, "spatial")
 
 
@@ -332,9 +328,9 @@ def temporal_self_attention(params, prefix, x, d_t, sink=None):
     x: [B, m, N, d_s] -> [B, m, N, d_t]; scores are [B, N, m, m].
     """
     xt = T.permute(x, (0, 2, 1, 3))  # [B, N, m, d_s]
-    q = _affine(xt, params[f"{prefix}.temporal.wq"], params[f"{prefix}.temporal.bq"])
-    k = _affine(xt, params[f"{prefix}.temporal.wk"], params[f"{prefix}.temporal.bk"])
-    v = _affine(xt, params[f"{prefix}.temporal.wv"], params[f"{prefix}.temporal.bv"])
+    q = T.matmul(xt, params[f"{prefix}.temporal.wq"], params[f"{prefix}.temporal.bq"])
+    k = T.matmul(xt, params[f"{prefix}.temporal.wk"], params[f"{prefix}.temporal.bk"])
+    v = T.matmul(xt, params[f"{prefix}.temporal.wv"], params[f"{prefix}.temporal.bv"])
     out = _attend(q, k, v, d_t, sink, "temporal")
     return T.permute(out, (0, 2, 1, 3))  # [B, m, N, d_t]
 
@@ -348,9 +344,8 @@ def transition_block(params, prefix, e, basis: ChebyshevBasis, config, sink=None
     s = spatial_self_attention(params, prefix, e, config.d_s, sink)
     t = temporal_self_attention(params, prefix, s, config.d_t, sink)
     g = cheb_graph_conv(t, basis, params[f"{prefix}.theta"])  # [B, m, N, h']
-    back = T.matmul(g, params[f"{prefix}.conv_t"])            # [B, m, N, d_e]
     res = T.matmul(e, params[f"{prefix}.residual"])
-    return T.add(res, back)
+    return T.matmul(g, params[f"{prefix}.conv_t"], res)        # [B, m, N, d_e]
 
 
 def transition_readout(params, h, config):
@@ -401,9 +396,9 @@ def similarity_attention(params, branch, e_recent, e_period, config, sink=None):
     e_in = T.slice_axis(e_period, 1, 0, m)
     e_out = T.slice_axis(e_period, 1, m, m + n)
 
-    q = _affine(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])  # [B, m, N, h']
-    k = _affine(e_in, params[f"{pre}.wk"], params[f"{pre}.bk"])      # [B, m, N, h']
-    v = _affine(e_out, params[f"{pre}.wv"], params[f"{pre}.bv"])     # [B, n, N, h']
+    q = T.matmul(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])  # [B, m, N, h']
+    k = T.matmul(e_in, params[f"{pre}.wk"], params[f"{pre}.bk"])      # [B, m, N, h']
+    v = T.matmul(e_out, params[f"{pre}.wv"], params[f"{pre}.bv"])     # [B, n, N, h']
 
     if m != n:
         q = _align(q, params[f"{pre}.align_q"])  # [B, N, n, h']

@@ -16,8 +16,10 @@ higher-order derivatives.
 Broadcasting is deliberately restricted: the shorter operand of an
 elementwise op must equal a trailing suffix of the longer one (classic
 bias-add), matmul only broadcasts a 2-D operand across the other side's
-leading batch dims, and attention broadcasts nothing. Anything else
-needs an explicit reshape, which keeps shape errors loud.
+leading batch dims, its optional addend ``c`` (``matmul(a, b, c)`` is
+a @ b + c in one node) must be a suffix of the output shape, and
+attention broadcasts nothing. Anything else needs an explicit reshape,
+which keeps shape errors loud.
 """
 
 from __future__ import annotations
@@ -314,12 +316,16 @@ def scale(x, c):
 # --------------------------------------------------------------------------
 
 
-def matmul(a, b):
-    """Batched matrix product [..,p,q] x [..,q,r] -> [..,p,r].
+def matmul(a, b, c=None):
+    """Batched matrix product plus an optional addend: [..,p,q] x [..,q,r] (+ c) -> [..,p,r].
 
     Leading batch dims must match exactly, or one operand is 2-D and is
-    shared across the other's batch. A constant operand (neither
-    ``requires_grad`` nor recorded) gets no gradient.
+    shared across the other's batch. ``c``, when given, is added in place
+    into the fresh product, as GEMM computes C = AB + C; ``c`` itself is
+    never written. Its shape must be a suffix of the output shape (a bias
+    [r], a full [.., p, r] residual, or anything between), the rule of
+    `add`. A constant operand (neither ``requires_grad`` nor recorded) gets
+    no gradient.
     """
     a, b = _as_tensor_pair("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
@@ -329,12 +335,25 @@ def matmul(a, b):
     la, lb = a.shape[:-2], b.shape[:-2]
     if la != lb and la != () and lb != ():
         raise ShapeError(f"matmul: batch dims differ between {a.shape} and {b.shape}")
-    out = _wrap(np.matmul(a.data, b.data))
+    data = np.matmul(a.data, b.data)
+    inputs = [a, b]
+    if c is not None:
+        if not isinstance(c, Tensor):
+            raise TypeError("matmul expects a Tensor addend")
+        so, sc = data.shape, c.shape
+        if len(sc) > len(so) or so[len(so) - len(sc):] != sc:
+            raise ShapeError(f"matmul: addend {sc} is not a suffix of the output shape {so}")
+        data += c.data
+        inputs.append(c)
+    out = _wrap(data)
     da, db = a.data, b.data
     need_a, need_b = _needs_grad(a), _needs_grad(b)
+    need_c = c is not None and _needs_grad(c)
 
     def fn(g):
-        ga = gb = None
+        ga = gb = gc = None
+        if need_c:
+            gc = _sum_to(g, sc)
         if need_a:
             ga = np.matmul(g, np.swapaxes(db, -1, -2))
             if ga.ndim > da.ndim:
@@ -343,9 +362,9 @@ def matmul(a, b):
             gb = da.reshape(-1, da.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         elif need_b:
             gb = np.matmul(np.swapaxes(da, -1, -2), g)
-        return ga, gb
+        return (ga, gb, gc)[:len(inputs)]  # one gradient per input
 
-    return _record("matmul", [a, b], out, fn)
+    return _record("matmul", inputs, out, fn)
 
 
 def _softmax_grad(p, g):

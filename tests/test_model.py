@@ -11,7 +11,7 @@ import pytest
 
 from embsformer import tensor as T
 from embsformer.checks import toy_setup
-from embsformer.graph import TrafficGraph, chebyshev_basis, normalized_laplacian
+from embsformer.graph import TrafficGraph, cheb_graph_conv, chebyshev_basis, normalized_laplacian
 from embsformer.model import (
     Batch,
     CheckpointError,
@@ -289,6 +289,21 @@ class TestTransitionBlock:
             if not name.endswith(".bk"):
                 assert np.linalg.norm(tens.grad) > 1e-12, name
 
+    @pytest.mark.parametrize("layer", ["transition_block", "cheb_graph_conv"])
+    def test_adds_ride_the_matmuls(self, layer):
+        # the biases, the residual and the Chebyshev sum are matmul addends
+        config, params, basis, _ = toy_setup(k_cheb=3)
+        e = T.Tensor(np.random.default_rng(13).standard_normal((2, 3, 4, 4)), requires_grad=True)
+        start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
+        if layer == "transition_block":
+            out = transition_block(params, "transition.0", e, basis, config)
+        else:
+            out = cheb_graph_conv(e, basis, params["transition.0.theta"])
+        ops = [node.op for node in T.current_tape().nodes[start:]]
+        T.backward(T.reduce(out, kind="sum"))
+        assert "add" not in ops
+        assert ops.count("matmul") == (13 if layer == "transition_block" else 5)
+
 
 class TestTransitionReadout:
     def test_constructed_kernels_select_channel(self):
@@ -526,6 +541,19 @@ class TestForward:
         )
         moved = forward(permuted, params, config, basis).data
         assert np.allclose(moved, base[:, :, perm], atol=1e-10)
+
+    def test_tape_of_a_training_step(self):
+        # the benchmark's model: m = n = 12, two blocks, periods of 24 h and 168 h
+        # at 15-minute steps; 8 adds remain: 2 per embed and 2 in the fusion
+        config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
+        params = init_params(config, seed=0)
+        batch = random_batch(np.random.default_rng(29), config)
+        start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
+        loss = mse_loss(forward(batch, params, config, basis_for(config)), batch.target)
+        ops = [node.op for node in T.current_tape().nodes[start:]]
+        T.backward(loss)
+        assert len(ops) == 104
+        assert ops.count("add") == 8
 
     def test_attention_sink_covers_all_mechanisms(self):
         config, params, basis, batch = toy_setup()

@@ -1,7 +1,11 @@
 """Tensor op semantics, backward correctness, and gradient-check harness."""
 
+import re
+
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from embsformer import checks
 from embsformer import tensor as T
@@ -75,6 +79,64 @@ class TestMatmul:
         assert w.grad.shape == (32, 32)
         assert np.max(np.abs(w.grad - batched)) <= 1e-12 * np.max(np.abs(batched))
         assert np.max(np.abs(a.grad - g @ w.data.T)) <= 1e-12 * np.max(np.abs(a.grad))
+
+    @pytest.mark.parametrize("addend_shape", [(32,), (16, 12, 15, 32)], ids=["bias", "full"])
+    def test_addend_bytes_equal_numpy(self, addend_shape):
+        rng = rng_for(3)
+        a = rng.standard_normal((16, 12, 15, 32))
+        b = rng.standard_normal((32, 32))
+        c = rng.standard_normal(addend_shape)
+        got = T.matmul(T.Tensor(a), T.Tensor(b), T.Tensor(c)).data
+        assert got.tobytes() == (np.matmul(a, b) + c).tobytes()
+
+    def test_read_only_addend_left_unchanged(self):
+        rng = rng_for(4)
+        a, b = T.Tensor(rng.standard_normal((4, 3))), T.Tensor(rng.standard_normal((3, 2)))
+        c = T.Tensor(rng.standard_normal((4, 2)))
+        c.data.flags.writeable = False
+        before = c.data.copy()
+        out = T.matmul(a, b, c)
+        assert np.array_equal(c.data, before)
+        assert not np.shares_memory(out.data, c.data)
+
+    @pytest.mark.parametrize("a_shape,b_shape,c_shape,out_shape", [
+        ((16, 12, 15, 32), (32, 32), (12, 32), (16, 12, 15, 32)),   # not a suffix
+        ((4, 3), (3, 2), (1, 4, 2), (4, 2)),                        # longer than the output
+    ], ids=["not-suffix", "longer"])
+    def test_addend_shape_error_names_both_shapes(self, a_shape, b_shape, c_shape, out_shape):
+        a, b, c = (T.Tensor(np.zeros(s)) for s in (a_shape, b_shape, c_shape))
+        names_both = re.escape(str(c_shape)) + ".*" + re.escape(str(out_shape))
+        with pytest.raises(T.ShapeError, match=names_both):
+            T.matmul(a, b, c)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(data=st.data())
+    def test_addend_shape_contract_fuzz(self, data):
+        # the result is a @ b + c exactly when c's shape is a suffix of the
+        # output shape, and a ShapeError otherwise
+        dim = st.integers(1, 4)
+        batch = tuple(data.draw(st.lists(dim, max_size=2)))
+        p, q, r = data.draw(dim), data.draw(dim), data.draw(dim)
+        out_shape = batch + (p, r)
+        keep = data.draw(st.integers(0, len(out_shape)))
+        c_shape = out_shape[len(out_shape) - keep:]
+        if data.draw(st.booleans()):   # perturb: grow it or change one of its dims
+            if not c_shape or data.draw(st.booleans()):
+                c_shape = (data.draw(dim),) + out_shape
+            else:
+                i = data.draw(st.integers(0, len(c_shape) - 1))
+                c_shape = c_shape[:i] + (data.draw(dim),) + c_shape[i + 1:]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shared = data.draw(st.sampled_from(["none", "a", "b"]))   # the 2-D operand, if any
+        a = rng.standard_normal((p, q) if shared == "a" else batch + (p, q))
+        b = rng.standard_normal((q, r) if shared == "b" else batch + (q, r))
+        c = rng.standard_normal(c_shape)
+        if len(c_shape) > len(out_shape) or out_shape[len(out_shape) - len(c_shape):] != c_shape:
+            with pytest.raises(T.ShapeError):
+                T.matmul(T.Tensor(a), T.Tensor(b), T.Tensor(c))
+            return
+        got = T.matmul(T.Tensor(a), T.Tensor(b), T.Tensor(c)).data
+        assert got.tobytes() == (np.matmul(a, b) + c).tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -235,7 +297,10 @@ class TestStorage:
         assert T.permute(x, (2, 0, 1)).data.flags.c_contiguous
         assert T.slice_axis(x, 1, 1, 3).data.flags.c_contiguous
 
-    @pytest.mark.parametrize("op", [T.matmul, T.mul])
+    @pytest.mark.parametrize("op", [
+        T.matmul, T.mul,
+        pytest.param(lambda const, w: T.matmul(w, w, const), id="matmul-addend"),
+    ])
     def test_constant_operand_gets_no_gradient(self, op):
         rng = rng_for(12)
         const = T.Tensor(rng.standard_normal((3, 3)))
@@ -243,8 +308,10 @@ class TestStorage:
         y = op(const, w)
         node = T.current_tape().nodes[-1]
         T.backward(T.reduce(y, kind="sum"))
-        g_const, g_w = node.fn(np.ones(y.shape))
-        assert g_const is None and g_w is not None
+        grads = node.fn(np.ones(y.shape))
+        assert len(grads) == len(node.inputs)
+        for t, g in zip(node.inputs, grads):
+            assert (g is None) == (t is const)
         assert const.grad is None
 
 
