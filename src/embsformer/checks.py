@@ -229,9 +229,9 @@ def check_cheb_conv():
     graph = TrafficGraph(adjacency=adj)
     lap = normalized_laplacian(graph)
     basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
-    x = T.Tensor(rng.standard_normal((2, 4, 3)) + 0.5)
+    x = T.Tensor(rng.standard_normal((4, 2, 3)) + 0.5)   # node-first [N, T, C]
     theta = T.Tensor(rng.standard_normal((3, 3, 2)))
-    w = rng.standard_normal((2, 4, 2))
+    w = rng.standard_normal((4, 2, 2))
 
     def f_x(t):
         return T.reduce(T.mul(cheb_graph_conv(t, basis, theta), T.Tensor(w)), kind="sum")
@@ -276,73 +276,82 @@ def toy_setup(seed=42, n_nodes=4, m=3, n=3, width=4, k_cheb=2, periods=1):
     return config, params, basis, batch
 
 
+def _check_layer(layer, inputs, params, names, rng):
+    """Worst error of a weighted sum of ``layer()`` over its ``inputs`` and weights ``names``.
+
+    ``layer`` takes no argument: it reads its activation inputs and weights
+    where `T.gradient_check` perturbs them, in place. An attention key
+    bias (``*.bk``) shifts every score of a row by the same amount, so the
+    loss is flat in it and its true gradient is zero. Central differences
+    of a flat function are exact at any step, so key biases take eps = 1,
+    which keeps rounding noise far below the 1e-8 floor a zero gradient is
+    compared against; a wrong gradient of any size still fails.
+    """
+    with T.no_grad():
+        w = T.Tensor(rng.standard_normal(layer().shape))
+
+    def f(_):
+        return T.reduce(T.mul(layer(), w), kind="sum")
+
+    errors = [_check(f, t) for t in inputs]
+    errors += [_check(f, params[n], eps=1.0 if n.endswith(".bk") else 1e-5) for n in names]
+    return max(errors)
+
+
+def _names(params, prefix):
+    return [name for name in params.names() if name.startswith(prefix)]
+
+
 def check_spatial_attention():
+    """The activation input and every spatial weight and bias."""
     rng = _rng(18)
     config, params, basis, batch = toy_setup()
-    e = T.Tensor(rng.standard_normal((1, config.m, config.n_nodes, config.d_e)))
-    w = rng.standard_normal((1, config.m, config.n_nodes, config.d_s))
-
-    def f(t):
-        return T.reduce(T.mul(
-            spatial_self_attention(params, "transition.0", t, config.d_s), T.Tensor(w)
-        ), kind="sum")
-
-    return _check(f, e)
+    e = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))
+    return _check_layer(
+        lambda: spatial_self_attention(params, "transition.0", e, config.d_s),
+        [e], params, _names(params, "transition.0.spatial."), rng)
 
 
 def check_temporal_attention():
+    """The activation input and every temporal weight and bias."""
     rng = _rng(19)
     config, params, basis, batch = toy_setup()
-    x = T.Tensor(rng.standard_normal((1, config.m, config.n_nodes, config.d_s)))
-    w = rng.standard_normal((1, config.m, config.n_nodes, config.d_t))
-
-    def f(t):
-        return T.reduce(T.mul(
-            temporal_self_attention(params, "transition.0", t, config.d_t), T.Tensor(w)
-        ), kind="sum")
-
-    return _check(f, x)
+    x = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_s)))
+    return _check_layer(
+        lambda: temporal_self_attention(params, "transition.0", x, config.d_t),
+        [x], params, _names(params, "transition.0.temporal."), rng)
 
 
 def check_similarity_attention():
-    """Inputs and, for m != n, the alignment kernels, on an m == n and an m > n toy."""
+    """Inputs, projections and, for m != n, the alignment kernels, at m == n and m > n."""
     rng = _rng(20)
     worst = 0.0
     for m, n in ((3, 3), (5, 2)):
         config, params, basis, batch = toy_setup(m=m, n=n)
-        e_r = T.Tensor(rng.standard_normal((1, m, config.n_nodes, config.d_e)))
-        e_p = T.Tensor(rng.standard_normal((1, m + n, config.n_nodes, config.d_e)))
-        w = rng.standard_normal((1, n, config.n_nodes, config.h_prime))
-
-        def f(t):
-            return T.reduce(T.mul(
-                similarity_attention(params, 0, e_r, e_p, config), T.Tensor(w)), kind="sum")
-
-        targets = [e_r, e_p]
-        if m != n:
-            targets += [params["branch.0.align_q"], params["branch.0.align_k"]]
-        worst = max([worst] + [_check(f, t) for t in targets])
+        e_r = T.Tensor(rng.standard_normal((config.n_nodes, 1, m, config.d_e)))
+        e_p = T.Tensor(rng.standard_normal((config.n_nodes, 1, m + n, config.d_e)))
+        names = [name for name in _names(params, "branch.0.")
+                 if not name.startswith("branch.0.conv_")]   # the readout's, not this layer's
+        worst = max(worst, _check_layer(
+            lambda: similarity_attention(params, 0, e_r, e_p, config),
+            [e_r, e_p], params, names, rng))
     return worst
 
 
 def check_transition_block():
+    """The activation input and every weight of the block: attentions, theta, conv_t, residual."""
     rng = _rng(21)
     config, params, basis, batch = toy_setup()
-    e = T.Tensor(rng.standard_normal((1, config.m, config.n_nodes, config.d_e)))
-    w = rng.standard_normal((1, config.m, config.n_nodes, config.d_e))
-
-    def f(t):
-        return T.reduce(T.mul(
-            transition_block(params, "transition.0", t, basis, config), T.Tensor(w)
-        ), kind="sum")
-
-    return _check(f, e)
+    e = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))
+    return _check_layer(
+        lambda: transition_block(params, "transition.0", e, basis, config),
+        [e], params, _names(params, "transition.0."), rng)
 
 
 def check_transition_readout():
     rng = _rng(22)
     config, params, basis, batch = toy_setup()
-    h = T.Tensor(rng.standard_normal((1, config.m, config.n_nodes, config.d_e)))
+    h = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))
     w = rng.standard_normal((1, config.n, config.n_nodes))
 
     def f(t):

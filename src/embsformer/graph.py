@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from embsformer.tensor import Tensor, gather_rows, matmul, relu
+from embsformer.tensor import Tensor, gather_rows, matmul, relu, reshape
 
 __all__ = [
     "TrafficGraph",
@@ -136,21 +136,26 @@ def chebyshev_basis(lap: np.ndarray, lambda_max: float, k_cheb: int) -> Chebyshe
 
 
 def cheb_graph_conv(x: Tensor, basis: ChebyshevBasis, theta: Tensor) -> Tensor:
-    """ReLU( sum_k T_k(L~) . x . theta_k ), independently per leading index.
+    """ReLU( sum_k T_k(L~) . x . theta_k ), independently per trailing index.
 
-    x: [..., N, C_in], theta: [K, C_in, C_out] -> [..., N, C_out].
-    Differentiable in both x and theta.
+    x: [N, ..., C_in], node-first, theta: [K, C_in, C_out] -> [N, ..., C_out].
+    Each hop T_k x is one [N, N] @ [N, rest] GEMM on a reshape view of x
+    whose rows are the nodes; theta_k then maps the channels, with the
+    running sum as the matmul addend. Differentiable in both x and theta.
     """
     if theta.shape[0] != basis.order:
         raise ValueError(
             f"theta has {theta.shape[0]} filter taps but basis order is {basis.order}"
         )
-    if x.shape[-2] != basis.num_nodes:
+    n_nodes = x.shape[0]
+    if n_nodes != basis.num_nodes:
         raise ValueError(
-            f"x has {x.shape[-2]} nodes but basis was built for {basis.num_nodes}"
+            f"x has {n_nodes} nodes but basis was built for {basis.num_nodes}"
         )
     acc = matmul(x, gather_rows(theta, np.asarray(0)))  # T_0 = I
+    if basis.order > 1:
+        rows = reshape(x, (n_nodes, x.size // n_nodes))  # [N, rest]
     for k in range(1, basis.order):
-        theta_k = gather_rows(theta, np.asarray(k))  # [C_in, C_out]
-        acc = matmul(matmul(basis.tensors()[k], x), theta_k, acc)
+        hop = reshape(matmul(basis.tensors()[k], rows), x.shape)
+        acc = matmul(hop, gather_rows(theta, np.asarray(k)), acc)
     return relu(acc)

@@ -15,9 +15,15 @@ a width-(m-n+1) correlation over time, one matmul on gathered windows.
 Branch outputs are sum-normalized (divided by the branch count) and fused
 with the transition forecast through elementwise trainable weights.
 
-Everything operates on batches; shapes are commented as [B, ...]. Every
-learned linear map is a matmul, and each weight has the shape of the map
-it applies.
+Everything operates on batches and runs node-first: `embed` turns a
+[B, steps, N, F] data block into a [N, B, steps, d_e] activation, and the
+readouts turn [N, B, ...] back into the [B, n, N] forecast. On that layout
+the per-step clock [B, steps, d_e] broadcasts as a suffix, temporal and
+similarity attention act on the last two axes as they stand, and the
+Chebyshev hops are one [N, N] @ [N, rest] GEMM each. Spatial attention
+permutes in and back out, and the m != n alignment permutes around its
+window gather; nothing else moves an activation. Every learned linear
+map is a matmul, and each weight has the shape of the map it applies.
 """
 
 from __future__ import annotations
@@ -280,14 +286,13 @@ def make_batch(windows) -> Batch:
 def embed(params, config, block, calendar):
     """Project a data block and add calendar + positional embeddings.
 
-    block: [B, steps, N, F] -> [B, steps, N, d_e]. ``calendar`` is the
-    [B, steps, 3] index array of `CALENDAR_COLUMNS`, one clock per time step
-    shared across nodes. Its three rows of ``embed.calendar`` are gathered
-    at once and summed, the positional table is added to that [B, steps,
-    d_e] clock, and one add broadcasts the clock over nodes on the
-    node-major layout [N, B, steps, d_e]. The projection runs before the
-    permute: the same matmul on the same layout keeps its bits for every
-    shape (BLAS picks its kernel by matrix shape).
+    block: [B, steps, N, F] -> [N, B, steps, d_e], node-first. ``calendar``
+    is the [B, steps, 3] index array of `CALENDAR_COLUMNS`, one clock per
+    time step shared across nodes. Its three rows of ``embed.calendar`` are
+    gathered at once and summed, the positional table is added to that
+    [B, steps, d_e] clock, and one add broadcasts the clock over the node
+    axis as a suffix. The block is permuted before the projection, so a
+    constant data block costs no tape node.
     """
     bad = (calendar < 0) | (calendar >= CALENDAR_VOCAB)
     if bad.any():
@@ -300,8 +305,8 @@ def embed(params, config, block, calendar):
     pos = Tensor(positional_table(block.shape[1], config.d_e))
     clock = T.add(T.reduce(rows, axis=-2), pos)                    # [B, steps, d_e]
     x = block if isinstance(block, Tensor) else Tensor(block)
-    e = T.permute(T.matmul(x, params["embed.proj"]), (2, 0, 1, 3))  # [N, B, steps, d_e]
-    return T.permute(T.add(e, clock), (1, 2, 0, 3))
+    e = T.matmul(T.permute(x, (2, 0, 1, 3)), params["embed.proj"])  # [N, B, steps, d_e]
+    return T.add(e, clock)
 
 
 def _attend(q, k, v, width, sink, label):
@@ -314,67 +319,68 @@ def _attend(q, k, v, width, sink, label):
 def spatial_self_attention(params, prefix, e, d_s, sink=None):
     """Attention over the node axis, one score matrix per time step.
 
-    e: [B, m, N, d_e] -> [B, m, N, d_s]; scores are [B, m, N, N] row-stochastic.
+    e: [N, B, m, d_e] -> [N, B, m, d_s]. The input is permuted to
+    [B, m, N, d_e], so nodes are the attended axis, and the output is
+    permuted back. Scores are [B, m, N, N] row-stochastic.
     """
-    q = T.matmul(e, params[f"{prefix}.spatial.wq"], params[f"{prefix}.spatial.bq"])
-    k = T.matmul(e, params[f"{prefix}.spatial.wk"], params[f"{prefix}.spatial.bk"])
-    v = T.matmul(e, params[f"{prefix}.spatial.wv"], params[f"{prefix}.spatial.bv"])
-    return _attend(q, k, v, d_s, sink, "spatial")
+    x = T.permute(e, (1, 2, 0, 3))  # [B, m, N, d_e]
+    q = T.matmul(x, params[f"{prefix}.spatial.wq"], params[f"{prefix}.spatial.bq"])
+    k = T.matmul(x, params[f"{prefix}.spatial.wk"], params[f"{prefix}.spatial.bk"])
+    v = T.matmul(x, params[f"{prefix}.spatial.wv"], params[f"{prefix}.spatial.bv"])
+    return T.permute(_attend(q, k, v, d_s, sink, "spatial"), (2, 0, 1, 3))
 
 
 def temporal_self_attention(params, prefix, x, d_t, sink=None):
     """Attention over the time axis, weights shared across nodes.
 
-    x: [B, m, N, d_s] -> [B, m, N, d_t]; scores are [B, N, m, m].
+    x: [N, B, m, d_s] -> [N, B, m, d_t]; scores are [N, B, m, m].
     """
-    xt = T.permute(x, (0, 2, 1, 3))  # [B, N, m, d_s]
-    q = T.matmul(xt, params[f"{prefix}.temporal.wq"], params[f"{prefix}.temporal.bq"])
-    k = T.matmul(xt, params[f"{prefix}.temporal.wk"], params[f"{prefix}.temporal.bk"])
-    v = T.matmul(xt, params[f"{prefix}.temporal.wv"], params[f"{prefix}.temporal.bv"])
-    out = _attend(q, k, v, d_t, sink, "temporal")
-    return T.permute(out, (0, 2, 1, 3))  # [B, m, N, d_t]
+    q = T.matmul(x, params[f"{prefix}.temporal.wq"], params[f"{prefix}.temporal.bq"])
+    k = T.matmul(x, params[f"{prefix}.temporal.wk"], params[f"{prefix}.temporal.bk"])
+    v = T.matmul(x, params[f"{prefix}.temporal.wv"], params[f"{prefix}.temporal.bv"])
+    return _attend(q, k, v, d_t, sink, "temporal")
 
 
 def transition_block(params, prefix, e, basis: ChebyshevBasis, config, sink=None):
     """One stacked flow-transition unit; output shape equals input shape.
 
     residual(e) + conv_t(gcn(temporal_sa(spatial_sa(e)))), where conv_t is the
-    per-step channel map h' -> d_e, so blocks stack.
+    per-step channel map h' -> d_e, so blocks stack. e: [N, B, m, d_e].
     """
     s = spatial_self_attention(params, prefix, e, config.d_s, sink)
     t = temporal_self_attention(params, prefix, s, config.d_t, sink)
-    g = cheb_graph_conv(t, basis, params[f"{prefix}.theta"])  # [B, m, N, h']
+    g = cheb_graph_conv(t, basis, params[f"{prefix}.theta"])  # [N, B, m, h']
     res = T.matmul(e, params[f"{prefix}.residual"])
-    return T.matmul(g, params[f"{prefix}.conv_t"], res)        # [B, m, N, d_e]
+    return T.matmul(g, params[f"{prefix}.conv_t"], res)        # [N, B, m, d_e]
 
 
 def transition_readout(params, h, config):
-    """Map the stacked representation to the forecast: [B, m, N, d_e] -> [B, n, N].
+    """Map the stacked representation to the forecast: [N, B, m, d_e] -> [B, n, N].
 
     Two chained linear maps with nothing between them: ``readout.feature``
     [d_e, 1] collapses the features at every step and node, then
     ``readout.time_mix`` [m, n] maps the m input steps to the n forecast
     steps, shared across nodes. Collapsing the features first regroups the
-    same sum and never builds a [B, N, d_e, n] intermediate.
+    same sum and never builds an [N, B, d_e, n] intermediate. One small
+    permute of the [N, B, n] result gives the forecast layout.
     """
-    b, m, n_nodes, _ = h.shape
-    y = T.reshape(T.matmul(h, params["readout.feature"]), (b, m, n_nodes))
-    out = T.matmul(T.permute(y, (0, 2, 1)), params["readout.time_mix"])  # [B, N, n]
-    return T.permute(out, (0, 2, 1))
+    n_nodes, b, m, _ = h.shape
+    y = T.reshape(T.matmul(h, params["readout.feature"]), (n_nodes, b, m))
+    return T.permute(T.matmul(y, params["readout.time_mix"]), (1, 2, 0))
 
 
 def _align(x, kernel):
     """Valid correlation over time as one matmul on gathered windows (im2col).
 
-    x: [B, L, N, C], kernel: [w, C, C_out] -> [B, N, L-w+1, C_out], where
-    output step s is sum_j x[:, s+j] @ kernel[j]. The L-w+1 overlapping
+    x: [N, B, L, C], kernel: [w, C, C_out] -> [N, B, L-w+1, C_out], where
+    output step s is sum_j x[:, :, s+j] @ kernel[j]. The L-w+1 overlapping
     windows are gathered at once along the time-leading layout.
     """
     w, c, c_out = kernel.shape
-    steps = x.shape[1] - w + 1
-    windows = T.gather_rows(T.permute(x, (1, 0, 2, 3)),
-                            np.arange(steps)[:, None] + np.arange(w))  # [L', w, B, N, C]
-    windows = T.permute(windows, (2, 3, 0, 1, 4))                      # [B, N, L', w, C]
+    steps = x.shape[2] - w + 1
+    windows = T.gather_rows(T.permute(x, (2, 0, 1, 3)),
+                            np.arange(steps)[:, None] + np.arange(w))  # [L', w, N, B, C]
+    windows = T.permute(windows, (2, 3, 0, 1, 4))                      # [N, B, L', w, C]
     windows = T.reshape(windows, windows.shape[:3] + (w * c,))
     return T.matmul(windows, T.reshape(kernel, (w * c, c_out)))
 
@@ -382,46 +388,40 @@ def _align(x, kernel):
 def similarity_attention(params, branch, e_recent, e_period, config, sink=None):
     """Soft lookup of a branch's pseudo-future keyed by its pseudo-input.
 
-    e_recent: [B, m, N, d_e]; e_period: [B, m+n, N, d_e]. Queries come from
+    e_recent: [N, B, m, d_e]; e_period: [N, B, m+n, d_e]. Queries come from
     the recent embedding, keys from the first m period steps, values from
     the last n (the pseudo-future). When m != n a width-(m-n+1) correlation
-    over time (`_align`) maps query/key length to n. Returns [B, n, N, h'].
+    over time (`_align`) maps query/key length to n. Returns [N, B, n, h'];
+    scores are [N, B, n, n].
     """
     m, n = config.m, config.n
-    if e_period.shape[1] != m + n:
+    if e_period.shape[2] != m + n:
         raise ValueError(
-            f"branch window has {e_period.shape[1]} steps, expected m+n={m + n}"
+            f"branch window has {e_period.shape[2]} steps, expected m+n={m + n}"
         )
     pre = f"branch.{branch}"
-    e_in = T.slice_axis(e_period, 1, 0, m)
-    e_out = T.slice_axis(e_period, 1, m, m + n)
+    e_in = T.slice_axis(e_period, 2, 0, m)
+    e_out = T.slice_axis(e_period, 2, m, m + n)
 
-    q = T.matmul(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])  # [B, m, N, h']
-    k = T.matmul(e_in, params[f"{pre}.wk"], params[f"{pre}.bk"])      # [B, m, N, h']
-    v = T.matmul(e_out, params[f"{pre}.wv"], params[f"{pre}.bv"])     # [B, n, N, h']
-
+    q = T.matmul(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])  # [N, B, m, h']
+    k = T.matmul(e_in, params[f"{pre}.wk"], params[f"{pre}.bk"])      # [N, B, m, h']
+    v = T.matmul(e_out, params[f"{pre}.wv"], params[f"{pre}.bv"])     # [N, B, n, h']
     if m != n:
-        q = _align(q, params[f"{pre}.align_q"])  # [B, N, n, h']
+        q = _align(q, params[f"{pre}.align_q"])  # [N, B, n, h']
         k = _align(k, params[f"{pre}.align_k"])
-    else:
-        q = T.permute(q, (0, 2, 1, 3))
-        k = T.permute(k, (0, 2, 1, 3))
-    v = T.permute(v, (0, 2, 1, 3))  # [B, N, n, h']
-    out = _attend(q, k, v, config.h_prime, sink, f"similarity.{branch}")
-    return T.permute(out, (0, 2, 1, 3))  # [B, n, N, h']
+    return _attend(q, k, v, config.h_prime, sink, f"similarity.{branch}")
 
 
 def generation_branch(params, branch, asr, config):
-    """Branch readout: per-step channel map then feature map, [B,n,N,h'] -> [B,n,N].
+    """Branch readout: per-step channel map then feature map, [N,B,n,h'] -> [B,n,N].
 
     Sum normalization (division by the active branch count) happens at
     fusion time, keeping per-branch outputs separate for the head weights.
     """
     pre = f"branch.{branch}"
-    h = T.matmul(asr, params[f"{pre}.conv_t"])   # [B, n, N, h']
-    y = T.matmul(h, params[f"{pre}.conv_c"])     # [B, n, N, 1]
-    b, n_steps, n_nodes = y.shape[0], y.shape[1], y.shape[2]
-    return T.reshape(y, (b, n_steps, n_nodes))
+    h = T.matmul(asr, params[f"{pre}.conv_t"])   # [N, B, n, h']
+    y = T.matmul(h, params[f"{pre}.conv_c"])     # [N, B, n, 1]
+    return T.permute(T.reshape(y, y.shape[:3]), (1, 2, 0))
 
 
 def fuse(params, config, y_recent, y_branches):

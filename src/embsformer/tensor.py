@@ -5,13 +5,16 @@ copies the caller's array, because Adam updates parameter data in place;
 op outputs are not copied: an op wraps the array it just computed (a
 view, for ``reshape``), and copies only a strided result such as a
 ``slice_axis`` view to keep storage row-major. Differentiable ops
-record nodes on a thread-local tape; ``backward`` replays that tape once
-in reverse, accumulating gradients into ``.grad`` of every
-``requires_grad`` ancestor. An op computes an input's gradient only when
-that input is ``requires_grad`` or itself recorded, so constants such as
-data blocks and graph bases cost no backward work. A tape belongs to a
-single forward pass and is discarded after backward, so there are no
-higher-order derivatives.
+record nodes on a thread-local tape; ``backward`` detaches that tape and
+replays it once in reverse, accumulating gradients into ``.grad`` of every
+``requires_grad`` ancestor. The sweep pops each node as it passes it, so
+an op's output and the operands its gradient function saved are freed as
+soon as no earlier node needs them, not when the sweep ends. An op
+computes an input's gradient only when that input is ``requires_grad`` or
+itself recorded, so constants such as data blocks and graph bases cost no
+backward work. A tape belongs to a single forward pass: `backward`
+consumes it, and `drop_tape` discards one a failed pass left behind, so
+there are no higher-order derivatives.
 
 Broadcasting is deliberately restricted: the shorter operand of an
 elementwise op must equal a trailing suffix of the longer one (classic
@@ -47,6 +50,7 @@ __all__ = [
     "slice_axis",
     "gather_rows",
     "backward",
+    "drop_tape",
     "zero_grads",
     "gradient_check",
 ]
@@ -112,8 +116,9 @@ class _Node:
 
     The output reference is strong on purpose: node identity during the
     backward sweep is the output's ``id()``, which stays unique only while
-    the tensor is alive. Tensors therefore live as long as the tape, which
-    is one forward pass.
+    the tensor is alive. A node keeps its output alive until the backward
+    sweep pops it; the sweep then drops the node, and with it the output
+    and the operands ``fn`` saved, unless something else still holds them.
     """
 
     __slots__ = ("op", "inputs", "out", "fn")
@@ -185,36 +190,42 @@ def backward(loss):
     Grads sum when a tensor feeds multiple consumers; tensors that do not
     participate are untouched. ``.grad`` accumulates across calls until
     `zero_grads`, which is what batch-wise accumulation relies on. The
-    tape is discarded afterwards.
+    tape is detached before the sweep, so none is left on the thread even
+    if a gradient function raises. Each node is popped together with its
+    gradient and holder entries, so the sweep frees what it has passed.
     """
+    st = _st()
+    tape, st.tape = st.tape, None
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    st = _st()
-    tape = st.tape
     if tape is None or not loss._tracked:
         raise ValueError("loss is not connected to any recorded operation")
 
+    nodes = tape.nodes
     grads = {id(loss): np.ones_like(loss.data)}
     holders = {id(loss): loss}
-    for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
-        if g is None:
-            continue
-        in_grads = node.fn(g)
-        for t, ig in zip(node.inputs, in_grads):
-            if ig is None:
-                continue
-            k = id(t)
-            holders[k] = t
-            if k in grads:
-                grads[k] = grads[k] + ig
-            else:
-                grads[k] = ig
+    while nodes:
+        node = nodes.pop()
+        k = id(node.out)
+        g = grads.pop(k, None)
+        holders.pop(k, None)
+        if g is not None:
+            for t, ig in zip(node.inputs, node.fn(g)):
+                if ig is None:
+                    continue
+                k = id(t)
+                holders[k] = t
+                grads[k] = grads[k] + ig if k in grads else ig
+        node = g = t = ig = None   # frees the node's output and saved operands
     for k, g in grads.items():
         t = holders[k]
         if t.requires_grad:
             t.grad = g if t.grad is None else t.grad + g
-    st.tape = None
+
+
+def drop_tape():
+    """Discard the thread's tape: the end of a pass that raised before `backward`."""
+    _st().tape = None
 
 
 def zero_grads(tensors):
@@ -549,11 +560,13 @@ def gradient_check(f, x, eps=1e-5, elements=None):
     x.requires_grad = True
     saved_grad = x.grad
     x.grad = None
-    y = f(x)
-    backward(y)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    x.grad = saved_grad
-    x.requires_grad = was_required
+    try:
+        backward(f(x))
+        analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+    finally:
+        drop_tape()
+        x.grad = saved_grad
+        x.requires_grad = was_required
 
     flat = x.data.reshape(-1)
     if elements is None:

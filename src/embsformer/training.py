@@ -128,12 +128,14 @@ def train(config: ModelConfig, basis, train_windows, val_windows,
         for lo in range(0, len(order), tcfg.batch_size):
             batch = make_batch([train_windows[i] for i in order[lo:lo + tcfg.batch_size]])
             params.zero_grads()
-            pred = forward(batch, params, config, basis)
-            loss = mse_loss(pred, batch.target)
-            value = loss.item()
-            T.backward(loss)   # replays and drops the tape even if the pass diverged
-            if not np.isfinite(value):
-                raise DivergenceError(f"training loss diverged at epoch {epoch}")
+            try:
+                loss = mse_loss(forward(batch, params, config, basis), batch.target)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise DivergenceError(f"training loss diverged at epoch {epoch}")
+                T.backward(loss)
+            finally:
+                T.drop_tape()   # a pass that raised before `backward` leaves no tape
             adam_step(params, state, tcfg)
             epoch_loss += value
             n_batches += 1

@@ -106,6 +106,11 @@ def test_spectral_correctness():
 # --------------------------------------------------------------------------
 
 
+def node_first(x):
+    """[B, steps, N, d] -> the layers' node-first [N, B, steps, d]."""
+    return np.ascontiguousarray(np.moveaxis(x, 2, 0))
+
+
 def test_attention_invariants():
     config, params, basis, batch = checks.toy_setup()
     worst = 0.0
@@ -133,23 +138,24 @@ def test_attention_invariants():
 
     c1 = ModelConfig(m=3, n=3, n_nodes=1, d_e=4, d_s=4, d_t=4, h_prime=4, periods=(6,))
     p1 = init_params(c1, seed=1)
-    e1 = T.Tensor(rng.standard_normal((1, 3, 1, 4)))
-    v1 = e1.data @ p1["transition.0.spatial.wv"].data + p1["transition.0.spatial.bv"].data
+    e1 = rng.standard_normal((1, 3, 1, 4))   # [B, m, N, d_e], the layout attended on
+    v1 = e1 @ p1["transition.0.spatial.wv"].data + p1["transition.0.spatial.bv"].data
     spatial_exact = np.array_equal(
-        spatial_self_attention(p1, "transition.0", e1, 4).data, v1
+        spatial_self_attention(p1, "transition.0", T.Tensor(node_first(e1)), 4).data,
+        node_first(v1),
     )
 
     c2 = ModelConfig(m=1, n=1, n_nodes=3, d_e=4, d_s=4, d_t=4, h_prime=4, periods=(2,))
     p2 = init_params(c2, seed=2)
-    x2 = T.Tensor(rng.standard_normal((1, 1, 3, 4)))
+    x2 = T.Tensor(node_first(rng.standard_normal((1, 1, 3, 4))))
     v2 = x2.data @ p2["transition.0.temporal.wv"].data + p2["transition.0.temporal.bv"].data
     temporal_exact = np.allclose(
         temporal_self_attention(p2, "transition.0", x2, 4).data, v2, atol=1e-15
     )
 
-    e_r = T.Tensor(rng.standard_normal((1, 1, 3, 4)))
-    e_p = T.Tensor(rng.standard_normal((1, 2, 3, 4)))
-    v3 = e_p.data[:, 1:] @ p2["branch.0.wv"].data + p2["branch.0.bv"].data
+    e_r = T.Tensor(node_first(rng.standard_normal((1, 1, 3, 4))))
+    e_p = T.Tensor(node_first(rng.standard_normal((1, 2, 3, 4))))
+    v3 = e_p.data[:, :, 1:] @ p2["branch.0.wv"].data + p2["branch.0.bv"].data
     similarity_exact = np.allclose(
         similarity_attention(p2, 0, e_r, e_p, c2).data, v3, atol=1e-15
     )

@@ -258,6 +258,19 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert any(line.split()[:2] == ["FAIL", "attention"] for line in out.splitlines())
 
+    def test_corrupted_addend_gradient_fails_the_layer_checks(self, capsys, monkeypatch):
+        def first_slice(g, shape):
+            # keeps one slice of a broadcast gradient instead of summing them all;
+            # in these layers the only broadcast addends are the projection biases
+            return g if g.shape == shape else g.reshape((-1,) + shape)[0]
+
+        monkeypatch.setattr(T, "_sum_to", first_slice)
+        assert run_cli(["gradcheck"]) == 1
+        failed = {line.split()[1] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")}
+        assert {"spatial-attention", "temporal-attention", "similarity-attention",
+                "transition-block"} <= failed
+
 
 class TestAblationCommand:
     def test_table_and_json_agree(self, tmp_path, capsys):

@@ -21,6 +21,11 @@ def random_graph(seed, n):
     return TrafficGraph(adjacency=a)
 
 
+def node_first(x):
+    """[T, N, C] -> the node-first [N, T, C] that `cheb_graph_conv` takes."""
+    return np.ascontiguousarray(np.moveaxis(x, 1, 0))
+
+
 def chebyshev_scalar(k, x):
     """T_k at scalar points: cos form on [-1,1], cosh continuation outside.
 
@@ -134,7 +139,7 @@ class TestChebyshevBasis:
 class TestChebGraphConv:
     def test_identity_filter_passes_nonnegative_input(self):
         basis = chebyshev_basis(normalized_laplacian(PATH2), 2.0, 1)
-        x = T.Tensor(np.abs(np.random.default_rng(3).standard_normal((3, 2, 4))))
+        x = T.Tensor(node_first(np.abs(np.random.default_rng(3).standard_normal((3, 2, 4)))))
         theta = T.Tensor(np.eye(4)[None, :, :])
         out = cheb_graph_conv(x, basis, theta)
         assert np.allclose(out.data, x.data, atol=1e-14)
@@ -145,11 +150,11 @@ class TestChebGraphConv:
         basis = chebyshev_basis(np.zeros((3, 3)), estimate_lambda_max(np.zeros((3, 3))), 2)
         assert np.array_equal(basis.matrices[1], -np.eye(3))
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 3, 2))
+        x = node_first(rng.standard_normal((2, 3, 2)))
         theta = rng.standard_normal((2, 2, 2))
         out = cheb_graph_conv(T.Tensor(x), basis, T.Tensor(theta))
         expected = np.maximum(
-            np.einsum("tnc,cd->tnd", x, theta[0]) - np.einsum("tnc,cd->tnd", x, theta[1]),
+            np.einsum("ntc,cd->ntd", x, theta[0]) - np.einsum("ntc,cd->ntd", x, theta[1]),
             0.0,
         )
         assert np.max(np.abs(out.data - expected)) < 1e-12
@@ -161,23 +166,23 @@ class TestChebGraphConv:
         lap = normalized_laplacian(g)
         lam = estimate_lambda_max(lap)
         basis = chebyshev_basis(lap, lam, 3)
-        x = rng.standard_normal((2, 4, 3))
+        x = node_first(rng.standard_normal((2, 4, 3)))
         theta = rng.standard_normal((3, 3, 2))
         got = cheb_graph_conv(T.Tensor(x), basis, T.Tensor(theta)).data
-        expected = np.zeros((2, 4, 2))
+        expected = np.zeros((4, 2, 2))
         for t in range(2):
             for k in range(3):
                 tk = basis.matrices[k]
                 for i in range(4):
                     for j in range(4):
-                        expected[t, i] += tk[i, j] * (x[t, j] @ theta[k])
+                        expected[i, t] += tk[i, j] * (x[j, t] @ theta[k])
         expected = np.maximum(expected, 0.0)
         assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_order_mismatch_rejected(self):
         basis = chebyshev_basis(normalized_laplacian(PATH2), 2.0, 2)
         with pytest.raises(ValueError, match="order"):
-            cheb_graph_conv(T.Tensor(np.zeros((1, 2, 1))), basis,
+            cheb_graph_conv(T.Tensor(np.zeros((2, 1, 1))), basis,
                             T.Tensor(np.zeros((3, 1, 1))))
 
     def test_disconnected_components_never_mix(self):
@@ -189,22 +194,22 @@ class TestChebGraphConv:
         lap = normalized_laplacian(g)
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 4, 3))
+        x = node_first(rng.standard_normal((2, 4, 3)))
         theta = T.Tensor(rng.standard_normal((3, 3, 2)))
         base = cheb_graph_conv(T.Tensor(x), basis, theta).data
         x2 = x.copy()
-        x2[:, :2, :] += rng.standard_normal((2, 2, 3))
+        x2[:2] += node_first(rng.standard_normal((2, 2, 3)))
         moved = cheb_graph_conv(T.Tensor(x2), basis, theta).data
-        assert np.array_equal(base[:, 2:, :], moved[:, 2:, :])
+        assert np.array_equal(base[2:], moved[2:])
 
     def test_gradients_pass_finite_differences(self):
         g = random_graph(77, 4)
         lap = normalized_laplacian(g)
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
         rng = np.random.default_rng(77)
-        x = T.Tensor(rng.standard_normal((2, 4, 3)) + 0.3)
+        x = T.Tensor(node_first(rng.standard_normal((2, 4, 3)) + 0.3))
         theta = T.Tensor(rng.standard_normal((3, 3, 2)))
-        w = rng.standard_normal((2, 4, 2))
+        w = node_first(rng.standard_normal((2, 4, 2)))
 
         def f_x(t):
             return T.reduce(T.mul(cheb_graph_conv(t, basis, theta), T.Tensor(w)), kind="sum")
@@ -220,7 +225,7 @@ class TestChebGraphConv:
         lap = normalized_laplacian(g)
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
         rng = np.random.default_rng(78)
-        x = T.Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+        x = T.Tensor(node_first(rng.standard_normal((2, 5, 3))), requires_grad=True)
         theta = T.Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
         y = cheb_graph_conv(x, basis, theta)
         nodes = list(T.current_tape().nodes)
@@ -233,3 +238,24 @@ class TestChebGraphConv:
         assert all(ig is None for ig in slots)
         assert all(t.grad is None for t in basis.tensors())
         assert x.grad is not None and theta.grad is not None
+
+    def test_each_hop_is_one_gemm(self):
+        # at K=3: the [N, rest] view of x, then per hop one [N, N] @ [N, rest]
+        # matmul and one reshape back; per tap one theta gather and matmul
+        g = random_graph(79, 5)
+        lap = normalized_laplacian(g)
+        basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
+        rng = np.random.default_rng(79)
+        x = T.Tensor(rng.standard_normal((5, 2, 4, 3)), requires_grad=True)
+        theta = T.Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
+        start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
+        y = cheb_graph_conv(x, basis, theta)
+        nodes = T.current_tape().nodes[start:]
+        T.backward(T.reduce(y, kind="sum"))
+        ops = [node.op for node in nodes]
+        assert {op: ops.count(op) for op in set(ops)} == {
+            "reshape": 3, "matmul": 5, "gather_rows": 3, "relu": 1}
+        hops = [node for node in nodes
+                if node.op == "matmul" and node.inputs[0] in basis.tensors()]
+        assert [(node.inputs[0].shape, node.inputs[1].shape) for node in hops] == [
+            ((5, 5), (5, 24)), ((5, 5), (5, 24))]

@@ -53,6 +53,11 @@ def random_batch(rng, config):
     )
 
 
+def node_first(x):
+    """[B, steps, N, ...] -> the layers' node-first [N, B, steps, ...]."""
+    return np.ascontiguousarray(np.moveaxis(x, 2, 0))
+
+
 def basis_for(config, seed=0):
     rng = np.random.default_rng(seed)
     a = (rng.random((config.n_nodes, config.n_nodes)) < 0.5).astype(float)
@@ -105,14 +110,15 @@ class TestInitParams:
 def tiled_embed(params, config, block, calendar):
     """Reference for `embed`: every calendar index tiled over the N nodes.
 
-    Sums in `embed`'s order: projection + ((minute + dow + holiday) + position).
+    Node-first like `embed`, and sums in its order: projection +
+    ((minute + dow + holiday) + position).
     """
     steps, n_nodes = block.shape[1], block.shape[2]
     x = block if isinstance(block, T.Tensor) else T.Tensor(block)
-    e = T.matmul(x, params["embed.proj"])
-    rows = np.repeat((calendar + CALENDAR_OFFSETS)[:, :, None, :], n_nodes, axis=2)
+    e = T.matmul(T.permute(x, (2, 0, 1, 3)), params["embed.proj"])
+    rows = np.repeat((calendar + CALENDAR_OFFSETS)[None], n_nodes, axis=0)
     clock = T.reduce(T.gather_rows(params["embed.calendar"], rows), axis=-2)
-    pos = positional_table(steps, config.d_e)[None, :, None, :]
+    pos = positional_table(steps, config.d_e)[None, None, :, :]
     return T.add(e, T.add(clock, T.Tensor(np.broadcast_to(pos, e.shape))))
 
 
@@ -124,8 +130,8 @@ class TestEmbed:
         rng = np.random.default_rng(1)
         block = rng.standard_normal((2, 4, 3, 1))
         out = embed(params, config, block, random_calendar(rng, (2, 4)))
-        proj = np.einsum("bsnf,fd->bsnd", block, params["embed.proj"].data)
-        expected = proj + positional_table(4, 4)[None, :, None, :]
+        proj = np.einsum("bsnf,fd->nbsd", block, params["embed.proj"].data)
+        expected = proj + positional_table(4, 4)[None, None, :, :]
         assert np.allclose(out.data, expected, atol=1e-14)
 
     def test_identical_calendar_gives_identical_non_data_terms(self):
@@ -135,17 +141,17 @@ class TestEmbed:
         zero = np.zeros((1, 2, 2, 1))
         out = embed(params, config, zero, calendar).data
         # same (minute, dow, holiday); only position differs, remove it
-        depos = out - positional_table(2, 4)[None, :, None, :]
-        assert np.allclose(depos[0, 0], depos[0, 1], atol=1e-14)
+        depos = out - positional_table(2, 4)[None, None, :, :]
+        assert np.allclose(depos[:, 0, 0], depos[:, 0, 1], atol=1e-14)
 
     def test_output_shapes(self):
         config = ModelConfig(m=5, n=3, n_nodes=4, d_e=8, periods=(8,))
         params = init_params(config, seed=0)
         rng = np.random.default_rng(2)
         rec = embed(params, config, rng.standard_normal((1, 5, 4, 1)), np.zeros((1, 5, 3), int))
-        assert rec.shape == (1, 5, 4, 8)
+        assert rec.shape == (4, 1, 5, 8)
         per = embed(params, config, rng.standard_normal((1, 8, 4, 1)), np.zeros((1, 8, 3), int))
-        assert per.shape == (1, 8, 4, 8)
+        assert per.shape == (4, 1, 8, 8)
 
     @pytest.mark.parametrize("column,name", [(0, "minute-of-day"), (1, "day-of-week"),
                                              (2, "holiday")], ids=["minute", "dow", "holiday"])
@@ -179,7 +185,7 @@ class TestEmbed:
         rng = np.random.default_rng(n_nodes * 10 + n_features)
         data = rng.standard_normal((3, steps, n_nodes, n_features))
         calendar = random_calendar(rng, (3, steps))
-        w = T.Tensor(rng.standard_normal((3, steps, n_nodes, config.d_e)))
+        w = T.Tensor(node_first(rng.standard_normal((3, steps, n_nodes, config.d_e))))
         names = ("embed.calendar", "embed.proj")
 
         def run(fn):
@@ -202,16 +208,16 @@ class TestSpatialAttention:
         config = ModelConfig(m=3, n=3, n_nodes=1, d_e=4, d_s=4, periods=(6,))
         params = init_params(config, seed=1)
         rng = np.random.default_rng(4)
-        e = T.Tensor(rng.standard_normal((1, 3, 1, 4)))
-        out = spatial_self_attention(params, "transition.0", e, 4)
-        v = e.data @ params["transition.0.spatial.wv"].data + params["transition.0.spatial.bv"].data
-        assert np.array_equal(out.data, v)
+        e = rng.standard_normal((1, 3, 1, 4))   # [B, m, N, d_e], the layout attended on
+        out = spatial_self_attention(params, "transition.0", T.Tensor(node_first(e)), 4)
+        v = e @ params["transition.0.spatial.wv"].data + params["transition.0.spatial.bv"].data
+        assert np.array_equal(out.data, node_first(v))
 
     def test_score_rows_sum_to_one(self):
         config = ModelConfig(m=3, n=3, n_nodes=5, d_e=4, d_s=4, periods=(6,))
         params = init_params(config, seed=2)
         sink = []
-        e = T.Tensor(np.random.default_rng(5).standard_normal((2, 3, 5, 4)))
+        e = T.Tensor(node_first(np.random.default_rng(5).standard_normal((2, 3, 5, 4))))
         spatial_self_attention(params, "transition.0", e, 4, sink=sink)
         label, scores = sink[0]
         assert label == "spatial"
@@ -222,20 +228,20 @@ class TestSpatialAttention:
         config = ModelConfig(m=2, n=2, n_nodes=3, d_e=4, d_s=4, periods=(4,))
         params = init_params(config, seed=3)
         rng = np.random.default_rng(6)
-        e = rng.standard_normal((1, 2, 3, 4))
+        e = node_first(rng.standard_normal((1, 2, 3, 4)))
         perm = np.array([2, 0, 1])
         base = spatial_self_attention(params, "transition.0", T.Tensor(e), 4).data
         moved = spatial_self_attention(
-            params, "transition.0", T.Tensor(e[:, :, perm, :]), 4
+            params, "transition.0", T.Tensor(e[perm]), 4
         ).data
-        assert np.allclose(moved, base[:, :, perm, :], atol=1e-12)
+        assert np.allclose(moved, base[perm], atol=1e-12)
 
 
 class TestTemporalAttention:
     def test_single_step_returns_value(self):
         config = ModelConfig(m=1, n=1, n_nodes=3, d_e=4, d_s=4, d_t=4, periods=(2,))
         params = init_params(config, seed=1)
-        x = T.Tensor(np.random.default_rng(7).standard_normal((1, 1, 3, 4)))
+        x = T.Tensor(node_first(np.random.default_rng(7).standard_normal((1, 1, 3, 4))))
         out = temporal_self_attention(params, "transition.0", x, 4)
         v = x.data @ params["transition.0.temporal.wv"].data + params["transition.0.temporal.bv"].data
         assert np.allclose(out.data, v, atol=1e-15)
@@ -245,18 +251,18 @@ class TestTemporalAttention:
         params = init_params(config, seed=2)
         rng = np.random.default_rng(8)
         one_series = rng.standard_normal((1, 4, 1, 4))
-        x = T.Tensor(np.tile(one_series, (1, 1, 2, 1)))
+        x = T.Tensor(node_first(np.tile(one_series, (1, 1, 2, 1))))
         out = temporal_self_attention(params, "transition.0", x, 4).data
-        assert np.array_equal(out[:, :, 0, :], out[:, :, 1, :])
+        assert np.array_equal(out[0], out[1])
 
     def test_score_rows_sum_to_one(self):
         config = ModelConfig(m=4, n=4, n_nodes=2, d_e=4, d_s=4, d_t=4, periods=(8,))
         params = init_params(config, seed=2)
         sink = []
-        x = T.Tensor(np.random.default_rng(9).standard_normal((1, 4, 2, 4)))
+        x = T.Tensor(node_first(np.random.default_rng(9).standard_normal((1, 4, 2, 4))))
         temporal_self_attention(params, "transition.0", x, 4, sink=sink)
         _, scores = sink[0]
-        assert scores.shape == (1, 2, 4, 4)
+        assert scores.shape == (2, 1, 4, 4)
         assert np.max(np.abs(scores.sum(axis=-1) - 1.0)) < 1e-9
 
 
@@ -265,13 +271,13 @@ class TestTransitionBlock:
         config, params, basis, _ = toy_setup()
         params["transition.0.conv_t"].data[:] = 0.0
         params["transition.0.residual"].data[:] = np.eye(config.d_e)
-        e = T.Tensor(np.random.default_rng(10).standard_normal((1, 3, 4, 4)))
+        e = T.Tensor(node_first(np.random.default_rng(10).standard_normal((1, 3, 4, 4))))
         out = transition_block(params, "transition.0", e, basis, config)
         assert np.allclose(out.data, e.data, atol=1e-14)
 
     def test_shape_preserved_for_stacking(self):
         config, params, basis, _ = toy_setup()
-        e = T.Tensor(np.random.default_rng(11).standard_normal((2, 3, 4, 4)))
+        e = T.Tensor(node_first(np.random.default_rng(11).standard_normal((2, 3, 4, 4))))
         out = transition_block(params, "transition.0", e, basis, config)
         assert out.shape == e.shape
 
@@ -293,7 +299,8 @@ class TestTransitionBlock:
     def test_adds_ride_the_matmuls(self, layer):
         # the biases, the residual and the Chebyshev sum are matmul addends
         config, params, basis, _ = toy_setup(k_cheb=3)
-        e = T.Tensor(np.random.default_rng(13).standard_normal((2, 3, 4, 4)), requires_grad=True)
+        e = T.Tensor(node_first(np.random.default_rng(13).standard_normal((2, 3, 4, 4))),
+                     requires_grad=True)
         start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
         if layer == "transition_block":
             out = transition_block(params, "transition.0", e, basis, config)
@@ -314,7 +321,7 @@ class TestTransitionReadout:
         fk[0, 0] = 1.0
         params["readout.feature"].data[:] = fk
         h = np.random.default_rng(13).standard_normal((1, 3, 4, config.d_e))
-        out = transition_readout(params, T.Tensor(h), config)
+        out = transition_readout(params, T.Tensor(node_first(h)), config)
         assert np.allclose(out.data, h[:, :, :, 0], atol=1e-14)
 
     @pytest.mark.parametrize("m,n", [(12, 12), (36, 36), (12, 36)])
@@ -323,7 +330,7 @@ class TestTransitionReadout:
         config = ModelConfig(m=m, n=n, n_nodes=5, d_e=4, d_s=4, d_t=4, h_prime=4,
                              k_cheb=2, n_blocks=1, periods=(), enable_recent=True)
         params = init_params(config, seed=0)
-        h = T.Tensor(np.random.default_rng(14).standard_normal((2, m, 5, 4)))
+        h = T.Tensor(node_first(np.random.default_rng(14).standard_normal((2, m, 5, 4))))
         assert transition_readout(params, h, config).shape == (2, n, 5)
 
 
@@ -346,22 +353,22 @@ class TestSimilarityAttention:
         # orthogonal one-hot time codes; recent equals the pseudo-input
         codes = scale * np.eye(3)[:, None, :].repeat(2, axis=1)
         codes = np.concatenate([codes, np.zeros((3, 2, 1))], axis=-1)  # [m,N,4]
-        e_r = T.Tensor(codes[None])
-        e_p = T.Tensor(np.concatenate(
+        e_r = T.Tensor(node_first(codes[None]))
+        e_p = T.Tensor(node_first(np.concatenate(
             [codes, np.random.default_rng(15).standard_normal((3, 2, 4))], axis=0
-        )[None])
+        )[None]))
         out = similarity_attention(params, 0, e_r, e_p, config)
-        v = e_p.data[:, 3:] @ params[f"{pre}.wv"].data + params[f"{pre}.bv"].data
+        v = e_p.data[:, :, 3:] @ params[f"{pre}.wv"].data + params[f"{pre}.bv"].data
         assert np.allclose(out.data, v, atol=1e-9)
 
     def test_single_step_degenerate(self):
         config = self._config(m=1, n=1, periods=(2,))
         params = init_params(config, seed=2)
         rng = np.random.default_rng(16)
-        e_r = T.Tensor(rng.standard_normal((1, 1, 2, 4)))
-        e_p = T.Tensor(rng.standard_normal((1, 2, 2, 4)))
+        e_r = T.Tensor(node_first(rng.standard_normal((1, 1, 2, 4))))
+        e_p = T.Tensor(node_first(rng.standard_normal((1, 2, 2, 4))))
         out = similarity_attention(params, 0, e_r, e_p, config)
-        v = e_p.data[:, 1:] @ params["branch.0.wv"].data + params["branch.0.bv"].data
+        v = e_p.data[:, :, 1:] @ params["branch.0.wv"].data + params["branch.0.bv"].data
         assert np.allclose(out.data, v, atol=1e-15)
 
     def test_rows_sum_and_shape(self):
@@ -370,10 +377,10 @@ class TestSimilarityAttention:
         rng = np.random.default_rng(17)
         sink = []
         out = similarity_attention(
-            params, 0, T.Tensor(rng.standard_normal((2, 3, 2, 4))),
-            T.Tensor(rng.standard_normal((2, 6, 2, 4))), config, sink=sink,
+            params, 0, T.Tensor(node_first(rng.standard_normal((2, 3, 2, 4)))),
+            T.Tensor(node_first(rng.standard_normal((2, 6, 2, 4)))), config, sink=sink,
         )
-        assert out.shape == (2, 3, 2, 4)
+        assert out.shape == (2, 2, 3, 4)
         label, scores = sink[0]
         assert label == "similarity.0"
         assert np.max(np.abs(scores.sum(axis=-1) - 1.0)) < 1e-9
@@ -382,18 +389,18 @@ class TestSimilarityAttention:
         config = self._config()
         params = init_params(config, seed=4)
         with pytest.raises(ValueError, match="m\\+n"):
-            similarity_attention(params, 0, T.Tensor(np.zeros((1, 3, 2, 4))),
-                                 T.Tensor(np.zeros((1, 5, 2, 4))), config)
+            similarity_attention(params, 0, T.Tensor(np.zeros((2, 1, 3, 4))),
+                                 T.Tensor(np.zeros((2, 1, 5, 4))), config)
 
     def test_alignment_when_m_exceeds_n(self):
         config = self._config(m=5, n=2, periods=(7,))
         params = init_params(config, seed=5)
         rng = np.random.default_rng(18)
         out = similarity_attention(
-            params, 0, T.Tensor(rng.standard_normal((1, 5, 2, 4))),
-            T.Tensor(rng.standard_normal((1, 7, 2, 4))), config,
+            params, 0, T.Tensor(node_first(rng.standard_normal((1, 5, 2, 4)))),
+            T.Tensor(node_first(rng.standard_normal((1, 7, 2, 4)))), config,
         )
-        assert out.shape == (1, 2, 2, 4)
+        assert out.shape == (2, 1, 2, 4)
 
 
 class TestGenerationBranch:
@@ -403,13 +410,13 @@ class TestGenerationBranch:
         params["branch.0.conv_t"].data[:] = 1.0
         params["branch.0.conv_c"].data[:] = 1.0
         asr = np.random.default_rng(19).standard_normal((1, 2, 3, 1))
-        out = generation_branch(params, 0, T.Tensor(asr), config)
+        out = generation_branch(params, 0, T.Tensor(node_first(asr)), config)
         assert np.allclose(out.data, asr[..., 0], atol=1e-15)
 
     def test_linearity(self):
         config = ModelConfig(m=2, n=2, n_nodes=3, d_e=4, h_prime=4, periods=(4,))
         params = init_params(config, seed=2)
-        asr = np.random.default_rng(20).standard_normal((1, 2, 3, 4))
+        asr = node_first(np.random.default_rng(20).standard_normal((1, 2, 3, 4)))
         one = generation_branch(params, 0, T.Tensor(asr), config).data
         two = generation_branch(params, 0, T.Tensor(2 * asr), config).data
         assert np.allclose(two, 2 * one, atol=1e-12)
@@ -544,7 +551,8 @@ class TestForward:
 
     def test_tape_of_a_training_step(self):
         # the benchmark's model: m = n = 12, two blocks, periods of 24 h and 168 h
-        # at 15-minute steps; 8 adds remain: 2 per embed and 2 in the fusion
+        # at 15-minute steps; 8 adds remain: 2 per embed and 2 in the fusion;
+        # 7 permutes: into and out of each spatial attention, one per readout
         config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
         params = init_params(config, seed=0)
         batch = random_batch(np.random.default_rng(29), config)
@@ -552,8 +560,9 @@ class TestForward:
         loss = mse_loss(forward(batch, params, config, basis_for(config)), batch.target)
         ops = [node.op for node in T.current_tape().nodes[start:]]
         T.backward(loss)
-        assert len(ops) == 104
+        assert len(ops) == 97
         assert ops.count("add") == 8
+        assert ops.count("permute") == 7
 
     def test_attention_sink_covers_all_mechanisms(self):
         config, params, basis, batch = toy_setup()

@@ -1,6 +1,7 @@
 """Tensor op semantics, backward correctness, and gradient-check harness."""
 
 import re
+import weakref
 
 import hypothesis
 import numpy as np
@@ -324,7 +325,7 @@ class TestConvTime:
     """The m != n query/key alignment: a valid correlation over time (im2col)."""
 
     def test_hand_case(self):
-        x = T.Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1))
+        x = T.Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1))
         k = T.Tensor(np.array([1.0, 1.0]).reshape(2, 1, 1))
         out = _align(x, k)
         assert np.array_equal(out.data.ravel(), [3.0, 5.0])
@@ -333,16 +334,16 @@ class TestConvTime:
     def test_sliding_window_oracle(self, seed):
         rng = rng_for(300 + seed)
         b, t, n_nodes, ci, co, w = 2, 7, 2, 3, 2, 3
-        x = rng.standard_normal((b, t, n_nodes, ci))
+        x = np.moveaxis(rng.standard_normal((b, t, n_nodes, ci)), 2, 0)   # [N, B, L, C]
         k = rng.standard_normal((w, ci, co))
-        expected = np.zeros((b, n_nodes, t - w + 1, co))
+        expected = np.zeros((n_nodes, b, t - w + 1, co))
         for bi in range(b):
             for v in range(n_nodes):
                 for s in range(t - w + 1):
                     for d in range(co):
                         for j in range(w):
                             for c in range(ci):
-                                expected[bi, v, s, d] += x[bi, s + j, v, c] * k[j, c, d]
+                                expected[v, bi, s, d] += x[v, bi, s + j, c] * k[j, c, d]
         got = _align(T.Tensor(x), T.Tensor(k)).data
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -403,6 +404,41 @@ class TestBackward:
         x = T.Tensor([1.0], requires_grad=True)
         T.backward(T.reduce(x, kind="sum"))
         assert T.current_tape() is None
+
+    def test_gradient_function_that_raises_leaves_no_tape(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        y = T.scale(x, 2.0)
+
+        def broken(g):
+            raise FloatingPointError("broken gradient")
+
+        T.current_tape().nodes[-1].fn = broken
+        with pytest.raises(FloatingPointError, match="broken gradient"):
+            T.backward(T.reduce(y, kind="sum"))
+        assert T.current_tape() is None
+
+    def test_sweep_frees_each_node_behind_it(self):
+        # the output of the op that feeds the loss is needed by no earlier
+        # node, so it is gone before the first node's gradient runs
+        x = T.Tensor(rng_for(40).standard_normal((4, 4)), requires_grad=True)
+        h = T.scale(x, 2.0)
+        first = T.current_tape().nodes[-1]
+        y = T.mul(h, h)
+        loss = T.reduce(y, kind="sum")
+        out = weakref.ref(y.data)
+        del y
+        seen = []
+        first_fn = first.fn
+
+        def spy(g):
+            seen.append(out() is None)
+            return first_fn(g)
+
+        first.fn = spy
+        del first
+        T.backward(loss)
+        assert seen == [True]
+        assert np.allclose(x.grad, 8.0 * x.data)   # d/dx sum((2x)^2)
 
     def test_no_grad_records_nothing(self):
         x = T.Tensor([1.0], requires_grad=True)
@@ -466,6 +502,22 @@ class TestGradientCheck:
         with pytest.raises(ValueError, match="non-deterministic"):
             T.gradient_check(f, T.Tensor([1.0]))
 
+    def test_pass_that_raises_leaves_no_tape(self):
+        x = T.Tensor([1.0, 2.0])
+        calls = []
+
+        def f(t):
+            y = T.reduce(T.scale(t, 2.0), kind="sum")
+            calls.append(1)
+            if len(calls) == 3:   # the differentiated pass, after it recorded its ops
+                raise RuntimeError("pass failed")
+            return y
+
+        with pytest.raises(RuntimeError, match="pass failed"):
+            T.gradient_check(f, x)
+        assert T.current_tape() is None
+        assert not x.requires_grad and x.grad is None
+
     def test_elements_subset(self):
         x = T.Tensor(rng_for(8).standard_normal(10))
         err = T.gradient_check(lambda t: T.reduce(T.mul(t, t), kind="sum"), x,
@@ -511,7 +563,7 @@ def test_gather_rows_bounds_checked():
 
 
 def test_every_op_has_a_registered_check():
-    not_ops = {"Tensor", "Tape", "ShapeError", "no_grad", "backward", "zero_grads",
-               "gradient_check"}
+    not_ops = {"Tensor", "Tape", "ShapeError", "no_grad", "backward", "drop_tape",
+               "zero_grads", "gradient_check"}
     missing = set(T.__all__) - not_ops - {name for name, _ in checks.registered_checks()}
     assert not missing

@@ -5,10 +5,15 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from embsformer import data, training
+from embsformer import data, model, training
 from embsformer.checks import toy_setup
-from embsformer.graph import chebyshev_basis, estimate_lambda_max, normalized_laplacian
-from embsformer.model import ModelConfig, forward, init_params, make_batch, mse_loss
+from embsformer.graph import (
+    TrafficGraph,
+    chebyshev_basis,
+    estimate_lambda_max,
+    normalized_laplacian,
+)
+from embsformer.model import Batch, ModelConfig, forward, init_params, make_batch, mse_loss
 from embsformer import tensor as T
 from embsformer.training import (
     AdamState,
@@ -176,6 +181,41 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0"):
             train(config, basis, tr, val, tcfg, normalizer, init=bad_init)
         assert T.current_tape() is None
+
+    def test_step_that_raises_mid_forward_leaves_no_tape(self, monkeypatch):
+        series, normalized, splits, normalizer, calendar, basis = tiny_dataset(seed=7)
+        config = tiny_model(d_e=4, d_s=4, d_t=4, h_prime=4)
+        tr = data.make_windows(normalized, splits[0], 4, 4, [24], calendar=calendar)
+        val = data.make_windows(normalized, splits[1], 4, 4, [24], calendar=calendar)
+        readout = model.transition_readout
+
+        def failing_readout(*args):
+            readout(*args)   # records the readout's nodes, then fails
+            raise RuntimeError("readout failed")
+
+        monkeypatch.setattr(model, "transition_readout", failing_readout)
+        with pytest.raises(RuntimeError, match="readout failed"):
+            train(config, basis, tr, val, TrainConfig(epochs=1, seed=0), normalizer)
+        monkeypatch.undo()
+        assert T.current_tape() is None
+
+        # the next pass, at the benchmark's model, records its own nodes only
+        big = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
+        rng = np.random.default_rng(29)
+        lap = normalized_laplacian(TrafficGraph(adjacency=np.roll(np.eye(15), 1, axis=1)))
+        vocab = (1440, 7, 2)
+        batch = Batch(
+            recent=rng.standard_normal((2, 12, 15, 1)),
+            periods=rng.standard_normal((2, 2, 24, 15, 1)),
+            target=rng.standard_normal((2, 12, 15)),
+            recent_calendar=np.stack([rng.integers(0, v, (2, 12)) for v in vocab], -1),
+            period_calendar=np.stack([rng.integers(0, v, (2, 2, 24)) for v in vocab], -1),
+        )
+        loss = mse_loss(forward(batch, init_params(big), big,
+                                chebyshev_basis(lap, estimate_lambda_max(lap), 3)),
+                        batch.target)
+        assert len(T.current_tape()) == 97
+        T.backward(loss)
 
 
 class TestMetrics:
