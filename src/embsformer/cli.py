@@ -2,9 +2,10 @@
 
 Configuration is a flat ``key = value`` text file merged with command-line
 overrides (overrides win); the effective configuration is echoed into the
-run directory together with the seed and dataset hashes, which is enough
-to reproduce a run bit-for-bit in single-threaded mode. Run directories
-are never reused.
+run directory together with the seed, the dataset hashes, the numpy and
+BLAS builds and the BLAS thread-count variables, which is enough to
+reproduce a run bit-for-bit in single-threaded mode. Run directories are
+never reused, and every output file is written through `data.atomic_write`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -130,7 +132,29 @@ def write_effective_config(cfg, path, extra=None):
     lines = [f"{k} = {v}" for k, v in sorted(cfg.items())]
     if extra:
         lines += [f"{k} = {v}" for k, v in sorted(extra.items())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with data.atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_manifest(cfg):
+    """What results depend on beyond the config: dataset hashes, numpy and BLAS, BLAS threads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.26 takes no mode and returns nothing
+        blas = {}
+    manifest = {
+        "readings_sha256": _file_sha256(cfg["readings"]),
+        "adjacency_sha256": _file_sha256(cfg["adjacency"]),
+        "numpy_version": np.__version__,
+        "blas_name": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
+    }
+    for var in THREAD_VARIABLES:
+        manifest[var] = os.environ.get(var, "unset")
+    return manifest
 
 
 def _load_dataset(cfg):
@@ -225,13 +249,11 @@ def cmd_train(args):
     # allocated only now, so a failed run leaves no directory behind
     run = make_run_dir(args.out or "runs", "train")
     write_effective_config(cfg, run / "config.txt", extra={
-        "readings_sha256": _file_sha256(cfg["readings"]),
-        "adjacency_sha256": _file_sha256(cfg["adjacency"]),
-        "config_hash": config.config_hash(),
+        **_run_manifest(cfg), "config_hash": config.config_hash(),
     })
     print(f"run directory: {run}")
     model.save_checkpoint(run / "model.ckpt", result.params, config)
-    with open(run / "trace.csv", "w", encoding="utf-8") as fh:
+    with data.atomic_write(run / "trace.csv") as fh:
         fh.write("epoch,train_loss,val_mae\n")
         for epoch, loss, mae in result.trace:
             fh.write(f"{epoch},{loss!r},{mae!r}\n")
@@ -276,7 +298,8 @@ def cmd_evaluate(args):
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        with data.atomic_write(out) as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
         print(f"metrics JSON: {out}")
     return 0
 
@@ -294,7 +317,7 @@ def cmd_predict(args):
     preds, actual = training.forecast(params, picked, config, basis)
     out = Path(args.out or "predictions.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    with data.atomic_write(out) as fh:
         fh.write("anchor_timestamp,node,step,predicted,actual\n")
         for i, window in enumerate(picked):
             stamp = series.timestamp(window.anchor).isoformat()
@@ -354,12 +377,11 @@ def cmd_ablation(args):
     text = "\n".join(table_lines)
     print(text)
     run = make_run_dir(args.out or "runs", "ablation")
-    write_effective_config(cfg, run / "config.txt", extra={
-        "readings_sha256": _file_sha256(cfg["readings"]),
-        "adjacency_sha256": _file_sha256(cfg["adjacency"]),
-    })
-    (run / "ablation.txt").write_text(text + "\n", encoding="utf-8")
-    (run / "ablation.json").write_text(json.dumps(ranked, indent=2) + "\n", encoding="utf-8")
+    write_effective_config(cfg, run / "config.txt", extra=_run_manifest(cfg))
+    with data.atomic_write(run / "ablation.txt") as fh:
+        fh.write(text + "\n")
+    with data.atomic_write(run / "ablation.json") as fh:
+        fh.write(json.dumps(ranked, indent=2) + "\n")
     print(f"run directory: {run}")
     return 0
 

@@ -3,6 +3,9 @@
 File formats:
   readings CSV  -- header ``#meta,n_nodes=<N>,n_features=<F>,step_minutes=<s>,start=<ISO-8601>``
                    then one row per time step with N*F comma-separated values, node-major.
+                   Blank lines are skipped; a ``#`` row is rejected, not a comment.
+                   The body is parsed in one `np.loadtxt` pass; a row-by-row scan
+                   runs only to name a bad row or to accept what that pass rejects.
   adjacency CSV -- header row ``from,to,cost`` then 0-based edge lines.
   holidays file -- one YYYY-MM-DD per line.
 
@@ -12,7 +15,9 @@ step as a node-major row under the meta header (see README).
 
 from __future__ import annotations
 
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
@@ -24,6 +29,7 @@ __all__ = [
     "RawSeries",
     "NormalizationStats",
     "Window",
+    "atomic_write",
     "load_readings",
     "save_readings",
     "load_adjacency",
@@ -116,8 +122,32 @@ class Window:
 # --------------------------------------------------------------------------
 
 
+@contextmanager
+def atomic_write(path, mode="w"):
+    """Open a file that replaces ``path`` once the ``with`` body returns.
+
+    The bytes go to ``<path>.tmp`` first, which `os.replace` then moves onto
+    ``path``, so a write that fails part way leaves neither a partial
+    ``path`` nor the temp file. Text modes write UTF-8.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def load_readings(path) -> RawSeries:
-    """Parse the self-describing readings CSV; rejects NaN/Inf with location."""
+    """Parse the self-describing readings CSV; rejects NaN/Inf with location.
+
+    The body after the header is one `np.loadtxt` pass. Only when that pass
+    raises, finds a width other than N*F or finds no rows does `_parse_rows`
+    scan it again, to name the bad row or to return what `float()` accepts.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("#meta,"):
@@ -137,23 +167,18 @@ def load_readings(path) -> RawSeries:
             raise ValueError(f"{path}: header missing {exc.args[0]}") from None
 
         width = n_nodes * n_features
-        rows = []
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != width:
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(cells)} values, expected {width}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric value in row {lineno}") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
+        body = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # an empty body warns "input contained no data"; _parse_rows names it
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=np.float64, delimiter=",",
+                                    comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is None or values.shape[1] != width or len(values) == 0:
+            fh.seek(body)
+            values = _parse_rows(fh, path, width)
     bad = ~np.isfinite(values)
     if np.any(bad):
         t, col = [int(i[0]) for i in np.nonzero(bad)]
@@ -162,10 +187,36 @@ def load_readings(path) -> RawSeries:
             f"feature={col % n_features}"
         )
     return RawSeries(
-        values=values.reshape(len(rows), n_nodes, n_features),
+        values=values.reshape(len(values), n_nodes, n_features),
         start=start,
         step_minutes=step_minutes,
     )
+
+
+def _parse_rows(fh, path, width):
+    """Row-by-row scan of the readings body that ``fh`` is positioned at.
+
+    Names the first bad row, or returns the ``[T, width]`` values of a body
+    that `float()` accepts and `np.loadtxt` does not: a whitespace-only
+    line, ``1_000``, non-ASCII digits.
+    """
+    rows = []
+    for lineno, line in enumerate(fh):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(
+                f"{path}: row {lineno} has {len(cells)} values, expected {width}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric value in row {lineno}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_readings(series: RawSeries, path):
@@ -174,7 +225,7 @@ def save_readings(series: RawSeries, path):
         f"step_minutes={series.step_minutes},start={series.start.isoformat()}"
     )
     flat = series.values.reshape(series.n_steps, -1)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(header + "\n")
         for row in flat:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -216,7 +267,7 @@ def load_adjacency(path, n_nodes) -> TrafficGraph:
 
 
 def save_adjacency(graph: TrafficGraph, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("from,to,cost\n")
         a = graph.adjacency
         for u in range(graph.num_nodes):

@@ -31,14 +31,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from embsformer import tensor as T
-from embsformer.data import window_offsets
+from embsformer.data import atomic_write, window_offsets
 from embsformer.graph import ChebyshevBasis, cheb_graph_conv
 from embsformer.tensor import Tensor
 
@@ -478,33 +477,25 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
 def save_checkpoint(path, params: ModelParameters, config: ModelConfig):
     """Versioned binary container; identical inputs produce identical bytes.
 
-    The bytes go to ``<path>.tmp`` first, which then replaces ``path``, so a
-    write that fails part way leaves neither a partial checkpoint nor the
-    temp file.
+    Written through `data.atomic_write`, so a write that fails part way
+    leaves neither a partial checkpoint nor the temp file.
     """
     blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            names = sorted(params.names())
-            fh.write(struct.pack("<I", len(names)))
-            for name in names:
-                raw = name.encode("utf-8")
-                arr = np.ascontiguousarray(params[name].data, dtype="<f8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        names = sorted(params.names())
+        fh.write(struct.pack("<I", len(names)))
+        for name in names:
+            raw = name.encode("utf-8")
+            arr = np.ascontiguousarray(params[name].data, dtype="<f8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<B", arr.ndim))
+            for dim in arr.shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path):
@@ -541,7 +532,13 @@ def load_checkpoint(path):
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
         shape = tuple(unpack("<I") for _ in range(unpack("<B")))
-        data = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
+        raw_param = take(math.prod(shape) * 8)
+        try:
+            data = np.frombuffer(raw_param, dtype="<f8").reshape(shape)
+        except ValueError:   # a zero dim beside dims whose product overflows
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has impossible shape {shape}"
+            ) from None
         params.new(name, data.copy())
     if pos != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after parameter table")

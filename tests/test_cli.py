@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests (in-process main() calls)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -88,7 +89,10 @@ class TestTrain:
         assert config.periods == () and "enable_period" not in config.to_dict()
         assert not any(name.startswith(("branch.", "head.w_p")) for name in params.names())
 
-    def test_run_dir_contains_reproduction_info(self, dataset, tmp_path):
+    def test_run_dir_contains_reproduction_info(self, dataset, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = tmp_path / "runs"
         assert run_cli(train_args(dataset, out, ["--m", 4, "--n", 4,
                                                  "--periods", "24"])) == 0
@@ -97,6 +101,13 @@ class TestTrain:
         assert "seed = 3" in config_txt
         assert "readings_sha256 = " in config_txt
         assert "adjacency_sha256 = " in config_txt
+        assert f"numpy_version = {np.__version__}\n" in config_txt
+        assert re.search(r"^blas_name = \S", config_txt, re.M)
+        assert re.search(r"^blas_version = \S", config_txt, re.M)
+        assert "OPENBLAS_NUM_THREADS = 1\n" in config_txt
+        assert "OMP_NUM_THREADS = 2\n" in config_txt
+        assert "MKL_NUM_THREADS = unset\n" in config_txt
+        assert not list(run.glob("*.tmp"))
         trace = (run / "trace.csv").read_text().splitlines()
         assert trace[0] == "epoch,train_loss,val_mae"
         assert len(trace) == 2  # one epoch

@@ -1,14 +1,19 @@
 """Ingestion, splitting, normalization, windowing, and synthetic generation."""
 
 import dataclasses
+import re
+import warnings
 from datetime import date, datetime
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from embsformer import data
 from embsformer.data import (
     RawSeries,
+    atomic_write,
     calendar_features,
     chronological_split,
     fit_normalizer,
@@ -80,6 +85,105 @@ class TestReadingsIO:
             load_readings(path)
 
 
+def write_readings(path, body, n_nodes, n_features=1):
+    path.write_text(
+        f"#meta,n_nodes={n_nodes},n_features={n_features},step_minutes=5,"
+        f"start=2018-01-01T00:00:00\n" + body,
+        encoding="utf-8",
+    )
+
+
+def row_scan(path):
+    """The readings body at ``path`` by `_parse_rows` alone: its values or its message."""
+    with open(path, encoding="utf-8") as fh:
+        meta = dict(part.split("=", 1) for part in fh.readline().strip().split(",")[1:])
+        try:
+            return data._parse_rows(fh, path, int(meta["n_nodes"]) * int(meta["n_features"]))
+        except ValueError as exc:
+            return str(exc)
+
+
+def load_or_message(path):
+    try:
+        return load_readings(path).values
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReadingsParsePaths:
+    """`load_readings` parses in one pass and answers exactly as the row scan does."""
+
+    def test_round_trip_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(7, 3, 2)) * 10.0 ** rng.integers(-300, 300, size=(7, 3, 2))
+        path = tmp_path / "rt.csv"
+        save_readings(series_of(values), path)
+        loaded = load_readings(path).values
+        assert loaded.tobytes() == values.tobytes()
+        assert loaded.tobytes() == row_scan(path).tobytes()
+
+    @pytest.mark.parametrize("n_nodes,body,expected", [
+        (2, "1,2\n \t \n3,4\n", [[1, 2], [3, 4]]),
+        (2, "1_000,2\n", [[1000, 2]]),
+        (2, "\u0661\u0662,3\n", [[12, 3]]),
+        (1, "5\n6\n", [[5], [6]]),
+    ], ids=["whitespace-line", "underscore", "non-ascii-digits", "one-cell-rows"])
+    def test_loads_what_float_accepts(self, tmp_path, n_nodes, body, expected):
+        path = tmp_path / "r.csv"
+        write_readings(path, body, n_nodes)
+        loaded = load_readings(path).values
+        assert loaded.shape == (len(expected), n_nodes, 1)
+        assert loaded.tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
+        assert loaded.tobytes() == row_scan(path).tobytes()
+
+    @pytest.mark.parametrize("body,message", [
+        ("1,2\n3,4,\n", "row 1 has 3 values, expected 2"),
+        ("1,2\n3,\n", "non-numeric value in row 1"),
+        ("1,2\n3\n", "row 1 has 1 values, expected 2"),
+        ("1,2\n#3,4\n", "non-numeric value in row 1"),
+        ("1,2,3\n4,5,6\n", "row 0 has 3 values, expected 2"),
+    ], ids=["trailing-comma", "empty-cell", "ragged", "hash-row", "every-row-wide"])
+    def test_bad_row_named(self, tmp_path, body, message):
+        path = tmp_path / "r.csv"
+        write_readings(path, body, 2)
+        with pytest.raises(ValueError) as info:
+            load_readings(path)
+        assert str(info.value) == f"{path}: {message}" == row_scan(path)
+
+    @pytest.mark.parametrize("n_nodes", [1, 2])
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["no-lines", "blank-lines"])
+    def test_empty_body_names_file_without_warning(self, tmp_path, body, n_nodes):
+        path = tmp_path / "r.csv"
+        write_readings(path, body, n_nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                load_readings(path)
+        assert str(info.value) == f"{path}: no data rows" == row_scan(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("fails part way")
+        assert not path.exists()
+        assert not (tmp_path / "out.csv.tmp").exists()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        with atomic_write(path, "wb") as fh:
+            fh.write(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, "wb") as fh:
+                fh.write(b"new")
+                raise RuntimeError("fails part way")
+        assert path.read_bytes() == b"old"
+        assert not (tmp_path / "out.bin.tmp").exists()
+
+
 class TestAdjacencyIO:
     def test_single_edge(self, tmp_path):
         path = tmp_path / "adj.csv"
@@ -122,6 +226,79 @@ class TestAdjacencyIO:
         out = tmp_path / "rt2.csv"
         save_adjacency(g, out)
         assert np.array_equal(load_adjacency(out, 3).adjacency, g.adjacency)
+
+
+WHITESPACE = " \t\x0b\x0c\x1c\x85\xa0\u2028\u3000"
+# the text of a corrupted cell or line: tokens that `float()` and `np.loadtxt`
+# could read differently, mixed with any characters but surrogates
+FUZZ_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["#", "1_000", "\u0661\u0662", "nan", "-inf", "1e999", "0x1", ",",
+                         "\r", "\n", *WHITESPACE]),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+    ),
+    max_size=3,
+).map("".join)
+
+
+class TestReaderFuzz:
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(case=st.data())
+    def test_readings_loader_matches_row_scan(self, tmp_path_factory, case):
+        # drawn first and "none" last: Hypothesis leans to the first choice
+        kind = case.draw(st.sampled_from(
+            ["text", "empty", "extra", "wide", "blank-line", "space-line", "text-line", "none"]),
+            "corruption")
+        t = case.draw(st.integers(1, 4), "t")
+        n, f = case.draw(st.integers(1, 3), "n"), case.draw(st.integers(1, 2), "f")
+        cells = [repr(v) for v in case.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=t * n * f,
+            max_size=t * n * f), "values")]
+        rows = [cells[i * n * f:(i + 1) * n * f] for i in range(t)]
+        row = case.draw(st.integers(0, t - 1), "row")
+        col = case.draw(st.integers(0, n * f - 1), "col")
+        cell = st.one_of(FUZZ_TEXT, st.floats().map(repr))
+        if kind == "text":
+            rows[row][col] = case.draw(cell, "text")
+        elif kind == "empty":
+            rows[row][col] = ""
+        elif kind == "extra":
+            rows[row].append(case.draw(cell, "text"))
+        elif kind == "wide":   # one cell too many on every row
+            rows = [r + ["0.5"] for r in rows]
+        lines = [",".join(r) for r in rows]
+        if kind.endswith("-line"):
+            line = {"blank-line": st.just(""), "text-line": FUZZ_TEXT,
+                    "space-line": st.text(st.sampled_from(WHITESPACE), min_size=1)}[kind]
+            lines.insert(case.draw(st.integers(0, t), "at"), case.draw(line, "line"))
+        path = tmp_path_factory.getbasetemp() / "fuzz-readings.csv"
+        write_readings(path, "\n".join(lines) + "\n", n, f)
+
+        got, expected = load_or_message(path), row_scan(path)
+        if isinstance(expected, str):
+            assert got == expected
+            assert expected.startswith(f"{path}: ")
+        elif not np.all(np.isfinite(expected)):
+            assert isinstance(got, str) and got.startswith(f"{path}: non-finite value at t=")
+        else:
+            assert not isinstance(got, str), got
+            assert got.shape[1:] == (n, f)
+            assert got.tobytes() == expected.tobytes()
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(case=st.data())
+    def test_adjacency_errors_name_the_line(self, tmp_path_factory, case):
+        n_nodes = case.draw(st.integers(1, 5), "n_nodes")
+        edge = st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(lambda e: f"{e[0]},{e[1]},1")
+        lines = case.draw(st.lists(st.one_of(edge, FUZZ_TEXT), max_size=6), "lines")
+        path = tmp_path_factory.getbasetemp() / "fuzz-adjacency.csv"
+        path.write_text("from,to,cost\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # an edgeless file warns
+            try:
+                load_adjacency(path, n_nodes)
+            except ValueError as exc:
+                assert re.match(re.escape(f"{path}: line ") + r"\d+: ", str(exc)), str(exc)
 
 
 class TestSplit:

@@ -6,8 +6,10 @@ import json
 import re
 import struct
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from embsformer import tensor as T
 from embsformer.checks import toy_setup
@@ -604,6 +606,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    def test_impossible_shape_names_path(self, tmp_path):
+        # a zero dim makes the payload empty, but numpy cannot index the other dims
+        config, params, basis, _ = toy_setup()
+        blob = json.dumps(config.to_dict()).encode("utf-8")
+        path = tmp_path / "shape.ckpt"
+        table = struct.pack("<IH", 1, 1) + b"w" + struct.pack("<BIII", 3, 0, 2**32 - 1, 2**32 - 1)
+        path.write_bytes(b"EMBS1" + struct.pack("<I", len(blob)) + blob + table)
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*impossible shape"):
+            load_checkpoint(path)
+
     @staticmethod
     def _replace_config(path, doc):
         """Rewrite the config blob of the checkpoint at ``path`` as the JSON of ``doc``."""
@@ -652,6 +664,28 @@ class TestCheckpoint:
             save_checkpoint(path, params, config)
         assert not path.exists()
         assert not (tmp_path / "model.ckpt.tmp").exists()
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(case=st.data())
+    def test_damaged_file_loads_or_names_path(self, tmp_path_factory, case):
+        # any truncation or byte flips either load or raise CheckpointError
+        # naming the path, never another exception
+        config, params, _, _ = toy_setup()
+        path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+        save_checkpoint(path, params, config)
+        raw = bytearray(path.read_bytes())
+        if case.draw(st.booleans(), "truncate"):
+            raw = raw[:case.draw(st.integers(0, len(raw) - 1), "length")]
+        else:
+            # the magic, config and first table entries sit in the head
+            at = st.one_of(st.integers(0, 299), st.integers(0, len(raw) - 1))
+            for at in case.draw(st.lists(at, min_size=1, max_size=4), "at"):
+                raw[at] ^= case.draw(st.integers(1, 255), "mask")
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
     def test_param_count_formula(self):
         # documented closed form: embeddings + per-block + readout + branches + head
