@@ -223,6 +223,36 @@ def check_gather():
     return _check(f, table)
 
 
+def check_fan_in():
+    """One tensor feeding six consumers, so its gradient accumulates in place.
+
+    The consumers hand back ``g`` itself (add), a view of it (reshape), a
+    read-only broadcast (reduce) and fresh buffers (slice, gather). The
+    last one records ``matmul(a, b, h) + t``, so the first gradient to
+    reach ``h`` is the array that add also hands the input ``t``: an
+    accumulation that wrote into it would change ``t``'s gradient too.
+    """
+    rng = _rng(23)
+    x = T.Tensor(rng.standard_normal((4, 3)))
+    a = T.Tensor(rng.standard_normal((4, 2)))
+    b = T.Tensor(rng.standard_normal((2, 3)))
+    idx = np.array([[0, 3], [3, 1]])
+    weights = [T.Tensor(rng.standard_normal(s))
+               for s in ((4, 3), (3, 4), (3,), (2, 3), (2, 2, 3), (4, 3))]
+
+    def f(t):
+        h = T.scale(t, 1.5)
+        outs = [T.add(h, h), T.reshape(h, (3, 4)), T.reduce(h, axis=0),
+                T.slice_axis(h, 0, 1, 3), T.gather_rows(h, idx), T.add(T.matmul(a, b, h), t)]
+        loss = None
+        for out, w in zip(outs, weights):
+            term = T.reduce(T.mul(out, w), kind="sum")
+            loss = term if loss is None else T.add(loss, term)
+        return loss
+
+    return _check(f, x)
+
+
 def check_cheb_conv():
     rng = _rng(17)
     adj = (rng.random((4, 4)) < 0.5).astype(float)
@@ -412,6 +442,7 @@ def registered_checks():
         ("reshape", check_reshape),
         ("slice_axis", check_slice),
         ("gather_rows", check_gather),
+        ("fan-in", check_fan_in),
         ("cheb_graph_conv", check_cheb_conv),
         ("spatial-attention", check_spatial_attention),
         ("temporal-attention", check_temporal_attention),

@@ -144,9 +144,11 @@ def atomic_write(path, mode="w"):
 def load_readings(path) -> RawSeries:
     """Parse the self-describing readings CSV; rejects NaN/Inf with location.
 
-    The body after the header is one `np.loadtxt` pass. Only when that pass
-    raises, finds a width other than N*F or finds no rows does `_parse_rows`
-    scan it again, to name the bad row or to return what `float()` accepts.
+    The body after the header is one `np.loadtxt` pass. When that pass
+    raises, finds a width other than N*F or finds no rows, a second
+    `np.loadtxt` reads the body without its whitespace-only lines. Only if
+    that fails too does `_parse_rows` scan it, to name the bad row or to
+    return what `float()` accepts.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -168,15 +170,11 @@ def load_readings(path) -> RawSeries:
 
         width = n_nodes * n_features
         body = fh.tell()
-        try:
-            with warnings.catch_warnings():
-                # an empty body warns "input contained no data"; _parse_rows names it
-                warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(fh, dtype=np.float64, delimiter=",",
-                                    comments=None, ndmin=2)
-        except ValueError:
-            values = None
-        if values is None or values.shape[1] != width or len(values) == 0:
+        values = _loadtxt(fh, width)
+        if values is None:
+            fh.seek(body)
+            values = _loadtxt([line for line in fh if line.strip()], width)
+        if values is None:
             fh.seek(body)
             values = _parse_rows(fh, path, width)
     bad = ~np.isfinite(values)
@@ -191,6 +189,18 @@ def load_readings(path) -> RawSeries:
         start=start,
         step_minutes=step_minutes,
     )
+
+
+def _loadtxt(lines, width):
+    """The ``[T, width]`` body `np.loadtxt` reads from ``lines``, or None if it cannot."""
+    try:
+        with warnings.catch_warnings():
+            # an empty body warns "input contained no data"; _parse_rows names it
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape[1] == width and len(values) else None
 
 
 def _parse_rows(fh, path, width):

@@ -289,9 +289,9 @@ def embed(params, config, block, calendar):
     is the [B, steps, 3] index array of `CALENDAR_COLUMNS`, one clock per
     time step shared across nodes. Its three rows of ``embed.calendar`` are
     gathered at once and summed, the positional table is added to that
-    [B, steps, d_e] clock, and one add broadcasts the clock over the node
-    axis as a suffix. The block is permuted before the projection, so a
-    constant data block costs no tape node.
+    [B, steps, d_e] clock, and the projection takes the clock as its addend,
+    broadcast over the node axis as a suffix. The block is permuted before
+    the projection, so a constant data block costs no tape node.
     """
     bad = (calendar < 0) | (calendar >= CALENDAR_VOCAB)
     if bad.any():
@@ -304,8 +304,7 @@ def embed(params, config, block, calendar):
     pos = Tensor(positional_table(block.shape[1], config.d_e))
     clock = T.add(T.reduce(rows, axis=-2), pos)                    # [B, steps, d_e]
     x = block if isinstance(block, Tensor) else Tensor(block)
-    e = T.matmul(T.permute(x, (2, 0, 1, 3)), params["embed.proj"])  # [N, B, steps, d_e]
-    return T.add(e, clock)
+    return T.matmul(T.permute(x, (2, 0, 1, 3)), params["embed.proj"], clock)  # [N, B, steps, d_e]
 
 
 def _attend(q, k, v, width, sink, label):

@@ -9,7 +9,10 @@ record nodes on a thread-local tape; ``backward`` detaches that tape and
 replays it once in reverse, accumulating gradients into ``.grad`` of every
 ``requires_grad`` ancestor. The sweep pops each node as it passes it, so
 an op's output and the operands its gradient function saved are freed as
-soon as no earlier node needs them, not when the sweep ends. An op
+soon as no earlier node needs them, not when the sweep ends. Gradients
+that meet at a tensor are added in place only into a buffer the sweep
+owns, one that a gradient function just allocated or a sum it made; an
+op's ``g``, views of it and read-only broadcasts are never written. An op
 computes an input's gradient only when that input is ``requires_grad`` or
 itself recorded, so constants such as data blocks and graph bases cost no
 backward work. A tape belongs to a single forward pass: `backward`
@@ -193,6 +196,15 @@ def backward(loss):
     tape is detached before the sweep, so none is left on the thread even
     if a gradient function raises. Each node is popped together with its
     gradient and holder entries, so the sweep frees what it has passed.
+
+    Ownership: the first gradient to reach a tensor is stored as it is. The
+    entry is owned only if the gradient function just allocated that array
+    (no ``base``, not the ``g`` it was given, returned once), so nothing
+    else can see it. A later arrival is added in place into an owned entry;
+    into any other entry it is summed out of place once, and the sum is
+    owned. Gradient functions may thus return ``g``, views of it or
+    read-only broadcasts, but never an array they keep. Leaf ``.grad`` is
+    always accumulated out of place.
     """
     st = _st()
     tape, st.tape = st.tape, None
@@ -204,19 +216,30 @@ def backward(loss):
     nodes = tape.nodes
     grads = {id(loss): np.ones_like(loss.data)}
     holders = {id(loss): loss}
+    owned = set()   # keys whose gradient buffer no one else holds
     while nodes:
         node = nodes.pop()
         k = id(node.out)
         g = grads.pop(k, None)
         holders.pop(k, None)
+        owned.discard(k)
         if g is not None:
-            for t, ig in zip(node.inputs, node.fn(g)):
+            igs = node.fn(g)
+            for t, ig in zip(node.inputs, igs):
                 if ig is None:
                     continue
                 k = id(t)
                 holders[k] = t
-                grads[k] = grads[k] + ig if k in grads else ig
-        node = g = t = ig = None   # frees the node's output and saved operands
+                if k in owned:
+                    grads[k] += ig
+                elif k in grads:
+                    grads[k] = grads[k] + ig
+                    owned.add(k)
+                else:
+                    grads[k] = ig
+                    if ig is not g and ig.base is None and sum(x is ig for x in igs) == 1:
+                        owned.add(k)
+        node = g = t = ig = igs = None   # frees the node's output and saved operands
     for k, g in grads.items():
         t = holders[k]
         if t.requires_grad:
@@ -366,7 +389,9 @@ def matmul(a, b, c=None):
         if need_c:
             gc = _sum_to(g, sc)
         if need_a:
-            ga = np.matmul(g, np.swapaxes(db, -1, -2))
+            # a 2-D b is transposed into a copy, so BLAS runs its no-transpose path
+            bt = np.ascontiguousarray(db.T) if db.ndim == 2 else np.swapaxes(db, -1, -2)
+            ga = np.matmul(g, bt)
             if ga.ndim > da.ndim:
                 ga = ga.sum(axis=tuple(range(ga.ndim - da.ndim)))
         if need_b and db.ndim < da.ndim:  # shared 2-D weight: one GEMM over all batch rows
@@ -455,7 +480,7 @@ def reduce(x, axis=None, kind="sum"):
         ge = g * factor
         for ax in sorted(axes):
             ge = np.expand_dims(ge, ax)
-        return (np.broadcast_to(ge, in_shape).copy(),)
+        return (np.broadcast_to(ge, in_shape),)   # read-only: `backward` never writes it
 
     return _record("reduce", [x], out, fn)
 

@@ -136,6 +136,22 @@ class TestReadingsParsePaths:
         assert loaded.tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
         assert loaded.tobytes() == row_scan(path).tobytes()
 
+    def test_whitespace_only_lines_skip_the_row_scan(self, tmp_path, monkeypatch):
+        values = np.random.default_rng(6).normal(size=(40, 3, 2))
+        path = tmp_path / "ws.csv"
+        save_readings(series_of(values), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[20:20] = ["  \t \n"]
+        path.write_text("".join(lines[:6] + ["   \n"] + lines[6:] + ["  "]))
+        expected = row_scan(path)
+
+        def no_row_scan(fh, path, width):
+            raise AssertionError("the retried loadtxt pass should have read this body")
+
+        monkeypatch.setattr(data, "_parse_rows", no_row_scan)
+        loaded = load_readings(path).values
+        assert loaded.tobytes() == expected.tobytes() == values.tobytes()
+
     @pytest.mark.parametrize("body,message", [
         ("1,2\n3,4,\n", "row 1 has 3 values, expected 2"),
         ("1,2\n3,\n", "non-numeric value in row 1"),

@@ -177,7 +177,7 @@ class TestEmbed:
         ops = [node.op for node in T.current_tape().nodes[start:]]
         T.backward(T.reduce(out, kind="sum"))
         assert ops.count("gather_rows") == 1
-        assert ops.count("add") == 2   # the positional table, then the clock over all nodes
+        assert ops.count("add") == 1   # the positional table; the clock rides on the projection
 
     @pytest.mark.parametrize("n_nodes,n_features,steps", [(1, 1, 4), (1, 2, 4), (15, 1, 12), (6, 3, 1)])
     @pytest.mark.parametrize("tensor_block", [False, True])
@@ -203,6 +203,34 @@ class TestEmbed:
         assert got.tobytes() == ref.tobytes()
         for g, r in zip(got_grads, ref_grads):
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("n_features", [1, 2, 3])
+    def test_clock_addend_matches_matmul_then_add(self, n_features):
+        # the projection adds the clock into its product in place: the same
+        # bytes, forward and backward, as a separate add after the matmul
+        config = ModelConfig(m=4, n=2, n_nodes=5, n_features=n_features, d_e=8, periods=(6,))
+        params = init_params(config, seed=7)
+        rng = np.random.default_rng(40 + n_features)
+        data = rng.standard_normal((3, 4, 5, n_features))
+        calendar = random_calendar(rng, (3, 4))
+        w = T.Tensor(rng.standard_normal((5, 3, 4, config.d_e)))
+        names = ("embed.calendar", "embed.proj")
+
+        def matmul_then_add(params, config, block, calendar):
+            rows = T.gather_rows(params["embed.calendar"], calendar + CALENDAR_OFFSETS)
+            pos = T.Tensor(positional_table(block.shape[1], config.d_e))
+            clock = T.add(T.reduce(rows, axis=-2), pos)
+            e = T.matmul(T.permute(T.Tensor(block), (2, 0, 1, 3)), params["embed.proj"])
+            return T.add(e, clock)
+
+        def run(fn):
+            params.zero_grads()
+            out = fn(params, config, data, calendar)
+            T.backward(T.reduce(T.mul(out, w), kind="sum"))
+            return [out.data] + [params[k].grad for k in names]
+
+        for got, ref in zip(run(embed), run(matmul_then_add)):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestSpatialAttention:
@@ -553,7 +581,7 @@ class TestForward:
 
     def test_tape_of_a_training_step(self):
         # the benchmark's model: m = n = 12, two blocks, periods of 24 h and 168 h
-        # at 15-minute steps; 8 adds remain: 2 per embed and 2 in the fusion;
+        # at 15-minute steps; 5 adds remain: 1 per embed and 2 in the fusion;
         # 7 permutes: into and out of each spatial attention, one per readout
         config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
         params = init_params(config, seed=0)
@@ -562,8 +590,8 @@ class TestForward:
         loss = mse_loss(forward(batch, params, config, basis_for(config)), batch.target)
         ops = [node.op for node in T.current_tape().nodes[start:]]
         T.backward(loss)
-        assert len(ops) == 97
-        assert ops.count("add") == 8
+        assert len(ops) == 94
+        assert ops.count("add") == 5
         assert ops.count("permute") == 7
 
     def test_attention_sink_covers_all_mechanisms(self):

@@ -449,6 +449,137 @@ class TestBackward:
             T.backward(T.reduce(y, kind="sum"))
 
 
+def out_of_place_backward(loss, accumulate=np.add):
+    """Reference sweep: every fan-in is ``accumulate(prev, ig)``, by default a fresh sum."""
+    tape = T.current_tape()
+    T.drop_tape()
+    grads = {id(loss): np.ones_like(loss.data)}
+    holders = {id(loss): loss}
+    for node in reversed(tape.nodes):
+        g = grads.get(id(node.out))
+        if g is None:
+            continue
+        for t, ig in zip(node.inputs, node.fn(g)):
+            if ig is not None:
+                k = id(t)
+                holders[k] = t
+                grads[k] = accumulate(grads[k], ig) if k in grads else ig
+    for k, g in grads.items():
+        t = holders[k]
+        if t.requires_grad:
+            t.grad = g if t.grad is None else t.grad + g
+
+
+def test_fan_in_check_catches_a_sweep_that_writes_shared_gradients(monkeypatch):
+    def writes_in_place(loss):
+        out_of_place_backward(loss, lambda prev, ig: np.add(prev, ig, out=prev))
+
+    assert checks.check_fan_in() <= checks.GRAD_TOLERANCE
+    monkeypatch.setattr(T, "backward", writes_in_place)
+    assert checks.check_fan_in() > checks.GRAD_TOLERANCE
+
+
+# how one shared tensor `base` [p, q] reaches a consumer: the gradient each hands
+# back is g itself, a view of g, a read-only broadcast or a fresh array
+FAN_IN_BASES = ["leaf", "scale", "mul", "add-reshape"]
+FAN_IN_CONSUMERS = ["add-self", "add-leaf", "reshape", "addend", "addend-shared", "reduce",
+                    "slice", "gather", "attention", "scale"]
+
+
+def fan_in_graph(base_kind, consumers, arrays):
+    """Loss over 2-4 consumers of one tensor; returns (loss, leaves, tensors, scores)."""
+    x, y, a = (T.Tensor(arrays[n], requires_grad=True) for n in ("x", "y", "a"))
+    p, q = x.shape
+    base = {"leaf": lambda: x,
+            "scale": lambda: T.scale(x, 1.5),
+            "mul": lambda: T.mul(x, y),
+            "add-reshape": lambda: T.reshape(T.reshape(T.add(x, y), (q, p)), (p, q))}[base_kind]()
+    tensors, scores, loss = [x, y, a, base], [], None
+    for i, (kind, weighted) in enumerate(consumers):
+        if kind == "add-self":
+            out = T.add(base, base)
+        elif kind == "add-leaf":
+            out = T.add(base, y)
+        elif kind == "reshape":
+            out = T.reshape(base, (q, p))
+        elif kind == "addend":
+            out = T.matmul(a, T.Tensor(arrays["b"]), base)
+        elif kind == "addend-shared":   # base gets, once, the g that add hands y too
+            out = T.add(T.matmul(T.Tensor(arrays["a"]), T.Tensor(arrays["b"]), base), y)
+        elif kind == "reduce":
+            out = T.reduce(base, axis=0)
+        elif kind == "slice":
+            out = T.slice_axis(base, 0, 0, p - 1)
+        elif kind == "gather":
+            out = T.gather_rows(base, arrays["rows"])
+        elif kind == "attention":
+            out, s = T.attention(base, base, base, 0.5)
+            scores.append((s, s.copy()))
+        else:
+            out = T.scale(base, -2.0)
+        tensors.append(out)
+        if weighted:
+            tensors.append(T.Tensor(rng_for(i).standard_normal(out.shape)))
+            out = T.mul(out, tensors[-1])
+        term = T.reduce(out, kind="sum")
+        loss = term if loss is None else T.add(loss, term)
+    return loss, (x, y, a), tensors, scores
+
+
+class TestFanInAccumulation:
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(data=st.data())
+    def test_grads_equal_out_of_place_sweep(self, data):
+        base_kind = data.draw(st.sampled_from(FAN_IN_BASES))
+        consumers = data.draw(st.lists(st.tuples(st.sampled_from(FAN_IN_CONSUMERS), st.booleans()),
+                                       min_size=2, max_size=4))
+        p, q, r = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        rng = rng_for(data.draw(st.integers(0, 2**32 - 1)))
+        arrays = {"x": rng.standard_normal((p, q)), "y": rng.standard_normal((p, q)),
+                  "a": rng.standard_normal((p, r)), "b": rng.standard_normal((r, q)),
+                  "rows": rng.integers(0, p, (3, 2))}
+        prior = rng.standard_normal((p, q)) if data.draw(st.booleans()) else None
+        T.drop_tape()
+
+        loss, leaves, tensors, scores = fan_in_graph(base_kind, consumers, arrays)
+        if prior is not None:
+            leaves[0].grad = prior
+        before = [t.data.tobytes() for t in tensors]
+        prior_bytes = None if prior is None else prior.tobytes()
+        T.backward(loss)
+        assert [t.data.tobytes() for t in tensors] == before   # leaves, outputs, operands
+        for s, kept in scores:
+            assert s.tobytes() == kept.tobytes()
+        if prior is not None:
+            assert prior.tobytes() == prior_bytes                # leaf .grad is not written
+
+        ref_loss, ref_leaves, _, _ = fan_in_graph(base_kind, consumers, arrays)
+        if prior is not None:
+            ref_leaves[0].grad = prior.copy()
+        out_of_place_backward(ref_loss)
+        for got, ref in zip(leaves, ref_leaves):
+            assert (got.grad is None) == (ref.grad is None)
+            if got.grad is not None:
+                assert got.grad.tobytes() == ref.grad.tobytes()
+
+    def test_array_returned_twice_is_not_owned(self):
+        # a gradient function may hand one fresh array to two inputs; x's
+        # second arrival must then leave y's gradient as it is
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        y = T.Tensor(np.ones(3), requires_grad=True)
+        x2 = T.scale(x, 2.0)
+        s = T.add(x, y)
+
+        def twice(g):
+            buf = g + 0.0
+            return buf, buf
+
+        T.current_tape().nodes[-1].fn = twice
+        T.backward(T.add(T.reduce(s, kind="sum"), T.reduce(x2, kind="sum")))
+        assert np.array_equal(x.grad, [3.0, 3.0, 3.0])
+        assert np.array_equal(y.grad, [1.0, 1.0, 1.0])
+
+
 # --------------------------------------------------------------------------
 # gradient_check harness
 # --------------------------------------------------------------------------
