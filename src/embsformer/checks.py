@@ -46,11 +46,6 @@ def _rng(salt):
     return np.random.default_rng(1_000_003 + salt)
 
 
-def _weighted(out, rng):
-    # reduce to a scalar with fixed random weights so grads don't collapse
-    return T.reduce(T.mul(out, T.Tensor(rng.standard_normal(out.shape))), kind="sum")
-
-
 def _check(f, x, eps=1e-5, elements=None):
     return T.gradient_check(f, x, eps=eps, elements=elements)
 
@@ -277,7 +272,7 @@ def check_cheb_conv():
 # --------------------------------------------------------------------------
 
 
-def toy_setup(seed=42, n_nodes=4, m=3, n=3, width=4, k_cheb=2, periods=1):
+def toy_setup(seed=42, n_nodes=4, m=3, n=3, width=4, k_cheb=2, periods=1, n_features=1):
     """Small full-model instance used by block and end-to-end checks."""
     rng = np.random.default_rng(seed)
     adj = np.zeros((n_nodes, n_nodes))
@@ -287,15 +282,15 @@ def toy_setup(seed=42, n_nodes=4, m=3, n=3, width=4, k_cheb=2, periods=1):
     lap = normalized_laplacian(graph)
     basis = chebyshev_basis(lap, estimate_lambda_max(lap), k_cheb)
     config = ModelConfig(
-        m=m, n=n, n_nodes=n_nodes, n_features=1, d_e=width, d_s=width,
+        m=m, n=n, n_nodes=n_nodes, n_features=n_features, d_e=width, d_s=width,
         d_t=width, h_prime=width, k_cheb=k_cheb, n_blocks=1,
         periods=tuple(m + n + 2 * i for i in range(periods)),
     )
     params = init_params(config, seed=seed)
     k = len(config.periods)
     batch = Batch(
-        recent=rng.standard_normal((1, m, n_nodes, 1)),
-        periods=rng.standard_normal((1, k, m + n, n_nodes, 1)),
+        recent=rng.standard_normal((1, m, n_nodes, n_features)),
+        periods=rng.standard_normal((1, k, m + n, n_nodes, n_features)),
         target=np.zeros((1, n, n_nodes)),
         recent_calendar=np.stack([rng.integers(0, v, (1, m)) for v in CALENDAR_VOCAB], -1),
         period_calendar=np.stack([rng.integers(0, v, (1, k, m + n)) for v in CALENDAR_VOCAB], -1),
@@ -353,18 +348,23 @@ def check_temporal_attention():
 
 
 def check_similarity_attention():
-    """Inputs, projections and, for m != n, the alignment kernels, at m == n and m > n."""
+    """Inputs, embed.proj, projections and, for m != n, the alignment kernels.
+
+    The branch window enters as its data block and clock, both checked, at
+    m == n and m > n with one feature and at m == n with three.
+    """
     rng = _rng(20)
     worst = 0.0
-    for m, n in ((3, 3), (5, 2)):
-        config, params, basis, batch = toy_setup(m=m, n=n)
+    for m, n, n_features in ((3, 3, 1), (5, 2, 1), (3, 3, 3)):
+        config, params, basis, batch = toy_setup(m=m, n=n, n_features=n_features)
         e_r = T.Tensor(rng.standard_normal((config.n_nodes, 1, m, config.d_e)))
-        e_p = T.Tensor(rng.standard_normal((config.n_nodes, 1, m + n, config.d_e)))
-        names = [name for name in _names(params, "branch.0.")
-                 if not name.startswith("branch.0.conv_")]   # the readout's, not this layer's
+        x_p = T.Tensor(rng.standard_normal((config.n_nodes, 1, m + n, n_features)))
+        clock_p = T.Tensor(rng.standard_normal((1, m + n, config.d_e)))
+        names = ["embed.proj"] + [name for name in _names(params, "branch.0.")
+                                  if not name.startswith("branch.0.conv_")]  # the readout's
         worst = max(worst, _check_layer(
-            lambda: similarity_attention(params, 0, e_r, e_p, config),
-            [e_r, e_p], params, names, rng))
+            lambda: similarity_attention(params, 0, e_r, x_p, clock_p, config),
+            [e_r, x_p, clock_p], params, names, rng))
     return worst
 
 

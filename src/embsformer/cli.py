@@ -88,20 +88,30 @@ def merged_config(args, extra_keys=()):
     return cfg
 
 
-def _bool(val):
-    if str(val).lower() in ("1", "true", "yes", "on"):
-        return True
-    if str(val).lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {val!r}")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+# kind: (parser, what a bad value was expected to be)
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda text: _BOOLEANS[text.lower()], "a boolean"),
+    "ints": (lambda text: tuple(int(h) for h in text.split(",")) if text else (),
+             "comma-separated integers"),
+}
 
 
-def _periods_steps(cfg, step_minutes):
-    raw = cfg["periods_hours"].strip()
-    if not raw:
-        return ()
-    hours = [int(h) for h in raw.split(",")]
-    return tuple(training.hours_to_steps(h, step_minutes) for h in sorted(hours))
+def _value(cfg, key, kind):
+    """``cfg[key]`` parsed as ``kind``, a key of `_KINDS`.
+
+    A value that does not parse raises ConfigError naming ``key``.
+    """
+    parse, expected = _KINDS[kind]
+    text = cfg[key].strip()
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
 
 
 def _file_sha256(path):
@@ -185,14 +195,14 @@ def _build_basis(lap, k_cheb):
 
 def _model_widths(cfg):
     """The `ModelConfig` sizes the config sets: horizons, widths, Chebyshev order, depth."""
-    return {key: int(cfg[key])
+    return {key: _value(cfg, key, "int")
             for key in ("m", "n", "d_e", "d_s", "d_t", "h_prime", "k_cheb", "n_blocks")}
 
 
 def _train_config(cfg):
     return training.TrainConfig(
-        learning_rate=float(cfg["lr"]), batch_size=int(cfg["batch_size"]),
-        epochs=int(cfg["epochs"]), seed=int(cfg["seed"]),
+        learning_rate=_value(cfg, "lr", "float"), batch_size=_value(cfg, "batch_size", "int"),
+        epochs=_value(cfg, "epochs", "int"), seed=_value(cfg, "seed", "int"),
     )
 
 
@@ -206,14 +216,14 @@ def cmd_synth(args):
     out = Path(args.out or "data")
     out.mkdir(parents=True, exist_ok=True)
     series, graph = data.synth_generate(
-        n_nodes=int(cfg["nodes"]),
-        days=int(cfg["days"]),
-        step_minutes=int(cfg["step_minutes"]),
-        daily_amp=float(cfg["daily_amp"]),
-        weekly_amp=float(cfg["weekly_amp"]),
-        noise_std=float(cfg["noise_std"]),
+        n_nodes=_value(cfg, "nodes", "int"),
+        days=_value(cfg, "days", "int"),
+        step_minutes=_value(cfg, "step_minutes", "int"),
+        daily_amp=_value(cfg, "daily_amp", "float"),
+        weekly_amp=_value(cfg, "weekly_amp", "float"),
+        noise_std=_value(cfg, "noise_std", "float"),
         graph_model=cfg["graph_model"],
-        seed=int(cfg["seed"]),
+        seed=_value(cfg, "seed", "int"),
     )
     data.save_readings(series, out / "readings.csv")
     data.save_adjacency(graph, out / "adjacency.csv")
@@ -225,14 +235,17 @@ def cmd_synth(args):
 
 def cmd_train(args):
     cfg = merged_config(args)
+    hours = _value(cfg, "periods_hours", "ints")
+    if not _value(cfg, "enable_period", "bool"):
+        hours = ()
+    enable_recent = _value(cfg, "enable_recent", "bool")
+    widths, tcfg = _model_widths(cfg), _train_config(cfg)
     series, graph, holidays = _load_dataset(cfg)
-    periods = _periods_steps(cfg, series.step_minutes)
     config = model.ModelConfig(
         n_nodes=series.n_nodes, n_features=series.n_features,
-        periods=periods if _bool(cfg["enable_period"]) else (),
-        enable_recent=_bool(cfg["enable_recent"]), **_model_widths(cfg),
+        periods=tuple(training.hours_to_steps(h, series.step_minutes) for h in sorted(hours)),
+        enable_recent=enable_recent, **widths,
     )
-    tcfg = _train_config(cfg)
     _, normalizer, windows, lap, _ = _prepare(
         series, graph, holidays, config.m, config.n, config.periods
     )
@@ -284,7 +297,7 @@ def cmd_evaluate(args):
     with np.errstate(all="ignore"):
         report = training.evaluate(
             params, samples, normalizer, config, basis,
-            meta={"split": args.split, "seed": int(cfg["seed"]),
+            meta={"split": args.split, "seed": _value(cfg, "seed", "int"),
                   "n_samples": len(samples)},
         )
     doc = report.to_dict()
@@ -306,9 +319,12 @@ def cmd_evaluate(args):
 
 def cmd_predict(args):
     cfg = merged_config(args)
+    try:
+        lo, hi = (int(x) for x in args.anchors.split(":"))
+    except ValueError:
+        raise ConfigError(f"anchors: expected lo:hi, got {args.anchors!r}") from None
     params, config, series, normalizer, windows, basis = _load_for_checkpoint(args, cfg)
     samples = windows[args.split]
-    lo, hi = (int(x) for x in args.anchors.split(":"))
     if lo < 0 or hi > len(samples) or lo >= hi:
         raise ConfigError(
             f"anchor range {args.anchors} outside [0, {len(samples)}) for split {args.split}"

@@ -24,6 +24,13 @@ Chebyshev hops are one [N, N] @ [N, rest] GEMM each. Spatial attention
 permutes in and back out, and the m != n alignment permutes around its
 window gather; nothing else moves an activation. Every learned linear
 map is a matmul, and each weight has the shape of the map it applies.
+
+Only the recent window is embedded. The embedding is affine (data block
+times ``embed.proj`` plus the clock), and a branch uses its window only
+through the key and value projections, so each branch projects its
+window's data block and clock directly: k = x (P W_k) + (clock W_k + b_k),
+a rank-F product carrying a [B, m, h'] clock addend. No [N, B, m+n, d_e]
+period embedding is built, sliced or differentiated.
 """
 
 from __future__ import annotations
@@ -282,16 +289,14 @@ def make_batch(windows) -> Batch:
 # --------------------------------------------------------------------------
 
 
-def embed(params, config, block, calendar):
-    """Project a data block and add calendar + positional embeddings.
+def _embed_parts(params, config, block, calendar):
+    """The two terms of an embedding: (node-first data block, per-step clock).
 
-    block: [B, steps, N, F] -> [N, B, steps, d_e], node-first. ``calendar``
-    is the [B, steps, 3] index array of `CALENDAR_COLUMNS`, one clock per
-    time step shared across nodes. Its three rows of ``embed.calendar`` are
-    gathered at once and summed, the positional table is added to that
-    [B, steps, d_e] clock, and the projection takes the clock as its addend,
-    broadcast over the node axis as a suffix. The block is permuted before
-    the projection, so a constant data block costs no tape node.
+    block: [B, steps, N, F] -> [N, B, steps, F], permuted, so a constant
+    data block costs no tape node. ``calendar`` is the [B, steps, 3] index
+    array of `CALENDAR_COLUMNS`, one clock per time step shared across
+    nodes: its three rows of ``embed.calendar`` are gathered at once and
+    summed, and the positional table is added, giving [B, steps, d_e].
     """
     bad = (calendar < 0) | (calendar >= CALENDAR_VOCAB)
     if bad.any():
@@ -304,7 +309,19 @@ def embed(params, config, block, calendar):
     pos = Tensor(positional_table(block.shape[1], config.d_e))
     clock = T.add(T.reduce(rows, axis=-2), pos)                    # [B, steps, d_e]
     x = block if isinstance(block, Tensor) else Tensor(block)
-    return T.matmul(T.permute(x, (2, 0, 1, 3)), params["embed.proj"], clock)  # [N, B, steps, d_e]
+    return T.permute(x, (2, 0, 1, 3)), clock
+
+
+def embed(params, config, block, calendar):
+    """Project a data block and add calendar + positional embeddings.
+
+    block: [B, steps, N, F] -> [N, B, steps, d_e], node-first: the
+    projection of the permuted block (`_embed_parts`) takes the
+    [B, steps, d_e] clock as its addend, broadcast over the node axis as a
+    suffix.
+    """
+    x, clock = _embed_parts(params, config, block, calendar)
+    return T.matmul(x, params["embed.proj"], clock)                # [N, B, steps, d_e]
 
 
 def _attend(q, k, v, width, sink, label):
@@ -383,27 +400,42 @@ def _align(x, kernel):
     return T.matmul(windows, T.reshape(kernel, (w * c, c_out)))
 
 
-def similarity_attention(params, branch, e_recent, e_period, config, sink=None):
+def _project_embedding(params, x, clock, w, b):
+    """(x @ embed.proj + clock) @ w + b, regrouped so the embedding is never built.
+
+    x: [N, B, L, F], clock: [B, L, d_e] -> [N, B, L, h']. The data term is
+    a rank-F product against embed.proj @ w, and the clock term
+    clock @ w + b rides on it as the GEMM's addend, broadcast over nodes.
+    """
+    return T.matmul(x, T.matmul(params["embed.proj"], w), T.matmul(clock, w, b))
+
+
+def similarity_attention(params, branch, e_recent, x_period, clock_period, config, sink=None):
     """Soft lookup of a branch's pseudo-future keyed by its pseudo-input.
 
-    e_recent: [N, B, m, d_e]; e_period: [N, B, m+n, d_e]. Queries come from
-    the recent embedding, keys from the first m period steps, values from
-    the last n (the pseudo-future). When m != n a width-(m-n+1) correlation
-    over time (`_align`) maps query/key length to n. Returns [N, B, n, h'];
-    scores are [N, B, n, n].
+    e_recent: [N, B, m, d_e]; the branch window is the pair `_embed_parts`
+    returns, x_period [N, B, m+n, F] and clock_period [B, m+n, d_e].
+    Queries come from the recent embedding, keys from the first m period
+    steps, values from the last n (the pseudo-future). Keys and values are
+    projected straight from the window's data and clock
+    (`_project_embedding`), so no period embedding is materialized and
+    only the small halves of the data and the clock are sliced. When
+    m != n a width-(m-n+1) correlation over time (`_align`) maps query/key
+    length to n. Returns [N, B, n, h']; scores are [N, B, n, n].
     """
     m, n = config.m, config.n
-    if e_period.shape[2] != m + n:
+    if x_period.shape[2] != m + n:
         raise ValueError(
-            f"branch window has {e_period.shape[2]} steps, expected m+n={m + n}"
+            f"branch window has {x_period.shape[2]} steps, expected m+n={m + n}"
         )
     pre = f"branch.{branch}"
-    e_in = T.slice_axis(e_period, 2, 0, m)
-    e_out = T.slice_axis(e_period, 2, m, m + n)
-
-    q = T.matmul(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])  # [N, B, m, h']
-    k = T.matmul(e_in, params[f"{pre}.wk"], params[f"{pre}.bk"])      # [N, B, m, h']
-    v = T.matmul(e_out, params[f"{pre}.wv"], params[f"{pre}.bv"])     # [N, B, n, h']
+    q = T.matmul(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])       # [N, B, m, h']
+    k = _project_embedding(params, T.slice_axis(x_period, 2, 0, m),
+                           T.slice_axis(clock_period, 1, 0, m),
+                           params[f"{pre}.wk"], params[f"{pre}.bk"])        # [N, B, m, h']
+    v = _project_embedding(params, T.slice_axis(x_period, 2, m, m + n),
+                           T.slice_axis(clock_period, 1, m, m + n),
+                           params[f"{pre}.wv"], params[f"{pre}.bv"])        # [N, B, n, h']
     if m != n:
         q = _align(q, params[f"{pre}.align_q"])  # [N, B, n, h']
         k = _align(k, params[f"{pre}.align_k"])
@@ -462,8 +494,9 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
 
     y_branches = []
     for i in range(config.n_branches):
-        e_p = embed(params, config, batch.periods[:, i], batch.period_calendar[:, i])
-        asr = similarity_attention(params, i, e_recent, e_p, config, sink)
+        x_p, clock_p = _embed_parts(params, config, batch.periods[:, i],
+                                    batch.period_calendar[:, i])
+        asr = similarity_attention(params, i, e_recent, x_p, clock_p, config, sink)
         y_branches.append(generation_branch(params, i, asr, config))
     return fuse(params, config, y_recent, y_branches)
 

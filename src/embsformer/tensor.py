@@ -539,7 +539,9 @@ def slice_axis(x, axis, start, stop):
 def gather_rows(table, indices):
     """Select rows of ``table`` along axis 0: output shape = indices.shape + table.shape[1:].
 
-    Backward scatter-adds, so repeated indices accumulate.
+    Backward scatter-adds, so repeated indices accumulate: one `np.bincount`
+    over the flat positions of every gathered element, which adds the
+    contributions to each element in index order, as `np.add.at` does.
     """
     idx = np.asarray(indices)
     if idx.dtype.kind not in "iu":
@@ -551,11 +553,12 @@ def gather_rows(table, indices):
         )
     out = _wrap(table.data[idx])
     tshape = table.shape
+    width = int(np.prod(tshape[1:]))   # elements per row
 
     def fn(g):
-        buf = np.zeros(tshape, dtype=g.dtype)
-        np.add.at(buf, idx, g)
-        return (buf,)
+        flat = idx.astype(np.intp)[..., None] * width + np.arange(width)
+        return (np.bincount(flat.ravel(), weights=g.ravel(),
+                            minlength=tshape[0] * width).reshape(tshape),)
 
     return _record("gather_rows", [table], out, fn)
 

@@ -141,6 +141,26 @@ class TestTrain:
         assert not list(out.glob("run-train-*"))
         assert T.current_tape() is None
 
+    @pytest.mark.parametrize("extra,file_line,message", [
+        (["--periods", "24,abc"], "",
+         "periods_hours: expected comma-separated integers, got '24,abc'"),
+        (["--enable-recent", "maybe"], "", "enable_recent: expected a boolean, got 'maybe'"),
+        ([], "epochs = abc\n", "epochs: expected an integer, got 'abc'"),
+    ], ids=["periods", "enable-recent", "config-file-epochs"])
+    def test_bad_config_value_names_its_key(self, dataset, tmp_path, capsys, extra, file_line,
+                                            message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(file_line)
+        out = tmp_path / "runs"
+        base = train_args(dataset, out, ["--m", 4, "--n", 4])
+        if file_line:   # the file's value must not be overridden by --epochs
+            i = base.index("--epochs")
+            del base[i:i + 2]
+        assert run_cli(base + ["--config", cfg_file] + extra) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists() or not list(out.glob("run-train-*"))
+
     def test_missing_dataset_fails_cleanly(self, tmp_path):
         rc = run_cli(["train", "--readings", tmp_path / "nope.csv",
                       "--adjacency", tmp_path / "nope2.csv", "--out", tmp_path])
@@ -252,6 +272,16 @@ class TestPredict:
         mae_reported = json.loads(metrics_path.read_text())["mae"]["avg"]
         assert abs(mae_from_csv - mae_reported) < 1e-9
 
+    def test_bad_anchor_range_names_its_option(self, dataset, tmp_path, capsys):
+        # parsed before the checkpoint is read, so none is needed to see the error
+        out = tmp_path / "p.csv"
+        rc = run_cli(["predict", "--readings", dataset / "readings.csv",
+                      "--adjacency", dataset / "adjacency.csv", "--checkpoint", tmp_path / "none",
+                      "--anchors", "0:x", "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: anchors: expected lo:hi, got '0:x'\n"
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_clean_run_passes(self, capsys):
@@ -272,7 +302,8 @@ class TestGradcheckCommand:
     def test_corrupted_addend_gradient_fails_the_layer_checks(self, capsys, monkeypatch):
         def first_slice(g, shape):
             # keeps one slice of a broadcast gradient instead of summing them all;
-            # in these layers the only broadcast addends are the projection biases
+            # in these layers the broadcast addends are the projection biases and
+            # the branch clock projections
             return g if g.shape == shape else g.reshape((-1,) + shape)[0]
 
         monkeypatch.setattr(T, "_sum_to", first_slice)

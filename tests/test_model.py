@@ -15,6 +15,9 @@ from embsformer import tensor as T
 from embsformer.checks import toy_setup
 from embsformer.graph import TrafficGraph, cheb_graph_conv, chebyshev_basis, normalized_laplacian
 from embsformer.model import (
+    _align,
+    _embed_parts,
+    _project_embedding,
     Batch,
     CheckpointError,
     ModelConfig,
@@ -364,6 +367,17 @@ class TestTransitionReadout:
         assert transition_readout(params, h, config).shape == (2, n, 5)
 
 
+def period_pair(rng, n_nodes, batch, steps, n_features, d_e):
+    """An arbitrary branch window as `similarity_attention` takes it: (data, clock)."""
+    return (T.Tensor(rng.standard_normal((n_nodes, batch, steps, n_features))),
+            T.Tensor(rng.standard_normal((batch, steps, d_e))))
+
+
+def factored_projection(params, x, clock, w, b):
+    """x @ (P @ w) + (clock @ w + b) in numpy, the grouping the branch layer uses."""
+    return x @ (params["embed.proj"].data @ w) + (clock @ w + b)
+
+
 class TestSimilarityAttention:
     def _config(self, **kw):
         defaults = dict(m=3, n=3, n_nodes=2, d_e=4, d_s=4, d_t=4, h_prime=4,
@@ -380,15 +394,16 @@ class TestSimilarityAttention:
         params[f"{pre}.bq"].data[:] = 0.0
         params[f"{pre}.bk"].data[:] = 0.0
         scale = 40.0
-        # orthogonal one-hot time codes; recent equals the pseudo-input
-        codes = scale * np.eye(3)[:, None, :].repeat(2, axis=1)
-        codes = np.concatenate([codes, np.zeros((3, 2, 1))], axis=-1)  # [m,N,4]
-        e_r = T.Tensor(node_first(codes[None]))
-        e_p = T.Tensor(node_first(np.concatenate(
-            [codes, np.random.default_rng(15).standard_normal((3, 2, 4))], axis=0
-        )[None]))
-        out = similarity_attention(params, 0, e_r, e_p, config)
-        v = e_p.data[:, :, 3:] @ params[f"{pre}.wv"].data + params[f"{pre}.bv"].data
+        # orthogonal one-hot time codes; recent equals the pseudo-input, whose
+        # data is zero, so its embedding is the clock alone
+        codes = np.concatenate([scale * np.eye(3), np.zeros((3, 1))], axis=-1)  # [m, 4]
+        e_r = T.Tensor(np.broadcast_to(codes, (2, 1, 3, 4)))
+        rng = np.random.default_rng(15)
+        x_p = np.concatenate([np.zeros((2, 1, 3, 1)), rng.standard_normal((2, 1, 3, 1))], axis=2)
+        clock_p = np.concatenate([codes, rng.standard_normal((3, 4))])[None]
+        out = similarity_attention(params, 0, e_r, T.Tensor(x_p), T.Tensor(clock_p), config)
+        v = factored_projection(params, x_p[:, :, 3:], clock_p[:, 3:],
+                                params[f"{pre}.wv"].data, params[f"{pre}.bv"].data)
         assert np.allclose(out.data, v, atol=1e-9)
 
     def test_single_step_degenerate(self):
@@ -396,9 +411,10 @@ class TestSimilarityAttention:
         params = init_params(config, seed=2)
         rng = np.random.default_rng(16)
         e_r = T.Tensor(node_first(rng.standard_normal((1, 1, 2, 4))))
-        e_p = T.Tensor(node_first(rng.standard_normal((1, 2, 2, 4))))
-        out = similarity_attention(params, 0, e_r, e_p, config)
-        v = e_p.data[:, :, 1:] @ params["branch.0.wv"].data + params["branch.0.bv"].data
+        x_p, clock_p = period_pair(rng, 2, 1, 2, 1, 4)
+        out = similarity_attention(params, 0, e_r, x_p, clock_p, config)
+        v = factored_projection(params, x_p.data[:, :, 1:], clock_p.data[:, 1:],
+                                params["branch.0.wv"].data, params["branch.0.bv"].data)
         assert np.allclose(out.data, v, atol=1e-15)
 
     def test_rows_sum_and_shape(self):
@@ -408,7 +424,7 @@ class TestSimilarityAttention:
         sink = []
         out = similarity_attention(
             params, 0, T.Tensor(node_first(rng.standard_normal((2, 3, 2, 4)))),
-            T.Tensor(node_first(rng.standard_normal((2, 6, 2, 4)))), config, sink=sink,
+            *period_pair(rng, 2, 2, 6, 1, 4), config, sink=sink,
         )
         assert out.shape == (2, 2, 3, 4)
         label, scores = sink[0]
@@ -420,7 +436,8 @@ class TestSimilarityAttention:
         params = init_params(config, seed=4)
         with pytest.raises(ValueError, match="m\\+n"):
             similarity_attention(params, 0, T.Tensor(np.zeros((2, 1, 3, 4))),
-                                 T.Tensor(np.zeros((2, 1, 5, 4))), config)
+                                 T.Tensor(np.zeros((2, 1, 5, 1))), T.Tensor(np.zeros((1, 5, 4))),
+                                 config)
 
     def test_alignment_when_m_exceeds_n(self):
         config = self._config(m=5, n=2, periods=(7,))
@@ -428,9 +445,41 @@ class TestSimilarityAttention:
         rng = np.random.default_rng(18)
         out = similarity_attention(
             params, 0, T.Tensor(node_first(rng.standard_normal((1, 5, 2, 4)))),
-            T.Tensor(node_first(rng.standard_normal((1, 7, 2, 4)))), config,
+            *period_pair(rng, 2, 1, 7, 1, 4), config,
         )
         assert out.shape == (2, 1, 2, 4)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (5, 2)])
+    @pytest.mark.parametrize("n_features", [1, 3])
+    def test_projects_the_pair_as_the_dense_embedding(self, m, n, n_features):
+        # k and v from the window's data and clock equal the embedding of the
+        # whole window, sliced, then projected; so does the layer's output
+        config = self._config(m=m, n=n, n_nodes=4, n_features=n_features, d_e=6, h_prime=5,
+                              periods=(m + n,))
+        params = init_params(config, seed=8)
+        rng = np.random.default_rng(50 + n_features)
+        block = rng.standard_normal((3, m + n, 4, n_features))
+        calendar = random_calendar(rng, (3, m + n))
+        e_r = T.Tensor(node_first(rng.standard_normal((3, m, 4, config.d_e))))
+        with T.no_grad():
+            x_p, clock_p = _embed_parts(params, config, block, calendar)
+            e_p = embed(params, config, block, calendar).data
+            dense = {}
+            for name, lo, hi in (("k", 0, m), ("v", m, m + n)):
+                w, b = params[f"branch.0.w{name}"], params[f"branch.0.b{name}"]
+                dense[name] = e_p[:, :, lo:hi] @ w.data + b.data
+                factored = _project_embedding(
+                    params, T.slice_axis(x_p, 2, lo, hi), T.slice_axis(clock_p, 1, lo, hi), w, b,
+                ).data
+                assert np.max(np.abs(factored - dense[name])) <= 1e-12 * np.max(np.abs(dense[name]))
+            q = T.matmul(e_r, params["branch.0.wq"], params["branch.0.bq"])
+            k = T.Tensor(dense["k"])
+            if m != n:
+                q = _align(q, params["branch.0.align_q"])
+                k = _align(k, params["branch.0.align_k"])
+            ref = T.attention(q, k, T.Tensor(dense["v"]), 1.0 / np.sqrt(config.h_prime))[0].data
+            out = similarity_attention(params, 0, e_r, x_p, clock_p, config).data
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestGenerationBranch:
@@ -581,7 +630,7 @@ class TestForward:
 
     def test_tape_of_a_training_step(self):
         # the benchmark's model: m = n = 12, two blocks, periods of 24 h and 168 h
-        # at 15-minute steps; 5 adds remain: 1 per embed and 2 in the fusion;
+        # at 15-minute steps; 5 adds remain: 1 per clock and 2 in the fusion;
         # 7 permutes: into and out of each spatial attention, one per readout
         config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
         params = init_params(config, seed=0)
@@ -590,9 +639,30 @@ class TestForward:
         loss = mse_loss(forward(batch, params, config, basis_for(config)), batch.target)
         ops = [node.op for node in T.current_tape().nodes[start:]]
         T.backward(loss)
-        assert len(ops) == 94
+        assert len(ops) == 100
         assert ops.count("add") == 5
         assert ops.count("permute") == 7
+
+    def test_no_period_embedding_on_the_tape(self):
+        # a branch projects its window's data and clock: no node of a training
+        # forward at the benchmark's shape outputs a [N, B, m+n, d_e] embedding
+        config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
+        params = init_params(config, seed=0)
+        rng = np.random.default_rng(30)
+        k = len(config.periods)
+        batch = Batch(
+            recent=rng.standard_normal((16, 12, 15, 1)),
+            periods=rng.standard_normal((16, k, 24, 15, 1)),
+            target=rng.standard_normal((16, 12, 15)),
+            recent_calendar=random_calendar(rng, (16, 12)),
+            period_calendar=random_calendar(rng, (16, k, 24)),
+        )
+        start = len(T.current_tape() or ())
+        loss = mse_loss(forward(batch, params, config, basis_for(config)), batch.target)
+        shapes = [node.out.shape for node in T.current_tape().nodes[start:]]
+        T.backward(loss)
+        assert (15, 16, 12, 32) in shapes   # the recent embedding is still dense
+        assert (15, 16, 24, 32) not in shapes
 
     def test_attention_sink_covers_all_mechanisms(self):
         config, params, basis, batch = toy_setup()

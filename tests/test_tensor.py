@@ -688,6 +688,26 @@ def test_gather_rows_accumulates_repeats():
     assert np.array_equal(table.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("table_shape,indices", [
+    ((6, 4), [[0, 5, 5], [2, 5, 0], [5, 5, 5]]),            # repeated rows
+    ((3, 2, 5), np.array(1)),                               # 0-d, as cheb_graph_conv's theta
+    ((7, 3, 2), [[[6, 0], [6, 6]], [[1, 6], [0, 0]]]),       # a 3-D table under 3-D indices
+    ((1449, 8), [[[30, 1443, 1447]] * 4] * 3),               # the calendar rows of a repeated clock
+], ids=["repeats", "0d-index", "3d-table", "calendar"])
+def test_gather_rows_gradient_bytes_match_add_at(table_shape, indices):
+    # the scatter sums each element's contributions in index order, as np.add.at does
+    rng = rng_for(60)
+    idx = np.asarray(indices)
+    table = T.Tensor(rng.standard_normal(table_shape), requires_grad=True)
+    magnitude = 10.0 ** rng.integers(-8, 8, idx.shape + table_shape[1:])   # order-sensitive sums
+    g = rng.standard_normal(magnitude.shape) * magnitude
+    out = T.gather_rows(table, idx)
+    T.backward(T.reduce(T.mul(out, T.Tensor(g)), kind="sum"))
+    ref = np.zeros(table_shape)
+    np.add.at(ref, idx, g)
+    assert table.grad.tobytes() == ref.tobytes()
+
+
 def test_gather_rows_bounds_checked():
     with pytest.raises(ValueError, match="out of range"):
         T.gather_rows(T.Tensor(np.zeros((3, 2))), np.array([3]))

@@ -214,7 +214,7 @@ class TestTrain:
         loss = mse_loss(forward(batch, init_params(big), big,
                                 chebyshev_basis(lap, estimate_lambda_max(lap), 3)),
                         batch.target)
-        assert len(T.current_tape()) == 94
+        assert len(T.current_tape()) == 100
         T.backward(loss)
 
 
