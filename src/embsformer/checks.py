@@ -125,10 +125,6 @@ def check_add():
     return _elementwise_check(T.add, 4)
 
 
-def check_sub():
-    return _elementwise_check(T.sub, 5)
-
-
 def check_mul():
     return _elementwise_check(T.mul, 6)
 
@@ -433,7 +429,6 @@ def registered_checks():
         ("matmul-batched", check_matmul_batched),
         ("attention", check_attention),
         ("add", check_add),
-        ("sub", check_sub),
         ("mul", check_mul),
         ("relu", check_relu),
         ("scale", check_scale),

@@ -176,21 +176,28 @@ def _load_dataset(cfg):
     return series, graph, holidays
 
 
-def _prepare(series, graph, holidays, m, n, periods):
+def _prepare(series, graph, holidays, k_cheb):
+    """What every model subcommand derives from a dataset.
+
+    Returns the chronological splits, the normalizer fitted on the train
+    split, the normalized series, the calendar and the Chebyshev basis.
+    """
     splits = data.chronological_split(series)
     normalizer = data.fit_normalizer(series, splits[0])
     normalized = series.with_values(normalizer.apply(series.values))
     calendar = data.calendar_features(series, holidays)
-    windows = {
-        label: data.make_windows(normalized, rng, m, n, periods, calendar=calendar)
+    lap = normalized_laplacian(graph)
+    basis = chebyshev_basis(lap, estimate_lambda_max(lap), k_cheb)
+    return splits, normalizer, normalized, calendar, basis
+
+
+def _windows(config, splits, normalized, calendar):
+    """The windows of each split, by label, for the model ``config`` describes."""
+    return {
+        label: data.make_windows(normalized, rng, config.m, config.n, config.periods,
+                                 calendar=calendar)
         for label, rng in zip(("train", "val", "test"), splits)
     }
-    lap = normalized_laplacian(graph)
-    return splits, normalizer, windows, lap, calendar
-
-
-def _build_basis(lap, k_cheb):
-    return chebyshev_basis(lap, estimate_lambda_max(lap), k_cheb)
 
 
 def _model_widths(cfg):
@@ -246,10 +253,9 @@ def cmd_train(args):
         periods=tuple(training.hours_to_steps(h, series.step_minutes) for h in sorted(hours)),
         enable_recent=enable_recent, **widths,
     )
-    _, normalizer, windows, lap, _ = _prepare(
-        series, graph, holidays, config.m, config.n, config.periods
-    )
-    basis = _build_basis(lap, config.k_cheb)
+    splits, normalizer, normalized, calendar, basis = _prepare(
+        series, graph, holidays, config.k_cheb)
+    windows = _windows(config, splits, normalized, calendar)
     print(f"samples: train={len(windows['train'])} val={len(windows['val'])} "
           f"test={len(windows['test'])}  params={model.init_params(config, tcfg.seed).count()}")
 
@@ -283,10 +289,9 @@ def _load_for_checkpoint(args, cfg):
             f"checkpoint built for N={config.n_nodes}, F={config.n_features} but "
             f"dataset has N={series.n_nodes}, F={series.n_features}"
         )
-    _, normalizer, windows, lap, _ = _prepare(
-        series, graph, holidays, config.m, config.n, config.periods
-    )
-    basis = _build_basis(lap, config.k_cheb)
+    splits, normalizer, normalized, calendar, basis = _prepare(
+        series, graph, holidays, config.k_cheb)
+    windows = _windows(config, splits, normalized, calendar)
     return params, config, series, normalizer, windows, basis
 
 
@@ -371,12 +376,8 @@ def cmd_ablation(args):
             f"dataset spans {span_hours:.0f}h, need >= {2 * max_hours}h for the ablation grid"
         )
     model_kwargs = _model_widths(cfg)
-    splits = data.chronological_split(series)
-    normalizer = data.fit_normalizer(series, splits[0])
-    normalized = series.with_values(normalizer.apply(series.values))
-    calendar = data.calendar_features(series, holidays)
-    lap = normalized_laplacian(graph)
-    basis = _build_basis(lap, model_kwargs["k_cheb"])
+    splits, normalizer, normalized, calendar, basis = _prepare(
+        series, graph, holidays, model_kwargs["k_cheb"])
     with np.errstate(all="ignore"):
         rows = training.ablation_grid(
             normalized, basis, variants, model_kwargs, _train_config(cfg), splits, normalizer,

@@ -3,9 +3,11 @@
 File formats:
   readings CSV  -- header ``#meta,n_nodes=<N>,n_features=<F>,step_minutes=<s>,start=<ISO-8601>``
                    then one row per time step with N*F comma-separated values, node-major.
-                   Blank lines are skipped; a ``#`` row is rejected, not a comment.
-                   The body is parsed in one `np.loadtxt` pass; a row-by-row scan
-                   runs only to name a bad row or to accept what that pass rejects.
+                   Cells are what `np.loadtxt` reads as float64 (ASCII decimals,
+                   ``nan``, ``inf``); ``1_000`` and non-ASCII digits are not. Blank
+                   lines are skipped; a ``#`` row is rejected, not a comment. The
+                   body is one `np.loadtxt` pass; a row-by-row scan runs only to
+                   name a bad row.
   adjacency CSV -- header row ``from,to,cost`` then 0-based edge lines.
   holidays file -- one YYYY-MM-DD per line.
 
@@ -144,11 +146,11 @@ def atomic_write(path, mode="w"):
 def load_readings(path) -> RawSeries:
     """Parse the self-describing readings CSV; rejects NaN/Inf with location.
 
-    The body after the header is one `np.loadtxt` pass. When that pass
-    raises, finds a width other than N*F or finds no rows, a second
-    `np.loadtxt` reads the body without its whitespace-only lines. Only if
-    that fails too does `_parse_rows` scan it, to name the bad row or to
-    return what `float()` accepts.
+    The body after the header is one `np.loadtxt` pass over its non-blank
+    lines (blank: nothing but whitespace). Cells are ASCII decimals, as
+    `save_readings` writes them; `float()` spellings such as ``1_000`` or
+    non-ASCII digits are non-numeric. When the pass raises, finds a width
+    other than N*F or finds no rows, `_raise_bad_row` names the bad row.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -170,13 +172,17 @@ def load_readings(path) -> RawSeries:
 
         width = n_nodes * n_features
         body = fh.tell()
-        values = _loadtxt(fh, width)
-        if values is None:
+        try:
+            with warnings.catch_warnings():
+                # an empty body warns "input contained no data"; _raise_bad_row names it
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt((line for line in fh if line.strip()), dtype=np.float64,
+                                    delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is None or values.shape[1] != width or not len(values):
             fh.seek(body)
-            values = _loadtxt([line for line in fh if line.strip()], width)
-        if values is None:
-            fh.seek(body)
-            values = _parse_rows(fh, path, width)
+            _raise_bad_row(fh, path, width)
     bad = ~np.isfinite(values)
     if np.any(bad):
         t, col = [int(i[0]) for i in np.nonzero(bad)]
@@ -191,42 +197,25 @@ def load_readings(path) -> RawSeries:
     )
 
 
-def _loadtxt(lines, width):
-    """The ``[T, width]`` body `np.loadtxt` reads from ``lines``, or None if it cannot."""
-    try:
-        with warnings.catch_warnings():
-            # an empty body warns "input contained no data"; _parse_rows names it
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return values if values.shape[1] == width and len(values) else None
+def _raise_bad_row(fh, path, width):
+    """Name the first body row, from where ``fh`` is positioned, that `np.loadtxt` rejects.
 
-
-def _parse_rows(fh, path, width):
-    """Row-by-row scan of the readings body that ``fh`` is positioned at.
-
-    Names the first bad row, or returns the ``[T, width]`` values of a body
-    that `float()` accepts and `np.loadtxt` does not: a whitespace-only
-    line, ``1_000``, non-ASCII digits.
+    A row is counted from 0 at the first body line, blank lines included. A
+    row fails on its value count or, read alone by `np.loadtxt`, on its
+    values; a body with no row fails as empty. Returns nothing: it runs
+    only once the single `load_readings` pass has failed.
     """
-    rows = []
-    for lineno, line in enumerate(fh):
-        line = line.strip()
-        if not line:
+    for row, line in enumerate(fh):
+        if not line.strip():
             continue
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ValueError(
-                f"{path}: row {lineno} has {len(cells)} values, expected {width}"
-            )
+        cells = line.count(",") + 1
+        if cells != width:
+            raise ValueError(f"{path}: row {row} has {cells} values, expected {width}")
         try:
-            rows.append([float(c) for c in cells])
+            np.loadtxt([line], dtype=np.float64, delimiter=",", comments=None)
         except ValueError:
-            raise ValueError(f"{path}: non-numeric value in row {lineno}") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+            raise ValueError(f"{path}: non-numeric value in row {row}") from None
+    raise ValueError(f"{path}: no data rows")
 
 
 def save_readings(series: RawSeries, path):
@@ -302,7 +291,7 @@ def load_holidays(path):
 # --------------------------------------------------------------------------
 
 
-def chronological_split(series: RawSeries, ratios=(6, 2, 2)):
+def chronological_split(series: RawSeries):
     """Contiguous (train, val, test) index ranges in 6:2:2 proportions.
 
     Train and val get the floor of their share; the remainder goes to test.
@@ -310,9 +299,8 @@ def chronological_split(series: RawSeries, ratios=(6, 2, 2)):
     t_total = series.n_steps
     if t_total < 10:
         raise ValueError(f"series too short to split: {t_total} steps")
-    total = sum(ratios)
-    n_train = int(t_total * ratios[0] / total)
-    n_val = int(t_total * ratios[1] / total)
+    n_train = int(t_total * 6 / 10)
+    n_val = int(t_total * 2 / 10)
     return (0, n_train), (n_train, n_train + n_val), (n_train + n_val, t_total)
 
 

@@ -26,6 +26,8 @@ __all__ = [
 # deterministic start vector for power iteration; an all-ones start is
 # exactly orthogonal to the top eigenvector of e.g. the 2-node path
 _POWER_SEED = 0x5EED_CB35
+# power-iteration sweeps at most, and the relative eigen-residual that ends them early
+_POWER_SWEEPS, _POWER_TOL = 200, 1e-9
 
 
 @dataclass
@@ -87,7 +89,7 @@ def normalized_laplacian(g: TrafficGraph) -> np.ndarray:
     return lap
 
 
-def estimate_lambda_max(lap: np.ndarray, iters: int = 200, tol: float = 1e-9) -> float:
+def estimate_lambda_max(lap: np.ndarray) -> float:
     """Largest-magnitude eigenvalue of a symmetric matrix by power iteration.
 
     Each sweep applies the matrix twice (power iteration on L^2, two O(N^2)
@@ -95,7 +97,10 @@ def estimate_lambda_max(lap: np.ndarray, iters: int = 200, tol: float = 1e-9) ->
     oscillation between +/-lambda_max. Starts from a fixed-seed random
     vector (an all-ones start can be exactly orthogonal to the top
     eigenvector) and stops when the eigen-residual of L^2 drops below
-    ``tol``. A zero matrix returns the normalized-Laplacian upper bound 2.0.
+    `_POWER_TOL`. After `_POWER_SWEEPS` sweeps it returns the last estimate
+    even if the residual never got there, which can leave it short of the
+    true value: 1.99938724 instead of 2.0 on a 170-node ring. A zero matrix
+    returns the normalized-Laplacian upper bound 2.0.
     """
     lap = np.asarray(lap, dtype=np.float64)
     if not np.allclose(lap, lap.T, atol=1e-12):
@@ -106,10 +111,10 @@ def estimate_lambda_max(lap: np.ndarray, iters: int = 200, tol: float = 1e-9) ->
     v = rng.standard_normal(lap.shape[0])
     v /= np.linalg.norm(v)
     mu = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_SWEEPS):
         w = lap @ (lap @ v)  # one sweep of L^2
         mu = float(v @ w)    # Rayleigh quotient of L^2 (v is unit)
-        if np.linalg.norm(w - mu * v) <= tol * max(1.0, abs(mu)):
+        if np.linalg.norm(w - mu * v) <= _POWER_TOL * max(1.0, abs(mu)):
             break
         norm = np.linalg.norm(w)
         if norm == 0.0:

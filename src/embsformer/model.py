@@ -469,11 +469,15 @@ def fuse(params, config, y_recent, y_branches):
 
 
 def mse_loss(pred, target):
-    """Mean over every element of the squared error."""
-    t = target if isinstance(target, Tensor) else Tensor(target)
-    if pred.shape != t.shape:
-        raise T.ShapeError(f"mse_loss: prediction {pred.shape} vs target {t.shape}")
-    diff = T.sub(pred, t)
+    """Mean over every element of the squared error against a constant target array.
+
+    The difference is pred + (-target), which IEEE arithmetic defines to be
+    pred - target, bit for bit.
+    """
+    target = np.asarray(target)
+    if pred.shape != target.shape:
+        raise T.ShapeError(f"mse_loss: prediction {pred.shape} vs target {target.shape}")
+    diff = T.add(pred, Tensor(-target))
     return T.reduce(T.mul(diff, diff), axis=None, kind="mean")
 
 

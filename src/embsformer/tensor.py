@@ -43,7 +43,6 @@ __all__ = [
     "matmul",
     "attention",
     "add",
-    "sub",
     "mul",
     "relu",
     "scale",
@@ -85,10 +84,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self):
         if self.data.size != 1:
@@ -296,18 +291,6 @@ def add(a, b):
         return _sum_to(g, sa), _sum_to(g, sb)
 
     return _record("add", [a, b], out, fn)
-
-
-def sub(a, b):
-    a, b = _as_tensor_pair("sub", a, b)
-    _check_suffix_broadcast("sub", a.shape, b.shape)
-    out = _wrap(a.data - b.data)
-    sa, sb = a.shape, b.shape
-
-    def fn(g):
-        return _sum_to(g, sa), -_sum_to(g, sb)
-
-    return _record("sub", [a, b], out, fn)
 
 
 def mul(a, b):
@@ -557,8 +540,9 @@ def gather_rows(table, indices):
 
     def fn(g):
         flat = idx.astype(np.intp)[..., None] * width + np.arange(width)
-        return (np.bincount(flat.ravel(), weights=g.ravel(),
-                            minlength=tshape[0] * width).reshape(tshape),)
+        grad = np.bincount(flat.ravel(), weights=g.ravel(), minlength=tshape[0] * width)
+        grad.shape = tshape   # in place, not a view: `backward` owns the buffer
+        return (grad,)
 
     return _record("gather_rows", [table], out, fn)
 

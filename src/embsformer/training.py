@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 
+# Adam's moment decay rates and denominator floor, the values of Kingma & Ba (2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# windows per forward pass when forecasting or evaluating
+FORECAST_BATCH = 64
+
+
 class DivergenceError(RuntimeError):
     """Training produced NaN losses or gradients."""
 
@@ -54,9 +60,6 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 100
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
@@ -84,13 +87,13 @@ def adam_step(params: ModelParameters, state: AdamState, cfg: TrainConfig):
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        tens.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        tens.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
         if not np.all(np.isfinite(tens.data)):
             raise DivergenceError(f"parameter {name!r} became non-finite after update")
 
@@ -223,33 +226,33 @@ def compute_metrics(pred, actual, meta=None) -> MetricsReport:
     )
 
 
-def forecast(params, windows, config, basis, batch_size=64):
+def forecast(params, windows, config, basis):
     """Predictions and targets for a window list, each stacked to [S, n, N] (normalized scale).
 
-    Both come from one `make_batch` per batch, so no split-sized input
-    array is ever built.
+    Both come from one `make_batch` per `FORECAST_BATCH` windows, so no
+    split-sized input array is ever built.
     """
     preds, targets = [], []
     with T.no_grad():
-        for lo in range(0, len(windows), batch_size):
-            batch = make_batch(windows[lo:lo + batch_size])
+        for lo in range(0, len(windows), FORECAST_BATCH):
+            batch = make_batch(windows[lo:lo + FORECAST_BATCH])
             preds.append(forward(batch, params, config, basis).data)
             targets.append(batch.target)
     return np.concatenate(preds, axis=0), np.concatenate(targets, axis=0)
 
 
-def predict(params, windows, config, basis, batch_size=64):
+def predict(params, windows, config, basis):
     """Model predictions for a window list, stacked to [S, n, N] (normalized scale)."""
-    return forecast(params, windows, config, basis, batch_size)[0]
+    return forecast(params, windows, config, basis)[0]
 
 
 def evaluate(params, windows, normalizer: NormalizationStats, config, basis,
-             batch_size=64, meta=None) -> MetricsReport:
+             meta=None) -> MetricsReport:
     """Denormalize predictions and targets, then report MAE/RMSE/MAPE."""
     if not windows:
         raise ValueError("evaluate: empty sample list")
     start = time.perf_counter()
-    pred, actual = forecast(params, windows, config, basis, batch_size)
+    pred, actual = forecast(params, windows, config, basis)
     report = compute_metrics(
         normalizer.invert_feature(pred), normalizer.invert_feature(actual), meta=meta
     )
@@ -269,14 +272,12 @@ def persistence_baseline(batch):
     return np.repeat(batch.recent[:, -1:, :, 0], n, axis=1)
 
 
-def historical_average_baseline(batch, branches=None):
+def historical_average_baseline(batch):
     """Mean of the period branches' pseudo-futures (feature 0): [B, n, N]."""
-    k = batch.periods.shape[1]
-    if k == 0:
+    if batch.periods.shape[1] == 0:
         raise ValueError("batch has no period branches")
-    sel = list(range(k)) if branches is None else list(branches)
     n = batch.target.shape[1]
-    return batch.periods[..., 0][:, sel, -n:].mean(axis=1)
+    return batch.periods[:, :, -n:, :, 0].mean(axis=1)
 
 
 def _baseline_metrics(windows, fn, normalizer):
@@ -297,14 +298,15 @@ class AblationVariant:
     enable_recent: bool = True
 
 
-def standard_variants(full=(8, 12, 24, 168)):
+def standard_variants():
     """The five-way grid: full, single/dual period, and the two path ablations."""
+    full = (8, 12, 24, 168)
     return [
-        AblationVariant("full", tuple(full)),
+        AblationVariant("full", full),
         AblationVariant("period(24)", (24,)),
         AblationVariant("period(24,168)", (24, 168)),
         AblationVariant("w/o-period", ()),
-        AblationVariant("w/o-recent", tuple(full), enable_recent=False),
+        AblationVariant("w/o-recent", full, enable_recent=False),
     ]
 
 

@@ -563,6 +563,18 @@ class TestMseLoss:
         with pytest.raises(T.ShapeError):
             mse_loss(T.Tensor(np.zeros((1, 2, 3))), np.zeros((1, 3, 2)))
 
+    def test_value_and_gradient_bytes_match_numpy(self):
+        rng = np.random.default_rng(26)
+        a = rng.standard_normal((2, 3, 4)) * 10.0 ** rng.integers(-6, 6, (2, 3, 4))
+        b = rng.standard_normal((2, 3, 4))
+        pred = T.Tensor(a, requires_grad=True)
+        loss = mse_loss(pred, b)
+        T.backward(loss)
+        diff = a - b
+        assert loss.data.tobytes() == ((diff * diff).sum(axis=(0, 1, 2)) / diff.size).tobytes()
+        half = diff * (1.0 / diff.size)   # d mean(diff^2) / d pred = 2 diff / size
+        assert pred.grad.tobytes() == (half + half).tobytes()
+
 
 class TestForward:
     def test_ablation_flags(self):
@@ -630,8 +642,9 @@ class TestForward:
 
     def test_tape_of_a_training_step(self):
         # the benchmark's model: m = n = 12, two blocks, periods of 24 h and 168 h
-        # at 15-minute steps; 5 adds remain: 1 per clock and 2 in the fusion;
-        # 7 permutes: into and out of each spatial attention, one per readout
+        # at 15-minute steps; 6 adds remain: 1 per clock, 2 in the fusion and
+        # the loss's difference; 7 permutes: into and out of each spatial
+        # attention, one per readout
         config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
         params = init_params(config, seed=0)
         batch = random_batch(np.random.default_rng(29), config)
@@ -640,7 +653,7 @@ class TestForward:
         ops = [node.op for node in T.current_tape().nodes[start:]]
         T.backward(loss)
         assert len(ops) == 100
-        assert ops.count("add") == 5
+        assert ops.count("add") == 6
         assert ops.count("permute") == 7
 
     def test_no_period_embedding_on_the_tape(self):

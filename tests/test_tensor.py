@@ -1,5 +1,7 @@
 """Tensor op semantics, backward correctness, and gradient-check harness."""
 
+import ast
+import inspect
 import re
 import weakref
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from embsformer import checks
+from embsformer import checks, graph, model
 from embsformer import tensor as T
 from embsformer.model import _align
 
@@ -713,8 +715,38 @@ def test_gather_rows_bounds_checked():
         T.gather_rows(T.Tensor(np.zeros((3, 2))), np.array([3]))
 
 
+@pytest.mark.parametrize("table_shape,indices", [
+    ((6, 4), [[0, 5, 5], [2, 5, 0]]),
+    ((3, 2, 5), np.array(1)),
+], ids=["repeats", "0d-index"])
+def test_gather_rows_gradient_is_a_fresh_buffer(table_shape, indices):
+    # no base: `backward` owns it and sums a later gradient into it in place
+    table = T.Tensor(np.ones(table_shape), requires_grad=True)
+    out = T.gather_rows(table, np.asarray(indices))
+    node = T.current_tape().nodes[-1]
+    T.drop_tape()
+    (grad,) = node.fn(np.ones(out.shape))
+    assert grad.base is None and grad.shape == table_shape
+
+
+NOT_OPS = {"Tensor", "Tape", "ShapeError", "no_grad", "backward", "drop_tape",
+           "zero_grads", "gradient_check"}
+
+
 def test_every_op_has_a_registered_check():
-    not_ops = {"Tensor", "Tape", "ShapeError", "no_grad", "backward", "drop_tape",
-               "zero_grads", "gradient_check"}
-    missing = set(T.__all__) - not_ops - {name for name, _ in checks.registered_checks()}
+    missing = set(T.__all__) - NOT_OPS - {name for name, _ in checks.registered_checks()}
     assert not missing
+
+
+def test_every_op_is_called_by_the_model():
+    # an op only the checks or the tests call is dead code
+    called = set()
+    for module in (model, graph):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name):
+                    called.add(f.id)
+                elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "T":
+                    called.add(f.attr)
+    assert set(T.__all__) - NOT_OPS - called == set()

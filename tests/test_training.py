@@ -68,7 +68,7 @@ class TestAdam:
         p.grad = np.array([1.0])
         cfg = TrainConfig(learning_rate=0.001, epochs=1)
         adam_step(params, AdamState(params), cfg)
-        expected = -cfg.learning_rate / (1.0 + cfg.eps)
+        expected = -cfg.learning_rate / (1.0 + training.EPS)
         assert abs(p.data[0] - expected) < 1e-12
 
     def test_lr_zero_is_identity(self):
