@@ -1,8 +1,9 @@
 """Command-line pipeline: synth, train, evaluate, predict, gradcheck, ablation.
 
-Configuration is a flat ``key = value`` text file merged with command-line
-overrides (overrides win); the effective configuration is echoed into the
-run directory together with the seed, the dataset hashes, the numpy and
+Every config key is declared once, in `OPTIONS`, and each subcommand takes a
+flag for each key it reads (`COMMAND_KEYS`). A flat ``key = value`` text file
+is merged with those flags (flags win); the effective configuration is echoed
+into the run directory together with the seed, the dataset hashes, the numpy and
 BLAS builds and the BLAS thread-count variables, which is enough to
 reproduce a run bit-for-bit in single-threaded mode. Run directories are
 never reused, and every output file is written through `data.atomic_write`.
@@ -30,34 +31,56 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "readings": "",
-    "adjacency": "",
-    "holidays": "",
-    "m": "12",
-    "n": "12",
-    "d_e": "32",
-    "d_s": "32",
-    "d_t": "32",
-    "h_prime": "32",
-    "k_cheb": "3",
-    "n_blocks": "2",
-    "periods_hours": "24,168",
-    "enable_recent": "true",
-    "enable_period": "true",
-    "lr": "0.001",
-    "batch_size": "16",
-    "epochs": "100",
-    "seed": "0",
+# key: (default, kind). A value from any source, `--config` file or flag, is
+# text until `merged_config` parses it by its kind, a key of `_KINDS`.
+OPTIONS = {
+    "readings": ("", "str"),
+    "adjacency": ("", "str"),
+    "holidays": ("", "str"),
+    "m": ("12", "int"),
+    "n": ("12", "int"),
+    "d_e": ("32", "int"),
+    "d_s": ("32", "int"),
+    "d_t": ("32", "int"),
+    "h_prime": ("32", "int"),
+    "k_cheb": ("3", "int"),
+    "n_blocks": ("2", "int"),
+    "periods_hours": ("24,168", "ints"),
+    "enable_recent": ("true", "bool"),
+    "enable_period": ("true", "bool"),
+    "lr": ("0.001", "float"),
+    "batch_size": ("16", "int"),
+    "epochs": ("100", "int"),
+    "seed": ("0", "int"),
     # synth
-    "nodes": "15",
-    "days": "30",
-    "step_minutes": "15",
-    "daily_amp": "50",
-    "weekly_amp": "15",
-    "noise_std": "5",
-    "graph_model": "ring",
+    "nodes": ("15", "int"),
+    "days": ("30", "int"),
+    "step_minutes": ("15", "int"),
+    "daily_amp": ("50", "float"),
+    "weekly_amp": ("15", "float"),
+    "noise_std": ("5", "float"),
+    "graph_model": ("ring", "str"),
 }
+
+_DATASET = ("readings", "adjacency", "holidays")
+_WIDTHS = ("m", "n", "d_e", "d_s", "d_t", "h_prime", "k_cheb", "n_blocks")
+_TRAINING = ("lr", "batch_size", "epochs", "seed")
+
+# The keys each subcommand reads. It takes a flag for each of them and for
+# no other key, so a flag that would be ignored is an argparse error.
+COMMAND_KEYS = {
+    "synth": ("nodes", "days", "step_minutes", "daily_amp", "weekly_amp", "noise_std",
+              "graph_model", "seed"),
+    "train": _DATASET + _WIDTHS + ("periods_hours", "enable_recent", "enable_period")
+             + _TRAINING,
+    "evaluate": _DATASET + ("seed",),
+    "predict": _DATASET,
+    "ablation": _DATASET + _WIDTHS + _TRAINING,
+}
+
+
+def _flag(key):
+    return "--periods" if key == "periods_hours" else "--" + key.replace("_", "-")
 
 
 def parse_config_file(path):
@@ -74,25 +97,12 @@ def parse_config_file(path):
     return cfg
 
 
-def merged_config(args, extra_keys=()):
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(parse_config_file(args.config))
-    for key in list(DEFAULTS) + list(extra_keys):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = str(val)
-    if getattr(args, "horizon", None):
-        steps = {"short": 12, "long": 36}[args.horizon]
-        cfg["m"] = cfg["n"] = str(steps)
-    return cfg
-
-
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 # kind: (parser, what a bad value was expected to be)
 _KINDS = {
+    "str": (str, "a string"),
     "int": (int, "an integer"),
     "float": (float, "a number"),
     "bool": (lambda text: _BOOLEANS[text.lower()], "a boolean"),
@@ -101,17 +111,36 @@ _KINDS = {
 }
 
 
-def _value(cfg, key, kind):
-    """``cfg[key]`` parsed as ``kind``, a key of `_KINDS`.
+def merged_config(args):
+    """The subcommand's configuration: defaults, then the `--config` file, then
+    flags, then the `--horizon` preset.
 
-    A value that does not parse raises ConfigError naming ``key``.
+    Returns ``(text, cfg)``. ``text`` maps the subcommand's keys, and any other
+    key the file sets, to their text, as `config.txt` records them. ``cfg`` maps
+    the subcommand's keys to their values parsed by kind. A value that does not
+    parse raises ConfigError naming its key, whichever source it came from.
     """
-    parse, expected = _KINDS[kind]
-    text = cfg[key].strip()
-    try:
-        return parse(text)
-    except (KeyError, ValueError):
-        raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+    keys = COMMAND_KEYS[args.command]
+    text = {key: OPTIONS[key][0] for key in keys}
+    if args.config:
+        text.update(parse_config_file(args.config))
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    text.update(flags)
+    if getattr(args, "horizon", None):
+        clash = [_flag(key) for key in ("m", "n") if key in flags]
+        if clash:
+            raise ConfigError(f"--horizon sets m and n; it cannot be combined with "
+                              f"{' or '.join(clash)}")
+        text["m"] = text["n"] = str({"short": 12, "long": 36}[args.horizon])
+    cfg = {}
+    for key in keys:
+        parse, expected = _KINDS[OPTIONS[key][1]]
+        value = text[key].strip()
+        try:
+            cfg[key] = parse(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
+    return text, cfg
 
 
 def _file_sha256(path):
@@ -138,10 +167,10 @@ def make_run_dir(base, label):
     raise RuntimeError("could not allocate a run directory")
 
 
-def write_effective_config(cfg, path, extra=None):
-    lines = [f"{k} = {v}" for k, v in sorted(cfg.items())]
-    if extra:
-        lines += [f"{k} = {v}" for k, v in sorted(extra.items())]
+def write_effective_config(cfg, path, extra):
+    """``cfg`` then ``extra``, each sorted; a key in both is written once, from ``extra``."""
+    lines = [f"{k} = {v}" for k, v in sorted(cfg.items()) if k not in extra]
+    lines += [f"{k} = {v}" for k, v in sorted(extra.items())]
     with data.atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -200,17 +229,9 @@ def _windows(config, splits, normalized, calendar):
     }
 
 
-def _model_widths(cfg):
-    """The `ModelConfig` sizes the config sets: horizons, widths, Chebyshev order, depth."""
-    return {key: _value(cfg, key, "int")
-            for key in ("m", "n", "d_e", "d_s", "d_t", "h_prime", "k_cheb", "n_blocks")}
-
-
 def _train_config(cfg):
-    return training.TrainConfig(
-        learning_rate=_value(cfg, "lr", "float"), batch_size=_value(cfg, "batch_size", "int"),
-        epochs=_value(cfg, "epochs", "int"), seed=_value(cfg, "seed", "int"),
-    )
+    return training.TrainConfig(learning_rate=cfg["lr"], batch_size=cfg["batch_size"],
+                                epochs=cfg["epochs"], seed=cfg["seed"])
 
 
 # --------------------------------------------------------------------------
@@ -219,19 +240,11 @@ def _train_config(cfg):
 
 
 def cmd_synth(args):
-    cfg = merged_config(args)
+    _, cfg = merged_config(args)
+    # the synth keys are the generator's parameters, `nodes` aside
+    series, graph = data.synth_generate(n_nodes=cfg.pop("nodes"), **cfg)
     out = Path(args.out or "data")
     out.mkdir(parents=True, exist_ok=True)
-    series, graph = data.synth_generate(
-        n_nodes=_value(cfg, "nodes", "int"),
-        days=_value(cfg, "days", "int"),
-        step_minutes=_value(cfg, "step_minutes", "int"),
-        daily_amp=_value(cfg, "daily_amp", "float"),
-        weekly_amp=_value(cfg, "weekly_amp", "float"),
-        noise_std=_value(cfg, "noise_std", "float"),
-        graph_model=cfg["graph_model"],
-        seed=_value(cfg, "seed", "int"),
-    )
     data.save_readings(series, out / "readings.csv")
     data.save_adjacency(graph, out / "adjacency.csv")
     print(f"wrote {out / 'readings.csv'} and {out / 'adjacency.csv'}")
@@ -241,17 +254,14 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg = merged_config(args)
-    hours = _value(cfg, "periods_hours", "ints")
-    if not _value(cfg, "enable_period", "bool"):
-        hours = ()
-    enable_recent = _value(cfg, "enable_recent", "bool")
-    widths, tcfg = _model_widths(cfg), _train_config(cfg)
+    text, cfg = merged_config(args)
+    hours = cfg["periods_hours"] if cfg["enable_period"] else ()
+    tcfg = _train_config(cfg)
     series, graph, holidays = _load_dataset(cfg)
     config = model.ModelConfig(
         n_nodes=series.n_nodes, n_features=series.n_features,
         periods=tuple(training.hours_to_steps(h, series.step_minutes) for h in sorted(hours)),
-        enable_recent=enable_recent, **widths,
+        enable_recent=cfg["enable_recent"], **{key: cfg[key] for key in _WIDTHS},
     )
     splits, normalizer, normalized, calendar, basis = _prepare(
         series, graph, holidays, config.k_cheb)
@@ -267,7 +277,7 @@ def cmd_train(args):
         )
     # allocated only now, so a failed run leaves no directory behind
     run = make_run_dir(args.out or "runs", "train")
-    write_effective_config(cfg, run / "config.txt", extra={
+    write_effective_config(text, run / "config.txt", extra={
         **_run_manifest(cfg), "config_hash": config.config_hash(),
     })
     print(f"run directory: {run}")
@@ -296,14 +306,13 @@ def _load_for_checkpoint(args, cfg):
 
 
 def cmd_evaluate(args):
-    cfg = merged_config(args)
+    _, cfg = merged_config(args)
     params, config, _, normalizer, windows, basis = _load_for_checkpoint(args, cfg)
     samples = windows[args.split]
     with np.errstate(all="ignore"):
         report = training.evaluate(
             params, samples, normalizer, config, basis,
-            meta={"split": args.split, "seed": _value(cfg, "seed", "int"),
-                  "n_samples": len(samples)},
+            meta={"split": args.split, "seed": cfg["seed"], "n_samples": len(samples)},
         )
     doc = report.to_dict()
     print(f"split={args.split}  samples={len(samples)}  horizon={config.n}")
@@ -323,7 +332,7 @@ def cmd_evaluate(args):
 
 
 def cmd_predict(args):
-    cfg = merged_config(args)
+    _, cfg = merged_config(args)
     try:
         lo, hi = (int(x) for x in args.anchors.split(":"))
     except ValueError:
@@ -365,7 +374,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablation(args):
-    cfg = merged_config(args)
+    text, cfg = merged_config(args)
     series, graph, holidays = _load_dataset(cfg)
     step_minutes = series.step_minutes
     variants = training.standard_variants()
@@ -375,7 +384,7 @@ def cmd_ablation(args):
         raise ConfigError(
             f"dataset spans {span_hours:.0f}h, need >= {2 * max_hours}h for the ablation grid"
         )
-    model_kwargs = _model_widths(cfg)
+    model_kwargs = {key: cfg[key] for key in _WIDTHS}
     splits, normalizer, normalized, calendar, basis = _prepare(
         series, graph, holidays, model_kwargs["k_cheb"])
     with np.errstate(all="ignore"):
@@ -391,12 +400,12 @@ def cmd_ablation(args):
             f"{row['variant']:18s} {row['mae']:10.4f} {row['rmse']:10.4f} "
             f"{row['mape_pct']:8.2f} {row['persistence_mae']:10.4f} {row['param_count']:8d}"
         )
-    text = "\n".join(table_lines)
-    print(text)
+    table = "\n".join(table_lines)
+    print(table)
     run = make_run_dir(args.out or "runs", "ablation")
-    write_effective_config(cfg, run / "config.txt", extra=_run_manifest(cfg))
+    write_effective_config(text, run / "config.txt", extra=_run_manifest(cfg))
     with data.atomic_write(run / "ablation.txt") as fh:
-        fh.write(text + "\n")
+        fh.write(table + "\n")
     with data.atomic_write(run / "ablation.json") as fh:
         fh.write(json.dumps(ranked, indent=2) + "\n")
     print(f"run directory: {run}")
@@ -414,64 +423,34 @@ def build_parser():
         description="Traffic-flow forecasting with multi-period similarity attention",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, fn, about in (
+        ("synth", cmd_synth, "generate a synthetic dataset"),
+        ("train", cmd_train, "train a model"),
+        ("evaluate", cmd_evaluate, "evaluate a checkpoint"),
+        ("predict", cmd_predict, "export predictions as CSV"),
+        ("gradcheck", cmd_gradcheck, "run the gradient-check suite"),
+        ("ablation", cmd_ablation, "run the five-variant ablation grid"),
+    ):
+        p = commands[name] = sub.add_parser(name, help=about)
+        p.set_defaults(fn=fn)
+        if name in COMMAND_KEYS:
+            p.add_argument("--config", help="flat key = value config file")
+            p.add_argument("--out", help="output directory/file")
+        for key in COMMAND_KEYS.get(name, ()):
+            default, kind = OPTIONS[key]
+            p.add_argument(_flag(key), dest=key, metavar=kind.upper(),
+                           help=f"default: {default}" if default else "no default")
 
-    def common(p, horizon=False):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--out", help="output directory/file")
-        p.add_argument("--readings", help="readings CSV")
-        p.add_argument("--adjacency", help="adjacency CSV")
-        p.add_argument("--holidays", help="holiday list file")
-        if horizon:
-            p.add_argument("--horizon", choices=["short", "long"],
-                           help="preset: short sets m=n=12, long sets m=n=36")
-            p.add_argument("--m", type=int)
-            p.add_argument("--n", type=int)
-            p.add_argument("--periods", dest="periods_hours",
-                           help="comma-separated period lags in hours")
-            p.add_argument("--epochs", type=int)
-            p.add_argument("--batch-size", dest="batch_size", type=int)
-            p.add_argument("--lr", type=float)
-            for dim in ("d_e", "d_s", "d_t", "h_prime", "k_cheb", "n_blocks"):
-                p.add_argument(f"--{dim.replace('_', '-')}", dest=dim, type=int)
-            p.add_argument("--enable-recent", dest="enable_recent")
-            p.add_argument("--enable-period", dest="enable_period")
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p_synth)
-    p_synth.add_argument("--nodes", type=int)
-    p_synth.add_argument("--days", type=int)
-    p_synth.add_argument("--step-minutes", dest="step_minutes", type=int)
-    p_synth.add_argument("--daily-amp", dest="daily_amp", type=float)
-    p_synth.add_argument("--weekly-amp", dest="weekly_amp", type=float)
-    p_synth.add_argument("--noise-std", dest="noise_std", type=float)
-    p_synth.add_argument("--graph-model", dest="graph_model", choices=["ring", "random"])
-    p_synth.set_defaults(fn=cmd_synth)
-
-    p_train = sub.add_parser("train", help="train a model")
-    common(p_train, horizon=True)
-    p_train.set_defaults(fn=cmd_train)
-
-    p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint")
-    common(p_eval)
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p_eval.set_defaults(fn=cmd_evaluate)
-
-    p_pred = sub.add_parser("predict", help="export predictions as CSV")
-    common(p_pred)
-    p_pred.add_argument("--checkpoint", required=True)
-    p_pred.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p_pred.add_argument("--anchors", default="0:1", help="sample index range lo:hi")
-    p_pred.set_defaults(fn=cmd_predict)
-
-    p_grad = sub.add_parser("gradcheck", help="run the gradient-check suite")
-    p_grad.set_defaults(fn=cmd_gradcheck)
-
-    p_abl = sub.add_parser("ablation", help="run the five-variant ablation grid")
-    common(p_abl, horizon=True)
-    p_abl.set_defaults(fn=cmd_ablation)
-
+    for name in ("train", "ablation"):
+        commands[name].add_argument("--horizon", choices=["short", "long"],
+                                    help="preset: short sets m=n=12, long sets m=n=36")
+    for name in ("evaluate", "predict"):
+        commands[name].add_argument("--checkpoint", required=True)
+        commands[name].add_argument("--split", choices=["train", "val", "test"],
+                                    default="test")
+    commands["predict"].add_argument("--anchors", default="0:1",
+                                     help="sample index range lo:hi")
     return parser
 
 

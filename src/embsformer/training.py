@@ -37,7 +37,6 @@ __all__ = [
     "evaluate",
     "compute_metrics",
     "persistence_baseline",
-    "historical_average_baseline",
     "AblationVariant",
     "standard_variants",
     "ablation_grid",
@@ -270,14 +269,6 @@ def persistence_baseline(batch):
     """Repeat the last observed flow across the horizon: [B, n, N]."""
     n = batch.target.shape[1]
     return np.repeat(batch.recent[:, -1:, :, 0], n, axis=1)
-
-
-def historical_average_baseline(batch):
-    """Mean of the period branches' pseudo-futures (feature 0): [B, n, N]."""
-    if batch.periods.shape[1] == 0:
-        raise ValueError("batch has no period branches")
-    n = batch.target.shape[1]
-    return batch.periods[:, :, -n:, :, 0].mean(axis=1)
 
 
 def _baseline_metrics(windows, fn, normalizer):

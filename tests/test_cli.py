@@ -146,7 +146,10 @@ class TestTrain:
          "periods_hours: expected comma-separated integers, got '24,abc'"),
         (["--enable-recent", "maybe"], "", "enable_recent: expected a boolean, got 'maybe'"),
         ([], "epochs = abc\n", "epochs: expected an integer, got 'abc'"),
-    ], ids=["periods", "enable-recent", "config-file-epochs"])
+        (["--epochs", "abc"], "", "epochs: expected an integer, got 'abc'"),
+        (["--horizon", "short"], "",
+         "--horizon sets m and n; it cannot be combined with --m or --n"),
+    ], ids=["periods", "enable-recent", "config-file-epochs", "flag-epochs", "horizon-with-m-n"])
     def test_bad_config_value_names_its_key(self, dataset, tmp_path, capsys, extra, file_line,
                                             message):
         cfg_file = tmp_path / "run.cfg"
@@ -161,10 +164,61 @@ class TestTrain:
         assert err == f"error: {message}\n"
         assert not out.exists() or not list(out.glob("run-train-*"))
 
+    def test_horizon_overrides_config_file_m_n(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("m = 4\nn = 4\n")
+        args = cli.build_parser().parse_args(["train", "--config", str(cfg_file),
+                                              "--horizon", "long"])
+        text, cfg = cli.merged_config(args)
+        assert (cfg["m"], cfg["n"]) == (36, 36) and (text["m"], text["n"]) == ("36", "36")
+
+    def test_config_txt_reproduces_the_run(self, dataset, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(train_args(dataset, first, ["--m", 4, "--n", 4, "--periods", "24"])) == 0
+        run = next(first.glob("run-train-*"))
+        assert run_cli(["train", "--config", run / "config.txt", "--out", second]) == 0
+        rerun = next(second.glob("run-train-*"))
+        assert (rerun / "model.ckpt").read_bytes() == (run / "model.ckpt").read_bytes()
+        lines = (rerun / "config.txt").read_text().splitlines()
+        keys = [line.split(" = ")[0] for line in lines]
+        assert len(keys) == len(set(keys))
+        assert lines == (run / "config.txt").read_text().splitlines()
+        assert set(cli.COMMAND_KEYS["train"]) <= set(keys) and "nodes" not in keys
+
     def test_missing_dataset_fails_cleanly(self, tmp_path):
         rc = run_cli(["train", "--readings", tmp_path / "nope.csv",
                       "--adjacency", tmp_path / "nope2.csv", "--out", tmp_path])
         assert rc != 0
+
+
+class TestOptions:
+    def test_every_key_is_read_and_its_default_shown(self, capsys):
+        assert {key for keys in cli.COMMAND_KEYS.values() for key in keys} == set(cli.OPTIONS)
+        for command, keys in cli.COMMAND_KEYS.items():
+            with pytest.raises(SystemExit):
+                run_cli([command, "--help"])
+            help_text = " ".join(capsys.readouterr().out.split())
+            for key in keys:
+                default, kind = cli.OPTIONS[key]
+                shown = f"default: {default}" if default else "no default"
+                assert f"{cli._flag(key)} {kind.upper()} {shown}" in help_text
+
+    @pytest.mark.parametrize("command,flag", [
+        ("synth", "--readings"), ("synth", "--adjacency"), ("synth", "--holidays"),
+        ("predict", "--seed"),
+        ("ablation", "--periods"), ("ablation", "--enable-recent"),
+        ("ablation", "--enable-period"),
+    ])
+    def test_unread_flag_is_rejected(self, command, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = [command, flag, "1", "--out", out]
+        if command == "predict":
+            args += ["--checkpoint", tmp_path / "none"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluate:

@@ -22,7 +22,6 @@ from embsformer.training import (
     adam_step,
     compute_metrics,
     evaluate,
-    historical_average_baseline,
     persistence_baseline,
     train,
 )
@@ -293,7 +292,8 @@ class TestBaselines:
         series = data.RawSeries(values=vals, start=datetime(2023, 1, 2), step_minutes=60)
         batch = make_batch(data.make_windows(series, (0, 30), 3, 2, [6]))
         assert np.array_equal(persistence_baseline(batch), batch.target)
-        assert np.array_equal(historical_average_baseline(batch), batch.target)
+        # the period windows' pseudo-futures, averaged over branches
+        assert np.array_equal(batch.periods[:, :, -2:, :, 0].mean(axis=1), batch.target)
 
     def test_persistence_underestimates_by_slope(self):
         t = np.arange(40, dtype=float)
@@ -309,14 +309,9 @@ class TestBaselines:
                                         daily_amp=30.0, weekly_amp=0.0, noise_std=0.0,
                                         seed=2)
         batch = make_batch(data.make_windows(series, (0, series.n_steps), 4, 4, [24]))
-        assert np.allclose(historical_average_baseline(batch), batch.target, atol=1e-12)
-
-    def test_historical_average_requires_branches(self):
-        series, _ = data.synth_generate(n_nodes=2, days=2, step_minutes=60,
-                                        weekly_amp=0.0, seed=3)
-        samples = data.make_windows(series, (0, series.n_steps), 3, 2, [])
-        with pytest.raises(ValueError, match="branches"):
-            historical_average_baseline(make_batch(samples[:1]))
+        # each period window's last n steps line up with the target a day earlier
+        assert np.allclose(batch.periods[:, :, -4:, :, 0].mean(axis=1), batch.target,
+                           atol=1e-12)
 
 
 class TestAblationGrid:
