@@ -143,17 +143,6 @@ def check_relu():
     return _check(f, x)
 
 
-def check_scale():
-    rng = _rng(9)
-    x = T.Tensor(rng.standard_normal((3, 3)))
-    w = rng.standard_normal((3, 3))
-
-    def f(t):
-        return T.reduce(T.mul(T.scale(t, -2.5), T.Tensor(w)), kind="sum")
-
-    return _check(f, x)
-
-
 def check_reduce():
     rng = _rng(10)
     x = T.Tensor(rng.standard_normal((3, 4, 2)))
@@ -191,17 +180,6 @@ def check_reshape():
     return _check(f, x)
 
 
-def check_slice():
-    rng = _rng(14)
-    x = T.Tensor(rng.standard_normal((5, 3)))
-    w = rng.standard_normal((2, 3))
-
-    def f(t):
-        return T.reduce(T.mul(T.slice_axis(t, 0, 1, 3), T.Tensor(w)), kind="sum")
-
-    return _check(f, x)
-
-
 def check_gather():
     rng = _rng(16)
     table = T.Tensor(rng.standard_normal((6, 3)))
@@ -218,7 +196,7 @@ def check_fan_in():
     """One tensor feeding six consumers, so its gradient accumulates in place.
 
     The consumers hand back ``g`` itself (add), a view of it (reshape), a
-    read-only broadcast (reduce) and fresh buffers (slice, gather). The
+    read-only broadcast (reduce) and fresh buffers (permute, gather). The
     last one records ``matmul(a, b, h) + t``, so the first gradient to
     reach ``h`` is the array that add also hands the input ``t``: an
     accumulation that wrote into it would change ``t``'s gradient too.
@@ -229,12 +207,13 @@ def check_fan_in():
     b = T.Tensor(rng.standard_normal((2, 3)))
     idx = np.array([[0, 3], [3, 1]])
     weights = [T.Tensor(rng.standard_normal(s))
-               for s in ((4, 3), (3, 4), (3,), (2, 3), (2, 2, 3), (4, 3))]
+               for s in ((4, 3), (3, 4), (3,), (3, 4), (2, 2, 3), (4, 3))]
+    factor = T.Tensor(1.5)
 
     def f(t):
-        h = T.scale(t, 1.5)
+        h = T.mul(t, factor)
         outs = [T.add(h, h), T.reshape(h, (3, 4)), T.reduce(h, axis=0),
-                T.slice_axis(h, 0, 1, 3), T.gather_rows(h, idx), T.add(T.matmul(a, b, h), t)]
+                T.permute(h, (1, 0)), T.gather_rows(h, idx), T.add(T.matmul(a, b, h), t)]
         loss = None
         for out, w in zip(outs, weights):
             term = T.reduce(T.mul(out, w), kind="sum")
@@ -346,21 +325,22 @@ def check_temporal_attention():
 def check_similarity_attention():
     """Inputs, embed.proj, projections and, for m != n, the alignment kernels.
 
-    The branch window enters as its data block and clock, both checked, at
-    m == n and m > n with one feature and at m == n with three.
+    Each half of the branch window enters as its data block and clock, all
+    four checked, at m == n and m > n with one feature and at m == n with
+    three.
     """
     rng = _rng(20)
     worst = 0.0
     for m, n, n_features in ((3, 3, 1), (5, 2, 1), (3, 3, 3)):
         config, params, basis, batch = toy_setup(m=m, n=n, n_features=n_features)
         e_r = T.Tensor(rng.standard_normal((config.n_nodes, 1, m, config.d_e)))
-        x_p = T.Tensor(rng.standard_normal((config.n_nodes, 1, m + n, n_features)))
-        clock_p = T.Tensor(rng.standard_normal((1, m + n, config.d_e)))
+        halves = [(T.Tensor(rng.standard_normal((config.n_nodes, 1, steps, n_features))),
+                   T.Tensor(rng.standard_normal((1, steps, config.d_e)))) for steps in (m, n)]
         names = ["embed.proj"] + [name for name in _names(params, "branch.0.")
                                   if not name.startswith("branch.0.conv_")]  # the readout's
         worst = max(worst, _check_layer(
-            lambda: similarity_attention(params, 0, e_r, x_p, clock_p, config),
-            [e_r, x_p, clock_p], params, names, rng))
+            lambda: similarity_attention(params, 0, e_r, *halves, config),
+            [e_r, *halves[0], *halves[1]], params, names, rng))
     return worst
 
 
@@ -431,11 +411,9 @@ def registered_checks():
         ("add", check_add),
         ("mul", check_mul),
         ("relu", check_relu),
-        ("scale", check_scale),
         ("reduce", check_reduce),
         ("permute", check_permute),
         ("reshape", check_reshape),
-        ("slice_axis", check_slice),
         ("gather_rows", check_gather),
         ("fan-in", check_fan_in),
         ("cheb_graph_conv", check_cheb_conv),

@@ -118,12 +118,19 @@ def merged_config(args):
     Returns ``(text, cfg)``. ``text`` maps the subcommand's keys, and any other
     key the file sets, to their text, as `config.txt` records them. ``cfg`` maps
     the subcommand's keys to their values parsed by kind. A value that does not
-    parse raises ConfigError naming its key, whichever source it came from.
+    parse raises ConfigError naming its key, whichever source it came from. A
+    file key the subcommand does not read, other than `MANIFEST_KEYS`, gets a
+    warning on stderr.
     """
     keys = COMMAND_KEYS[args.command]
     text = {key: OPTIONS[key][0] for key in keys}
     if args.config:
-        text.update(parse_config_file(args.config))
+        from_file = parse_config_file(args.config)
+        for key in from_file:
+            if key not in keys + MANIFEST_KEYS:
+                print(f"warning: {args.config}: key {key!r} is not read by {args.command}; "
+                      f"ignored", file=sys.stderr)
+        text.update(from_file)
     flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     text.update(flags)
     if getattr(args, "horizon", None):
@@ -176,6 +183,9 @@ def write_effective_config(cfg, path, extra):
 
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# what `config.txt` records beyond the config, so a `--config` file may set them unread
+MANIFEST_KEYS = ("readings_sha256", "adjacency_sha256", "numpy_version", "blas_name",
+                 "blas_version", *THREAD_VARIABLES, "config_hash")
 
 
 def _run_manifest(cfg):
@@ -266,15 +276,15 @@ def cmd_train(args):
     splits, normalizer, normalized, calendar, basis = _prepare(
         series, graph, holidays, config.k_cheb)
     windows = _windows(config, splits, normalized, calendar)
+    init = model.init_params(config, tcfg.seed)
     print(f"samples: train={len(windows['train'])} val={len(windows['val'])} "
-          f"test={len(windows['test'])}  params={model.init_params(config, tcfg.seed).count()}")
+          f"test={len(windows['test'])}  params={init.count()}")
 
     # divergence is raised as DivergenceError, so numpy's overflow warnings
     # would only put noise ahead of the one error line
     with np.errstate(all="ignore"):
-        result = training.train(
-            config, basis, windows["train"], windows["val"], tcfg, normalizer, log=print
-        )
+        result = training.train(config, basis, windows["train"], windows["val"], tcfg,
+                                normalizer, init=init, log=print)
     # allocated only now, so a failed run leaves no directory behind
     run = make_run_dir(args.out or "runs", "train")
     write_effective_config(text, run / "config.txt", extra={

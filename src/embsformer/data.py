@@ -276,13 +276,17 @@ def save_adjacency(graph: TrafficGraph, path):
 
 
 def load_holidays(path):
-    """One YYYY-MM-DD per line -> set of dates."""
+    """One YYYY-MM-DD per line -> set of dates; a bad line raises ValueError naming it."""
     days = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for i, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 days.add(date.fromisoformat(line))
+            except ValueError:
+                raise ValueError(f"{path}: line {i}: expected YYYY-MM-DD, got {line!r}") from None
     return days
 
 

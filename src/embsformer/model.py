@@ -29,8 +29,9 @@ Only the recent window is embedded. The embedding is affine (data block
 times ``embed.proj`` plus the clock), and a branch uses its window only
 through the key and value projections, so each branch projects its
 window's data block and clock directly: k = x (P W_k) + (clock W_k + b_k),
-a rank-F product carrying a [B, m, h'] clock addend. No [N, B, m+n, d_e]
-period embedding is built, sliced or differentiated.
+a rank-F product carrying a [B, m, h'] clock addend. The pseudo-input and
+the pseudo-future each get their own data block and clock, so no
+[N, B, m+n, d_e] period embedding is built and nothing is sliced.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ def make_batch(windows) -> Batch:
 # --------------------------------------------------------------------------
 
 
-def _embed_parts(params, config, block, calendar):
+def _embed_parts(params, config, block, calendar, first_step=0):
     """The two terms of an embedding: (node-first data block, per-step clock).
 
     block: [B, steps, N, F] -> [N, B, steps, F], permuted, so a constant
@@ -297,6 +298,8 @@ def _embed_parts(params, config, block, calendar):
     array of `CALENDAR_COLUMNS`, one clock per time step shared across
     nodes: its three rows of ``embed.calendar`` are gathered at once and
     summed, and the positional table is added, giving [B, steps, d_e].
+    ``first_step`` is the window position of the block's first step, so a
+    block cut from a longer window takes that window's positional rows.
     """
     bad = (calendar < 0) | (calendar >= CALENDAR_VOCAB)
     if bad.any():
@@ -306,7 +309,7 @@ def _embed_parts(params, config, block, calendar):
         )
     table = params["embed.calendar"]
     rows = T.gather_rows(table, calendar + CALENDAR_OFFSETS)       # [B, steps, 3, d_e]
-    pos = Tensor(positional_table(block.shape[1], config.d_e))
+    pos = Tensor(positional_table(first_step + block.shape[1], config.d_e)[first_step:])
     clock = T.add(T.reduce(rows, axis=-2), pos)                    # [B, steps, d_e]
     x = block if isinstance(block, Tensor) else Tensor(block)
     return T.permute(x, (2, 0, 1, 3)), clock
@@ -410,32 +413,29 @@ def _project_embedding(params, x, clock, w, b):
     return T.matmul(x, T.matmul(params["embed.proj"], w), T.matmul(clock, w, b))
 
 
-def similarity_attention(params, branch, e_recent, x_period, clock_period, config, sink=None):
+def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, config,
+                         sink=None):
     """Soft lookup of a branch's pseudo-future keyed by its pseudo-input.
 
-    e_recent: [N, B, m, d_e]; the branch window is the pair `_embed_parts`
-    returns, x_period [N, B, m+n, F] and clock_period [B, m+n, d_e].
-    Queries come from the recent embedding, keys from the first m period
-    steps, values from the last n (the pseudo-future). Keys and values are
-    projected straight from the window's data and clock
-    (`_project_embedding`), so no period embedding is materialized and
-    only the small halves of the data and the clock are sliced. When
+    e_recent: [N, B, m, d_e]. The branch window comes as two (data, clock)
+    pairs of `_embed_parts`: its first m steps, the pseudo-input
+    ([N, B, m, F], [B, m, d_e]), and its last n, the pseudo-future
+    ([N, B, n, F], [B, n, d_e]). Queries come from the recent embedding,
+    keys from the pseudo-input, values from the pseudo-future. Keys and
+    values are projected straight from each half's data and clock
+    (`_project_embedding`), so no period embedding is materialized. When
     m != n a width-(m-n+1) correlation over time (`_align`) maps query/key
     length to n. Returns [N, B, n, h']; scores are [N, B, n, n].
     """
     m, n = config.m, config.n
-    if x_period.shape[2] != m + n:
-        raise ValueError(
-            f"branch window has {x_period.shape[2]} steps, expected m+n={m + n}"
-        )
+    for (x, _), steps, half in ((pseudo_input, m, "pseudo-input"),
+                                (pseudo_future, n, "pseudo-future")):
+        if x.shape[2] != steps:
+            raise ValueError(f"{half} has {x.shape[2]} steps, expected {steps}")
     pre = f"branch.{branch}"
-    q = T.matmul(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])       # [N, B, m, h']
-    k = _project_embedding(params, T.slice_axis(x_period, 2, 0, m),
-                           T.slice_axis(clock_period, 1, 0, m),
-                           params[f"{pre}.wk"], params[f"{pre}.bk"])        # [N, B, m, h']
-    v = _project_embedding(params, T.slice_axis(x_period, 2, m, m + n),
-                           T.slice_axis(clock_period, 1, m, m + n),
-                           params[f"{pre}.wv"], params[f"{pre}.bv"])        # [N, B, n, h']
+    q = T.matmul(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])            # [N, B, m, h']
+    k = _project_embedding(params, *pseudo_input, params[f"{pre}.wk"], params[f"{pre}.bk"])
+    v = _project_embedding(params, *pseudo_future, params[f"{pre}.wv"], params[f"{pre}.bv"])
     if m != n:
         q = _align(q, params[f"{pre}.align_q"])  # [N, B, n, h']
         k = _align(k, params[f"{pre}.align_k"])
@@ -463,7 +463,7 @@ def fuse(params, config, y_recent, y_branches):
         out = T.mul(params["head.w_r"], y_recent)
     count = len(y_branches)
     for i, y_p in enumerate(y_branches):
-        term = T.mul(params[f"head.w_p.{i}"], T.scale(y_p, 1.0 / count))
+        term = T.mul(params[f"head.w_p.{i}"], T.mul(y_p, Tensor(1.0 / count)))
         out = term if out is None else T.add(out, term)
     return out
 
@@ -496,11 +496,13 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
             h = transition_block(params, f"transition.{b}", h, basis, config, sink)
         y_recent = transition_readout(params, h, config)
 
+    m = config.m
     y_branches = []
     for i in range(config.n_branches):
-        x_p, clock_p = _embed_parts(params, config, batch.periods[:, i],
-                                    batch.period_calendar[:, i])
-        asr = similarity_attention(params, i, e_recent, x_p, clock_p, config, sink)
+        block, calendar = batch.periods[:, i], batch.period_calendar[:, i]
+        past = _embed_parts(params, config, block[:, :m], calendar[:, :m])
+        future = _embed_parts(params, config, block[:, m:], calendar[:, m:], first_step=m)
+        asr = similarity_attention(params, i, e_recent, past, future, config, sink)
         y_branches.append(generation_branch(params, i, asr, config))
     return fuse(params, config, y_recent, y_branches)
 

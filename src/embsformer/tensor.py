@@ -4,7 +4,7 @@ Storage is row-major float64 numpy. The public ``Tensor`` constructor
 copies the caller's array, because Adam updates parameter data in place;
 op outputs are not copied: an op wraps the array it just computed (a
 view, for ``reshape``), and copies only a strided result such as a
-``slice_axis`` view to keep storage row-major. Differentiable ops
+``permute`` view to keep storage row-major. Differentiable ops
 record nodes on a thread-local tape; ``backward`` detaches that tape and
 replays it once in reverse, accumulating gradients into ``.grad`` of every
 ``requires_grad`` ancestor. The sweep pops each node as it passes it, so
@@ -45,11 +45,9 @@ __all__ = [
     "add",
     "mul",
     "relu",
-    "scale",
     "reduce",
     "permute",
     "reshape",
-    "slice_axis",
     "gather_rows",
     "backward",
     "drop_tape",
@@ -318,16 +316,6 @@ def relu(x):
     return _record("relu", [x], out, fn)
 
 
-def scale(x, c):
-    c = float(c)
-    out = _wrap(x.data * c)
-
-    def fn(g):
-        return (g * c,)
-
-    return _record("scale", [x], out, fn)
-
-
 # --------------------------------------------------------------------------
 # matmul / attention
 # --------------------------------------------------------------------------
@@ -494,24 +482,6 @@ def reshape(x, shape):
         return (g.reshape(in_shape),)
 
     return _record("reshape", [x], out, fn)
-
-
-def slice_axis(x, axis, start, stop):
-    """Contiguous slice [start, stop) along one axis."""
-    axis = axis % x.ndim
-    n = x.shape[axis]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"slice_axis: [{start},{stop}) invalid for axis {axis} of {x.shape}")
-    idx = tuple(slice(None) if ax != axis else slice(start, stop) for ax in range(x.ndim))
-    out = _wrap(x.data[idx])
-    in_shape = x.shape
-
-    def fn(g):
-        buf = np.zeros(in_shape, dtype=g.dtype)
-        buf[idx] = g
-        return (buf,)
-
-    return _record("slice_axis", [x], out, fn)
 
 
 # --------------------------------------------------------------------------

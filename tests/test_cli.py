@@ -1,7 +1,11 @@
 """End-to-end command-line pipeline tests (in-process main() calls)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,22 @@ class TestTrain:
         config_txt = (next(out.glob("run-train-*")) / "config.txt").read_text()
         assert "seed = 9" in config_txt  # command line beats the file
 
+    def test_unread_config_key_is_warned(self, dataset, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("epoch = 5\nm = 4\nn = 4\nperiods_hours = 24\n")
+        assert run_cli(train_args(dataset, tmp_path / "runs", ["--config", cfg_file])) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {cfg_file}: key 'epoch' is not read by train; ignored\n")
+
+    def test_bad_holidays_file_fails_cleanly(self, dataset, tmp_path, capsys):
+        holidays = tmp_path / "holidays.txt"
+        holidays.write_text("2023-04-04\nnot-a-date\n")
+        out = tmp_path / "runs"
+        assert run_cli(train_args(dataset, out, ["--holidays", holidays])) == 2
+        assert capsys.readouterr().err == (
+            f"error: {holidays}: line 2: expected YYYY-MM-DD, got 'not-a-date'\n")
+        assert not out.exists() or not list(out.glob("run-train-*"))
+
     def test_run_dirs_never_reused(self, dataset, tmp_path):
         out = tmp_path / "runs"
         assert run_cli(train_args(dataset, out, ["--m", 4, "--n", 4, "--periods", "24"])) == 0
@@ -172,11 +192,13 @@ class TestTrain:
         text, cfg = cli.merged_config(args)
         assert (cfg["m"], cfg["n"]) == (36, 36) and (text["m"], text["n"]) == ("36", "36")
 
-    def test_config_txt_reproduces_the_run(self, dataset, tmp_path):
+    def test_config_txt_reproduces_the_run(self, dataset, tmp_path, capsys):
         first, second = tmp_path / "first", tmp_path / "second"
         assert run_cli(train_args(dataset, first, ["--m", 4, "--n", 4, "--periods", "24"])) == 0
         run = next(first.glob("run-train-*"))
+        capsys.readouterr()
         assert run_cli(["train", "--config", run / "config.txt", "--out", second]) == 0
+        assert capsys.readouterr().err == ""   # the manifest keys it records are no typos
         rerun = next(second.glob("run-train-*"))
         assert (rerun / "model.ckpt").read_bytes() == (run / "model.ckpt").read_bytes()
         lines = (rerun / "config.txt").read_text().splitlines()
@@ -335,6 +357,16 @@ class TestPredict:
         assert rc == 2
         assert capsys.readouterr().err == "error: anchors: expected lo:hi, got '0:x'\n"
         assert not out.exists()
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m embsformer` runs the same CLI as the console script
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "embsformer", "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: embsformer ")
 
 
 class TestGradcheckCommand:

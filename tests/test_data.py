@@ -408,6 +408,13 @@ class TestCalendar:
         path.write_text("2023-04-04\n2023-12-25\n")
         assert load_holidays(path) == {date(2023, 4, 4), date(2023, 12, 25)}
 
+    def test_bad_holiday_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "holidays.txt"
+        path.write_text("2023-04-04\n\n not-a-date \n")
+        with pytest.raises(ValueError) as exc:
+            load_holidays(path)
+        assert str(exc.value) == f"{path}: line 3: expected YYYY-MM-DD, got 'not-a-date'"
+
 
 class TestWindows:
     def test_calendar_alignment_example(self):

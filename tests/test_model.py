@@ -182,6 +182,26 @@ class TestEmbed:
         assert ops.count("gather_rows") == 1
         assert ops.count("add") == 1   # the positional table; the clock rides on the projection
 
+    @pytest.mark.parametrize("m,n", [(3, 3), (5, 2)])
+    def test_halves_are_rows_of_the_whole_window(self, m, n):
+        # the pseudo-future, embedded from step m on, keeps its positional
+        # rows m..m+n-1: its clock and data are the whole window's, bit for bit
+        config = ModelConfig(m=m, n=n, n_nodes=3, n_features=2, d_e=6, periods=(m + n,))
+        params = init_params(config, seed=6)
+        rng = np.random.default_rng(60 + m)
+        block = rng.standard_normal((2, m + n, 3, 2))
+        calendar = random_calendar(rng, (2, m + n))
+        rows = params["embed.calendar"].data[calendar + CALENDAR_OFFSETS]
+        whole = rows.sum(axis=-2) + positional_table(m + n, config.d_e)   # positions 0..m+n-1
+        with T.no_grad():
+            x, clock = _embed_parts(params, config, block, calendar)
+            assert clock.data.tobytes() == whole.tobytes()
+            for first, last in ((0, m), (m, m + n)):
+                x_h, clock_h = _embed_parts(params, config, block[:, first:last],
+                                            calendar[:, first:last], first_step=first)
+                assert x_h.data.tobytes() == x.data[:, :, first:last].tobytes()
+                assert clock_h.data.tobytes() == clock.data[:, first:last].tobytes()
+
     @pytest.mark.parametrize("n_nodes,n_features,steps", [(1, 1, 4), (1, 2, 4), (15, 1, 12), (6, 3, 1)])
     @pytest.mark.parametrize("tensor_block", [False, True])
     def test_matches_tiled_reference(self, n_nodes, n_features, steps, tensor_block):
@@ -367,10 +387,16 @@ class TestTransitionReadout:
         assert transition_readout(params, h, config).shape == (2, n, 5)
 
 
-def period_pair(rng, n_nodes, batch, steps, n_features, d_e):
-    """An arbitrary branch window as `similarity_attention` takes it: (data, clock)."""
-    return (T.Tensor(rng.standard_normal((n_nodes, batch, steps, n_features))),
-            T.Tensor(rng.standard_normal((batch, steps, d_e))))
+def split_window(x, clock, m):
+    """A window's data [N, B, m+n, F] and clock [B, m+n, d_e] as its two (data, clock) halves."""
+    return ((T.Tensor(x[:, :, :m]), T.Tensor(clock[:, :m])),
+            (T.Tensor(x[:, :, m:]), T.Tensor(clock[:, m:])))
+
+
+def period_halves(rng, n_nodes, batch, m, n, n_features, d_e):
+    """An arbitrary branch window as `similarity_attention` takes it: two (data, clock) pairs."""
+    return split_window(rng.standard_normal((n_nodes, batch, m + n, n_features)),
+                        rng.standard_normal((batch, m + n, d_e)), m)
 
 
 def factored_projection(params, x, clock, w, b):
@@ -401,7 +427,7 @@ class TestSimilarityAttention:
         rng = np.random.default_rng(15)
         x_p = np.concatenate([np.zeros((2, 1, 3, 1)), rng.standard_normal((2, 1, 3, 1))], axis=2)
         clock_p = np.concatenate([codes, rng.standard_normal((3, 4))])[None]
-        out = similarity_attention(params, 0, e_r, T.Tensor(x_p), T.Tensor(clock_p), config)
+        out = similarity_attention(params, 0, e_r, *split_window(x_p, clock_p, 3), config)
         v = factored_projection(params, x_p[:, :, 3:], clock_p[:, 3:],
                                 params[f"{pre}.wv"].data, params[f"{pre}.bv"].data)
         assert np.allclose(out.data, v, atol=1e-9)
@@ -411,9 +437,9 @@ class TestSimilarityAttention:
         params = init_params(config, seed=2)
         rng = np.random.default_rng(16)
         e_r = T.Tensor(node_first(rng.standard_normal((1, 1, 2, 4))))
-        x_p, clock_p = period_pair(rng, 2, 1, 2, 1, 4)
-        out = similarity_attention(params, 0, e_r, x_p, clock_p, config)
-        v = factored_projection(params, x_p.data[:, :, 1:], clock_p.data[:, 1:],
+        past, (x_f, clock_f) = period_halves(rng, 2, 1, 1, 1, 1, 4)
+        out = similarity_attention(params, 0, e_r, past, (x_f, clock_f), config)
+        v = factored_projection(params, x_f.data, clock_f.data,
                                 params["branch.0.wv"].data, params["branch.0.bv"].data)
         assert np.allclose(out.data, v, atol=1e-15)
 
@@ -424,7 +450,7 @@ class TestSimilarityAttention:
         sink = []
         out = similarity_attention(
             params, 0, T.Tensor(node_first(rng.standard_normal((2, 3, 2, 4)))),
-            *period_pair(rng, 2, 2, 6, 1, 4), config, sink=sink,
+            *period_halves(rng, 2, 2, 3, 3, 1, 4), config, sink=sink,
         )
         assert out.shape == (2, 2, 3, 4)
         label, scores = sink[0]
@@ -432,12 +458,18 @@ class TestSimilarityAttention:
         assert np.max(np.abs(scores.sum(axis=-1) - 1.0)) < 1e-9
 
     def test_window_length_mismatch(self):
+        # a half with the wrong step count is named
         config = self._config()
         params = init_params(config, seed=4)
-        with pytest.raises(ValueError, match="m\\+n"):
-            similarity_attention(params, 0, T.Tensor(np.zeros((2, 1, 3, 4))),
-                                 T.Tensor(np.zeros((2, 1, 5, 1))), T.Tensor(np.zeros((1, 5, 4))),
-                                 config)
+        e_r = T.Tensor(np.zeros((2, 1, 3, 4)))
+
+        def half(steps):
+            return T.Tensor(np.zeros((2, 1, steps, 1))), T.Tensor(np.zeros((1, steps, 4)))
+
+        for past, future, message in ((half(2), half(3), "pseudo-input has 2 steps, expected 3"),
+                                      (half(3), half(4), "pseudo-future has 4 steps, expected 3")):
+            with pytest.raises(ValueError, match=message):
+                similarity_attention(params, 0, e_r, past, future, config)
 
     def test_alignment_when_m_exceeds_n(self):
         config = self._config(m=5, n=2, periods=(7,))
@@ -445,15 +477,16 @@ class TestSimilarityAttention:
         rng = np.random.default_rng(18)
         out = similarity_attention(
             params, 0, T.Tensor(node_first(rng.standard_normal((1, 5, 2, 4)))),
-            *period_pair(rng, 2, 1, 7, 1, 4), config,
+            *period_halves(rng, 2, 1, 5, 2, 1, 4), config,
         )
         assert out.shape == (2, 1, 2, 4)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (5, 2)])
     @pytest.mark.parametrize("n_features", [1, 3])
     def test_projects_the_pair_as_the_dense_embedding(self, m, n, n_features):
-        # k and v from the window's data and clock equal the embedding of the
-        # whole window, sliced, then projected; so does the layer's output
+        # k from the pseudo-input's data and clock, and v from the
+        # pseudo-future's, equal the embedding of the whole window, sliced,
+        # then projected; so does the layer's output
         config = self._config(m=m, n=n, n_nodes=4, n_features=n_features, d_e=6, h_prime=5,
                               periods=(m + n,))
         params = init_params(config, seed=8)
@@ -462,15 +495,15 @@ class TestSimilarityAttention:
         calendar = random_calendar(rng, (3, m + n))
         e_r = T.Tensor(node_first(rng.standard_normal((3, m, 4, config.d_e))))
         with T.no_grad():
-            x_p, clock_p = _embed_parts(params, config, block, calendar)
+            halves = (_embed_parts(params, config, block[:, :m], calendar[:, :m]),
+                      _embed_parts(params, config, block[:, m:], calendar[:, m:], first_step=m))
             e_p = embed(params, config, block, calendar).data
             dense = {}
-            for name, lo, hi in (("k", 0, m), ("v", m, m + n)):
+            for name, (x, clock), steps in (("k", halves[0], slice(0, m)),
+                                            ("v", halves[1], slice(m, m + n))):
                 w, b = params[f"branch.0.w{name}"], params[f"branch.0.b{name}"]
-                dense[name] = e_p[:, :, lo:hi] @ w.data + b.data
-                factored = _project_embedding(
-                    params, T.slice_axis(x_p, 2, lo, hi), T.slice_axis(clock_p, 1, lo, hi), w, b,
-                ).data
+                dense[name] = e_p[:, :, steps] @ w.data + b.data
+                factored = _project_embedding(params, x, clock, w, b).data
                 assert np.max(np.abs(factored - dense[name])) <= 1e-12 * np.max(np.abs(dense[name]))
             q = T.matmul(e_r, params["branch.0.wq"], params["branch.0.bq"])
             k = T.Tensor(dense["k"])
@@ -478,7 +511,7 @@ class TestSimilarityAttention:
                 q = _align(q, params["branch.0.align_q"])
                 k = _align(k, params["branch.0.align_k"])
             ref = T.attention(q, k, T.Tensor(dense["v"]), 1.0 / np.sqrt(config.h_prime))[0].data
-            out = similarity_attention(params, 0, e_r, x_p, clock_p, config).data
+            out = similarity_attention(params, 0, e_r, *halves, config).data
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -642,9 +675,9 @@ class TestForward:
 
     def test_tape_of_a_training_step(self):
         # the benchmark's model: m = n = 12, two blocks, periods of 24 h and 168 h
-        # at 15-minute steps; 6 adds remain: 1 per clock, 2 in the fusion and
-        # the loss's difference; 7 permutes: into and out of each spatial
-        # attention, one per readout
+        # at 15-minute steps; 8 adds remain: 1 per clock (the recent window's
+        # and each branch half's), 2 in the fusion and the loss's difference;
+        # 7 permutes: into and out of each spatial attention, one per readout
         config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
         params = init_params(config, seed=0)
         batch = random_batch(np.random.default_rng(29), config)
@@ -652,8 +685,8 @@ class TestForward:
         loss = mse_loss(forward(batch, params, config, basis_for(config)), batch.target)
         ops = [node.op for node in T.current_tape().nodes[start:]]
         T.backward(loss)
-        assert len(ops) == 100
-        assert ops.count("add") == 6
+        assert len(ops) == 102
+        assert ops.count("add") == 8
         assert ops.count("permute") == 7
 
     def test_no_period_embedding_on_the_tape(self):

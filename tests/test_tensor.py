@@ -277,11 +277,6 @@ class TestElementwise:
         with pytest.raises(T.ShapeError):
             T.reshape(T.Tensor(np.zeros((2, 3))), (4, 2))
 
-    def test_slice_axis(self):
-        x = T.Tensor(np.arange(10.0).reshape(5, 2))
-        out = T.slice_axis(x, 0, 1, 3)
-        assert np.array_equal(out.data, [[2.0, 3.0], [4.0, 5.0]])
-
 
 class TestStorage:
     def test_constructor_copies_caller_array(self):
@@ -298,7 +293,6 @@ class TestStorage:
     def test_strided_results_stored_row_major(self):
         x = T.Tensor(np.arange(24.0).reshape(2, 3, 4))
         assert T.permute(x, (2, 0, 1)).data.flags.c_contiguous
-        assert T.slice_axis(x, 1, 1, 3).data.flags.c_contiguous
 
     @pytest.mark.parametrize("op", [
         T.matmul, T.mul,
@@ -409,7 +403,7 @@ class TestBackward:
 
     def test_gradient_function_that_raises_leaves_no_tape(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
-        y = T.scale(x, 2.0)
+        y = T.mul(x, T.Tensor(2.0))
 
         def broken(g):
             raise FloatingPointError("broken gradient")
@@ -423,7 +417,7 @@ class TestBackward:
         # the output of the op that feeds the loss is needed by no earlier
         # node, so it is gone before the first node's gradient runs
         x = T.Tensor(rng_for(40).standard_normal((4, 4)), requires_grad=True)
-        h = T.scale(x, 2.0)
+        h = T.mul(x, T.Tensor(2.0))
         first = T.current_tape().nodes[-1]
         y = T.mul(h, h)
         loss = T.reduce(y, kind="sum")
@@ -483,9 +477,9 @@ def test_fan_in_check_catches_a_sweep_that_writes_shared_gradients(monkeypatch):
 
 # how one shared tensor `base` [p, q] reaches a consumer: the gradient each hands
 # back is g itself, a view of g, a read-only broadcast or a fresh array
-FAN_IN_BASES = ["leaf", "scale", "mul", "add-reshape"]
+FAN_IN_BASES = ["leaf", "mul-const", "mul", "add-reshape"]
 FAN_IN_CONSUMERS = ["add-self", "add-leaf", "reshape", "addend", "addend-shared", "reduce",
-                    "slice", "gather", "attention", "scale"]
+                    "permute", "gather", "attention", "mul-const"]
 
 
 def fan_in_graph(base_kind, consumers, arrays):
@@ -493,7 +487,7 @@ def fan_in_graph(base_kind, consumers, arrays):
     x, y, a = (T.Tensor(arrays[n], requires_grad=True) for n in ("x", "y", "a"))
     p, q = x.shape
     base = {"leaf": lambda: x,
-            "scale": lambda: T.scale(x, 1.5),
+            "mul-const": lambda: T.mul(x, T.Tensor(1.5)),
             "mul": lambda: T.mul(x, y),
             "add-reshape": lambda: T.reshape(T.reshape(T.add(x, y), (q, p)), (p, q))}[base_kind]()
     tensors, scores, loss = [x, y, a, base], [], None
@@ -510,15 +504,15 @@ def fan_in_graph(base_kind, consumers, arrays):
             out = T.add(T.matmul(T.Tensor(arrays["a"]), T.Tensor(arrays["b"]), base), y)
         elif kind == "reduce":
             out = T.reduce(base, axis=0)
-        elif kind == "slice":
-            out = T.slice_axis(base, 0, 0, p - 1)
+        elif kind == "permute":
+            out = T.permute(base, (1, 0))
         elif kind == "gather":
             out = T.gather_rows(base, arrays["rows"])
         elif kind == "attention":
             out, s = T.attention(base, base, base, 0.5)
             scores.append((s, s.copy()))
         else:
-            out = T.scale(base, -2.0)
+            out = T.mul(base, T.Tensor(-2.0))
         tensors.append(out)
         if weighted:
             tensors.append(T.Tensor(rng_for(i).standard_normal(out.shape)))
@@ -569,7 +563,7 @@ class TestFanInAccumulation:
         # second arrival must then leave y's gradient as it is
         x = T.Tensor(np.ones(3), requires_grad=True)
         y = T.Tensor(np.ones(3), requires_grad=True)
-        x2 = T.scale(x, 2.0)
+        x2 = T.mul(x, T.Tensor(2.0))
         s = T.add(x, y)
 
         def twice(g):
@@ -630,7 +624,7 @@ class TestGradientCheck:
 
         def f(t):
             state["count"] += 1
-            return T.reduce(T.scale(t, float(state["count"])), kind="sum")
+            return T.reduce(T.mul(t, T.Tensor(float(state["count"]))), kind="sum")
 
         with pytest.raises(ValueError, match="non-deterministic"):
             T.gradient_check(f, T.Tensor([1.0]))
@@ -640,7 +634,7 @@ class TestGradientCheck:
         calls = []
 
         def f(t):
-            y = T.reduce(T.scale(t, 2.0), kind="sum")
+            y = T.reduce(T.mul(t, T.Tensor(2.0)), kind="sum")
             calls.append(1)
             if len(calls) == 3:   # the differentiated pass, after it recorded its ops
                 raise RuntimeError("pass failed")
