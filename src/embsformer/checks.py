@@ -323,11 +323,12 @@ def check_temporal_attention():
 
 
 def check_similarity_attention():
-    """Inputs, embed.proj, projections and, for m != n, the alignment kernels.
+    """Inputs, embed.proj and every branch weight: projections, readout and alignment.
 
     Each half of the branch window enters as its data block and clock, all
     four checked, at m == n and m > n with one feature and at m == n with
-    three.
+    three. The readout (conv_t, conv_c) is folded into the values, and the
+    alignment kernels exist only for m != n.
     """
     rng = _rng(20)
     worst = 0.0
@@ -336,11 +337,10 @@ def check_similarity_attention():
         e_r = T.Tensor(rng.standard_normal((config.n_nodes, 1, m, config.d_e)))
         halves = [(T.Tensor(rng.standard_normal((config.n_nodes, 1, steps, n_features))),
                    T.Tensor(rng.standard_normal((1, steps, config.d_e)))) for steps in (m, n)]
-        names = ["embed.proj"] + [name for name in _names(params, "branch.0.")
-                                  if not name.startswith("branch.0.conv_")]  # the readout's
         worst = max(worst, _check_layer(
             lambda: similarity_attention(params, 0, e_r, *halves, config),
-            [e_r, *halves[0], *halves[1]], params, names, rng))
+            [e_r, *halves[0], *halves[1]], params,
+            ["embed.proj"] + _names(params, "branch.0."), rng))
     return worst
 
 

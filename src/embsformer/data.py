@@ -18,6 +18,7 @@ step as a node-major row under the meta header (see README).
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -275,6 +276,11 @@ def save_adjacency(graph: TrafficGraph, path):
                     fh.write(f"{u},{v},{repr(float(a[u, v]))}\n")
 
 
+# `date.fromisoformat` also takes the basic (20230404) and week-date
+# (2023-W14-2) forms, so the line's shape is checked first
+HOLIDAY_LINE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def load_holidays(path):
     """One YYYY-MM-DD per line -> set of dates; a bad line raises ValueError naming it."""
     days = set()
@@ -284,6 +290,8 @@ def load_holidays(path):
             if not line:
                 continue
             try:
+                if not HOLIDAY_LINE.fullmatch(line):
+                    raise ValueError(line)
                 days.add(date.fromisoformat(line))
             except ValueError:
                 raise ValueError(f"{path}: line {i}: expected YYYY-MM-DD, got {line!r}") from None

@@ -31,11 +31,16 @@ through the key and value projections, so each branch projects its
 window's data block and clock directly: k = x (P W_k) + (clock W_k + b_k),
 a rank-F product carrying a [B, m, h'] clock addend. The pseudo-input and
 the pseudo-future each get their own data block and clock, so no
-[N, B, m+n, d_e] period embedding is built and nothing is sliced.
+[N, B, m+n, d_e] period embedding is built and nothing is sliced. The
+branch readout (channel map conv_t, then feature map conv_c) is linear
+and follows the attention directly, so its product c = conv_t conv_c
+[h', 1] is folded into the values: v = x ((P W_v) c) + (clock W_v + b_v) c
+is one column, [N, B, n, 1], and only queries and keys are h' wide.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -236,14 +241,20 @@ def init_params(config: ModelConfig, seed=0) -> ModelParameters:
     return p
 
 
+@functools.lru_cache(maxsize=16)
 def positional_table(length, d_e):
-    """Standard sine/cosine positional encoding, non-trainable."""
+    """Standard sine/cosine positional encoding, non-trainable.
+
+    Built once per (length, d_e) and shared by every caller, so it is
+    read-only; a forward asks for it once per embedded block.
+    """
     pos = np.arange(length)[:, None]
     dim = np.arange(d_e)[None, :]
     angle = pos / np.power(10000.0, (2 * (dim // 2)) / d_e)
     table = np.zeros((length, d_e))
     table[:, 0::2] = np.sin(angle[:, 0::2])
     table[:, 1::2] = np.cos(angle[:, 1::2])
+    table.flags.writeable = False
     return table
 
 
@@ -403,19 +414,24 @@ def _align(x, kernel):
     return T.matmul(windows, T.reshape(kernel, (w * c, c_out)))
 
 
-def _project_embedding(params, x, clock, w, b):
+def _project_embedding(params, x, clock, w, b, out=None):
     """(x @ embed.proj + clock) @ w + b, regrouped so the embedding is never built.
 
     x: [N, B, L, F], clock: [B, L, d_e] -> [N, B, L, h']. The data term is
     a rank-F product against embed.proj @ w, and the clock term
     clock @ w + b rides on it as the GEMM's addend, broadcast over nodes.
+    ``out`` [h', r], when given, is a map applied to the result, folded
+    into both terms before the rank-F product: -> [N, B, L, r].
     """
-    return T.matmul(x, T.matmul(params["embed.proj"], w), T.matmul(clock, w, b))
+    data_w, clock_term = T.matmul(params["embed.proj"], w), T.matmul(clock, w, b)
+    if out is not None:
+        data_w, clock_term = T.matmul(data_w, out), T.matmul(clock_term, out)
+    return T.matmul(x, data_w, clock_term)
 
 
 def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, config,
                          sink=None):
-    """Soft lookup of a branch's pseudo-future keyed by its pseudo-input.
+    """Soft lookup of a branch's pseudo-future keyed by its pseudo-input, read out.
 
     e_recent: [N, B, m, d_e]. The branch window comes as two (data, clock)
     pairs of `_embed_parts`: its first m steps, the pseudo-input
@@ -425,7 +441,14 @@ def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, 
     values are projected straight from each half's data and clock
     (`_project_embedding`), so no period embedding is materialized. When
     m != n a width-(m-n+1) correlation over time (`_align`) maps query/key
-    length to n. Returns [N, B, n, h']; scores are [N, B, n, n].
+    length to n.
+
+    The branch readout, the channel map ``conv_t`` [h', h'] then the
+    feature map ``conv_c`` [h', 1], is linear and follows the attention
+    with nothing between, so (p v) conv_t conv_c = p (v (conv_t conv_c)):
+    the [h', 1] product c = conv_t conv_c is folded into the value
+    projection, v = x ((P W_v) c) + (clock W_v + b_v) c. Values, attention
+    output and result are [N, B, n, 1]; scores are [N, B, n, n].
     """
     m, n = config.m, config.n
     for (x, _), steps, half in ((pseudo_input, m, "pseudo-input"),
@@ -435,22 +458,23 @@ def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, 
     pre = f"branch.{branch}"
     q = T.matmul(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])            # [N, B, m, h']
     k = _project_embedding(params, *pseudo_input, params[f"{pre}.wk"], params[f"{pre}.bk"])
-    v = _project_embedding(params, *pseudo_future, params[f"{pre}.wv"], params[f"{pre}.bv"])
+    readout = T.matmul(params[f"{pre}.conv_t"], params[f"{pre}.conv_c"])        # [h', 1]
+    v = _project_embedding(params, *pseudo_future, params[f"{pre}.wv"], params[f"{pre}.bv"],
+                           readout)                                             # [N, B, n, 1]
     if m != n:
         q = _align(q, params[f"{pre}.align_q"])  # [N, B, n, h']
         k = _align(k, params[f"{pre}.align_k"])
     return _attend(q, k, v, config.h_prime, sink, f"similarity.{branch}")
 
 
-def generation_branch(params, branch, asr, config):
-    """Branch readout: per-step channel map then feature map, [N,B,n,h'] -> [B,n,N].
+def generation_branch(y):
+    """Branch output in the forecast layout: [N, B, n, 1] -> [B, n, N].
 
-    Sum normalization (division by the active branch count) happens at
-    fusion time, keeping per-branch outputs separate for the head weights.
+    The branch's readout maps are already folded into its values
+    (`similarity_attention`), so only the layout changes here. Sum
+    normalization (division by the active branch count) happens at fusion
+    time, keeping per-branch outputs separate for the head weights.
     """
-    pre = f"branch.{branch}"
-    h = T.matmul(asr, params[f"{pre}.conv_t"])   # [N, B, n, h']
-    y = T.matmul(h, params[f"{pre}.conv_c"])     # [N, B, n, 1]
     return T.permute(T.reshape(y, y.shape[:3]), (1, 2, 0))
 
 
@@ -502,8 +526,8 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
         block, calendar = batch.periods[:, i], batch.period_calendar[:, i]
         past = _embed_parts(params, config, block[:, :m], calendar[:, :m])
         future = _embed_parts(params, config, block[:, m:], calendar[:, m:], first_step=m)
-        asr = similarity_attention(params, i, e_recent, past, future, config, sink)
-        y_branches.append(generation_branch(params, i, asr, config))
+        y = similarity_attention(params, i, e_recent, past, future, config, sink)
+        y_branches.append(generation_branch(y))
     return fuse(params, config, y_recent, y_branches)
 
 

@@ -155,13 +155,15 @@ def test_attention_invariants():
 
     # a branch window is its data [N, B, m+n, F] and clock [B, m+n, d_e], cut
     # into its pseudo-input and pseudo-future; the oracle projects the latter
-    # in the layer's grouping, x (P W_v) + (clock W_v + b_v)
+    # and applies the readout c = conv_t conv_c in the layer's grouping,
+    # x ((P W_v) c) + (clock W_v + b_v) c
     e_r = T.Tensor(node_first(rng.standard_normal((1, 1, 3, 4))))
     x_p = rng.standard_normal((3, 1, 2, 1))
     clock_p = rng.standard_normal((1, 2, 4))
     wv = p2["branch.0.wv"].data
     bv = p2["branch.0.bv"].data
-    v3 = x_p[:, :, 1:] @ (p2["embed.proj"].data @ wv) + (clock_p[:, 1:] @ wv + bv)
+    c = p2["branch.0.conv_t"].data @ p2["branch.0.conv_c"].data
+    v3 = x_p[:, :, 1:] @ ((p2["embed.proj"].data @ wv) @ c) + (clock_p[:, 1:] @ wv + bv) @ c
     halves = [(T.Tensor(x_p[:, :, s]), T.Tensor(clock_p[:, s])) for s in (slice(0, 1), slice(1, 2))]
     similarity_exact = np.allclose(
         similarity_attention(p2, 0, e_r, *halves, c2).data, v3, atol=1e-15

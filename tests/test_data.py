@@ -408,12 +408,14 @@ class TestCalendar:
         path.write_text("2023-04-04\n2023-12-25\n")
         assert load_holidays(path) == {date(2023, 4, 4), date(2023, 12, 25)}
 
-    def test_bad_holiday_line_names_file_and_line(self, tmp_path):
+    # `date.fromisoformat` accepts the basic and the week-date form on Python 3.11+
+    @pytest.mark.parametrize("bad", ["not-a-date", "20230404", "2023-W14-2"])
+    def test_bad_holiday_line_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "holidays.txt"
-        path.write_text("2023-04-04\n\n not-a-date \n")
+        path.write_text(f"2023-04-04\n\n {bad} \n")
         with pytest.raises(ValueError) as exc:
             load_holidays(path)
-        assert str(exc.value) == f"{path}: line 3: expected YYYY-MM-DD, got 'not-a-date'"
+        assert str(exc.value) == f"{path}: line 3: expected YYYY-MM-DD, got {bad!r}"
 
 
 class TestWindows:

@@ -182,6 +182,14 @@ class TestEmbed:
         assert ops.count("gather_rows") == 1
         assert ops.count("add") == 1   # the positional table; the clock rides on the projection
 
+    def test_positional_table_is_built_once_and_read_only(self):
+        table = positional_table(7, 6)
+        assert positional_table(7, 6) is table
+        assert not table.flags.writeable
+        angle = np.arange(7)[:, None] / 10000.0 ** (2 * (np.arange(6) // 2) / 6)
+        assert np.allclose(table, np.where(np.arange(6) % 2, np.cos(angle), np.sin(angle)),
+                           rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("m,n", [(3, 3), (5, 2)])
     def test_halves_are_rows_of_the_whole_window(self, m, n):
         # the pseudo-future, embedded from step m on, keeps its positional
@@ -400,8 +408,13 @@ def period_halves(rng, n_nodes, batch, m, n, n_features, d_e):
 
 
 def factored_projection(params, x, clock, w, b):
-    """x @ (P @ w) + (clock @ w + b) in numpy, the grouping the branch layer uses."""
+    """x @ (P @ w) + (clock @ w + b) in numpy, the grouping the branch keys use."""
     return x @ (params["embed.proj"].data @ w) + (clock @ w + b)
+
+
+def unfolded_readout(params, y):
+    """(y @ conv_t) @ conv_c in numpy: branch 0's readout, applied after the lookup."""
+    return (y @ params["branch.0.conv_t"].data) @ params["branch.0.conv_c"].data
 
 
 class TestSimilarityAttention:
@@ -430,7 +443,7 @@ class TestSimilarityAttention:
         out = similarity_attention(params, 0, e_r, *split_window(x_p, clock_p, 3), config)
         v = factored_projection(params, x_p[:, :, 3:], clock_p[:, 3:],
                                 params[f"{pre}.wv"].data, params[f"{pre}.bv"].data)
-        assert np.allclose(out.data, v, atol=1e-9)
+        assert np.allclose(out.data, unfolded_readout(params, v), atol=1e-9)
 
     def test_single_step_degenerate(self):
         config = self._config(m=1, n=1, periods=(2,))
@@ -441,7 +454,7 @@ class TestSimilarityAttention:
         out = similarity_attention(params, 0, e_r, past, (x_f, clock_f), config)
         v = factored_projection(params, x_f.data, clock_f.data,
                                 params["branch.0.wv"].data, params["branch.0.bv"].data)
-        assert np.allclose(out.data, v, atol=1e-15)
+        assert np.allclose(out.data, unfolded_readout(params, v), atol=1e-15)
 
     def test_rows_sum_and_shape(self):
         config = self._config()
@@ -452,7 +465,7 @@ class TestSimilarityAttention:
             params, 0, T.Tensor(node_first(rng.standard_normal((2, 3, 2, 4)))),
             *period_halves(rng, 2, 2, 3, 3, 1, 4), config, sink=sink,
         )
-        assert out.shape == (2, 2, 3, 4)
+        assert out.shape == (2, 2, 3, 1)
         label, scores = sink[0]
         assert label == "similarity.0"
         assert np.max(np.abs(scores.sum(axis=-1) - 1.0)) < 1e-9
@@ -479,14 +492,15 @@ class TestSimilarityAttention:
             params, 0, T.Tensor(node_first(rng.standard_normal((1, 5, 2, 4)))),
             *period_halves(rng, 2, 1, 5, 2, 1, 4), config,
         )
-        assert out.shape == (2, 1, 2, 4)
+        assert out.shape == (2, 1, 2, 1)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (5, 2)])
     @pytest.mark.parametrize("n_features", [1, 3])
     def test_projects_the_pair_as_the_dense_embedding(self, m, n, n_features):
         # k from the pseudo-input's data and clock, and v from the
         # pseudo-future's, equal the embedding of the whole window, sliced,
-        # then projected; so does the layer's output
+        # then projected; and the branch, with conv_t and conv_c folded into
+        # its values, equals attention over those, then conv_t, then conv_c
         config = self._config(m=m, n=n, n_nodes=4, n_features=n_features, d_e=6, h_prime=5,
                               periods=(m + n,))
         params = init_params(config, seed=8)
@@ -511,27 +525,42 @@ class TestSimilarityAttention:
                 q = _align(q, params["branch.0.align_q"])
                 k = _align(k, params["branch.0.align_k"])
             ref = T.attention(q, k, T.Tensor(dense["v"]), 1.0 / np.sqrt(config.h_prime))[0].data
-            out = similarity_attention(params, 0, e_r, *halves, config).data
+            ref = np.moveaxis(unfolded_readout(params, ref)[..., 0], 0, -1)    # [B, n, N]
+            out = generation_branch(similarity_attention(params, 0, e_r, *halves, config)).data
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_width_h_prime_only_for_queries_and_keys(self):
+        # the readout rides on the values: no value, attention output or
+        # conv_t product of width h' is recorded
+        config = self._config(n_nodes=4, d_e=6, h_prime=5)
+        params = init_params(config, seed=9)
+        rng = np.random.default_rng(19)
+        e_r = T.Tensor(node_first(rng.standard_normal((2, 3, 4, 6))))
+        halves = period_halves(rng, 4, 2, 3, 3, 1, 6)
+        start = len(T.current_tape() or ())
+        y = generation_branch(similarity_attention(params, 0, e_r, *halves, config))
+        shapes = [node.out.shape for node in T.current_tape().nodes[start:]]
+        T.backward(T.reduce(y))
+        assert [s for s in shapes if s[:2] == (4, 2) and s[-1] == 5] == [(4, 2, 3, 5)] * 2
 
 
 class TestGenerationBranch:
-    def test_unit_kernels_pass_through(self):
-        config = ModelConfig(m=2, n=2, n_nodes=3, d_e=4, h_prime=1, periods=(4,))
-        params = init_params(config, seed=1)
-        params["branch.0.conv_t"].data[:] = 1.0
-        params["branch.0.conv_c"].data[:] = 1.0
-        asr = np.random.default_rng(19).standard_normal((1, 2, 3, 1))
-        out = generation_branch(params, 0, T.Tensor(node_first(asr)), config)
-        assert np.allclose(out.data, asr[..., 0], atol=1e-15)
+    def test_one_column_becomes_the_forecast_layout(self):
+        y = np.random.default_rng(19).standard_normal((3, 2, 4, 1))   # [N, B, n, 1]
+        out = generation_branch(T.Tensor(y))
+        assert out.shape == (2, 4, 3)
+        assert np.array_equal(out.data, np.moveaxis(y[..., 0], 0, -1))
 
-    def test_linearity(self):
-        config = ModelConfig(m=2, n=2, n_nodes=3, d_e=4, h_prime=4, periods=(4,))
-        params = init_params(config, seed=2)
-        asr = node_first(np.random.default_rng(20).standard_normal((1, 2, 3, 4)))
-        one = generation_branch(params, 0, T.Tensor(asr), config).data
-        two = generation_branch(params, 0, T.Tensor(2 * asr), config).data
-        assert np.allclose(two, 2 * one, atol=1e-12)
+    def test_records_only_the_relayout(self):
+        rng = np.random.default_rng(20)
+        y = T.Tensor(rng.standard_normal((3, 2, 4, 1)), requires_grad=True)
+        w = rng.standard_normal((2, 4, 3))
+        start = len(T.current_tape() or ())
+        loss = T.reduce(T.mul(generation_branch(y), T.Tensor(w)))
+        ops = [node.op for node in T.current_tape().nodes[start:]]
+        T.backward(loss)
+        assert ops == ["reshape", "permute", "mul", "reduce"]
+        assert np.array_equal(y.grad, np.moveaxis(w, -1, 0)[..., None])
 
 
 class TestFuse:
@@ -673,25 +702,13 @@ class TestForward:
         moved = forward(permuted, params, config, basis).data
         assert np.allclose(moved, base[:, :, perm], atol=1e-10)
 
-    def test_tape_of_a_training_step(self):
-        # the benchmark's model: m = n = 12, two blocks, periods of 24 h and 168 h
-        # at 15-minute steps; 8 adds remain: 1 per clock (the recent window's
-        # and each branch half's), 2 in the fusion and the loss's difference;
-        # 7 permutes: into and out of each spatial attention, one per readout
-        config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
-        params = init_params(config, seed=0)
-        batch = random_batch(np.random.default_rng(29), config)
-        start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
-        loss = mse_loss(forward(batch, params, config, basis_for(config)), batch.target)
-        ops = [node.op for node in T.current_tape().nodes[start:]]
-        T.backward(loss)
-        assert len(ops) == 102
-        assert ops.count("add") == 8
-        assert ops.count("permute") == 7
+    @staticmethod
+    def _desk_step_tape():
+        """Loss and tape nodes of one training forward at the benchmark's desk shape.
 
-    def test_no_period_embedding_on_the_tape(self):
-        # a branch projects its window's data and clock: no node of a training
-        # forward at the benchmark's shape outputs a [N, B, m+n, d_e] embedding
+        m = n = 12, N = 15, B = 16, two blocks, periods of 24 h and 168 h at
+        15-minute steps.
+        """
         config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
         params = init_params(config, seed=0)
         rng = np.random.default_rng(30)
@@ -703,9 +720,33 @@ class TestForward:
             recent_calendar=random_calendar(rng, (16, 12)),
             period_calendar=random_calendar(rng, (16, k, 24)),
         )
-        start = len(T.current_tape() or ())
+        start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
         loss = mse_loss(forward(batch, params, config, basis_for(config)), batch.target)
-        shapes = [node.out.shape for node in T.current_tape().nodes[start:]]
+        return loss, T.current_tape().nodes[start:]
+
+    def test_tape_of_a_training_step(self):
+        # 8 adds remain: 1 per clock (the recent window's and each branch
+        # half's), 2 in the fusion and the loss's difference; 7 permutes: into
+        # and out of each spatial attention, one per readout. Outputs are
+        # counted once per base buffer (a reshape is a view of its input)
+        loss, nodes = self._desk_step_tape()
+        ops = [node.op for node in nodes]
+        bases = {}
+        for node in nodes:
+            data = node.out.data
+            base = data if data.base is None else data.base
+            bases[id(base)] = base.nbytes
+        T.backward(loss)
+        assert len(ops) == 104
+        assert ops.count("add") == 8
+        assert ops.count("permute") == 7
+        assert sum(bases.values()) <= 32_122_392
+
+    def test_no_period_embedding_on_the_tape(self):
+        # a branch projects its window's data and clock: no node of a training
+        # forward outputs a [N, B, m+n, d_e] embedding
+        loss, nodes = self._desk_step_tape()
+        shapes = [node.out.shape for node in nodes]
         T.backward(loss)
         assert (15, 16, 12, 32) in shapes   # the recent embedding is still dense
         assert (15, 16, 24, 32) not in shapes

@@ -213,7 +213,7 @@ class TestTrain:
         loss = mse_loss(forward(batch, init_params(big), big,
                                 chebyshev_basis(lap, estimate_lambda_max(lap), 3)),
                         batch.target)
-        assert len(T.current_tape()) == 102
+        assert len(T.current_tape()) == 104
         T.backward(loss)
 
 
