@@ -7,17 +7,25 @@ view, for ``reshape``), and copies only a strided result such as a
 ``permute`` view to keep storage row-major. Differentiable ops
 record nodes on a thread-local tape; ``backward`` detaches that tape and
 replays it once in reverse, accumulating gradients into ``.grad`` of every
-``requires_grad`` ancestor. The sweep pops each node as it passes it, so
-an op's output and the operands its gradient function saved are freed as
-soon as no earlier node needs them, not when the sweep ends. Gradients
+``requires_grad`` ancestor. A node links to its inputs' producer nodes,
+never to tensors: it keeps its output shape and a weak reference to the
+output array, and its gradient function keeps only the operands that the
+gradients it must compute read. So an activation lives only while the
+caller or some gradient function holds it; an addend, a ReLU input or a
+permute input that no gradient reads is freed as soon as the forward
+code drops it. The sweep clears each node's gradient function as it
+passes it, so the operands it saved are freed as soon as no earlier
+node needs them, not when the sweep ends. Gradients
 that meet at a tensor are added in place only into a buffer the sweep
 owns, one that a gradient function just allocated or a sum it made; an
 op's ``g``, views of it and read-only broadcasts are never written. An op
 computes an input's gradient only when that input is ``requires_grad`` or
 itself recorded, so constants such as data blocks and graph bases cost no
 backward work. A tape belongs to a single forward pass: `backward`
-consumes it, and `drop_tape` discards one a failed pass left behind, so
-there are no higher-order derivatives.
+consumes it, and `drop_tape` discards one a failed pass left behind; both
+unlink every node, so an output the caller keeps holds no graph alive and
+acts as a constant in a later pass. There are no higher-order
+derivatives.
 
 Broadcasting is deliberately restricted: the shorter operand of an
 elementwise op must equal a trailing suffix of the longer one (classic
@@ -31,6 +39,7 @@ which keeps shape errors loud.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -55,6 +64,10 @@ __all__ = [
     "gradient_check",
 ]
 
+# the names in ``__all__`` that are not differentiable ops
+NOT_OPS = frozenset({"Tensor", "Tape", "ShapeError", "no_grad", "backward", "drop_tape",
+                     "zero_grads", "gradient_check"})
+
 
 class ShapeError(ValueError):
     """Operand shapes violate an op's contract."""
@@ -63,13 +76,13 @@ class ShapeError(ValueError):
 class Tensor:
     """N-dimensional float array, optionally participating in the grad tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tracked")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.array(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._tracked = False
+        self._node = None   # the node that produced this tensor, if one was recorded
 
     @property
     def shape(self):
@@ -99,31 +112,41 @@ def _wrap(data):
     out.data = data if data.flags.c_contiguous else data.copy()
     out.requires_grad = False
     out.grad = None
-    out._tracked = False
+    out._node = None
     return out
 
 
-def _needs_grad(t):
-    return t.requires_grad or t._tracked
-
-
 class _Node:
-    """One executed op: inputs, output, and the function producing input grads.
+    """One executed op: its parents, its output's shape, and the function producing input grads.
 
-    The output reference is strong on purpose: node identity during the
-    backward sweep is the output's ``id()``, which stays unique only while
-    the tensor is alive. A node keeps its output alive until the backward
-    sweep pops it; the sweep then drops the node, and with it the output
-    and the operands ``fn`` saved, unless something else still holds them.
+    ``parents`` has one entry per input: the input's producer node if it
+    was recorded, the input itself if it is a ``requires_grad`` leaf, and
+    None for a constant. `backward` files gradients under these objects.
+    The node holds no tensor, and only a weak reference to its output
+    array, so it keeps no activation alive; ``fn`` holds what the input
+    gradients read. The sweep clears ``fn`` and ``parents`` as it passes
+    a node, and `drop_tape` clears them on every node of a discarded tape,
+    so a node the caller still reaches (through an output it keeps) holds
+    nothing but its op, shape and weak reference.
     """
 
-    __slots__ = ("op", "inputs", "out", "fn")
+    __slots__ = ("op", "parents", "shape", "_out", "fn")
 
-    def __init__(self, op, inputs, out, fn):
+    def __init__(self, op, parents, data, fn):
         self.op = op
-        self.inputs = inputs
-        self.out = out
+        self.parents = parents
+        self.shape = data.shape
+        self._out = weakref.ref(data)
         self.fn = fn
+
+    @property
+    def out(self):
+        """A tensor over the output array while anything holds it, else an empty placeholder."""
+        data = self._out()
+        return _wrap(np.empty(0) if data is None else data)
+
+    def release(self):
+        self.fn = self.parents = None
 
 
 class Tape:
@@ -170,13 +193,33 @@ def no_grad():
         st.enabled = prev
 
 
+def _parent(t):
+    """What `backward` files ``t``'s gradient under, or None if it gets none.
+
+    That is the node that produced ``t`` while its tape is live, else ``t``
+    itself if it is a ``requires_grad`` leaf. An output of a finished or
+    discarded pass is a constant. Nothing gets a gradient under `no_grad`.
+    """
+    if not _st().enabled:
+        return None
+    node = t._node
+    if node is not None and node.fn is not None:
+        return node
+    return t if t.requires_grad else None
+
+
+def _needs_grad(t):
+    return _parent(t) is not None
+
+
 def _record(op, inputs, out, fn):
-    st = _st()
-    if st.enabled and any(_needs_grad(t) for t in inputs):
+    parents = tuple(_parent(t) for t in inputs)
+    if any(p is not None for p in parents):
+        st = _st()
         if st.tape is None:
             st.tape = Tape()
-        out._tracked = True
-        st.tape.nodes.append(_Node(op, tuple(inputs), out, fn))
+        out._node = _Node(op, parents, out.data, fn)
+        st.tape.nodes.append(out._node)
     return out
 
 
@@ -187,10 +230,12 @@ def backward(loss):
     participate are untouched. ``.grad`` accumulates across calls until
     `zero_grads`, which is what batch-wise accumulation relies on. The
     tape is detached before the sweep, so none is left on the thread even
-    if a gradient function raises. Each node is popped together with its
-    gradient and holder entries, so the sweep frees what it has passed.
+    if a gradient function raises. Gradients are filed under each input's
+    parent (`_Node`): a node, or a leaf. Each node is popped together with
+    its gradient and released, so the sweep frees the operands its
+    gradient function saved as soon as it has passed them.
 
-    Ownership: the first gradient to reach a tensor is stored as it is. The
+    Ownership: the first gradient to reach a parent is stored as it is. The
     entry is owned only if the gradient function just allocated that array
     (no ``base``, not the ``g`` it was given, returned once), so nothing
     else can see it. A later arrival is added in place into an owned entry;
@@ -201,47 +246,48 @@ def backward(loss):
     """
     st = _st()
     tape, st.tape = st.tape, None
-    if loss.data.size != 1:
-        raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if tape is None or not loss._tracked:
-        raise ValueError("loss is not connected to any recorded operation")
-
-    nodes = tape.nodes
-    grads = {id(loss): np.ones_like(loss.data)}
-    holders = {id(loss): loss}
-    owned = set()   # keys whose gradient buffer no one else holds
-    while nodes:
-        node = nodes.pop()
-        k = id(node.out)
-        g = grads.pop(k, None)
-        holders.pop(k, None)
-        owned.discard(k)
-        if g is not None:
-            igs = node.fn(g)
-            for t, ig in zip(node.inputs, igs):
-                if ig is None:
-                    continue
-                k = id(t)
-                holders[k] = t
-                if k in owned:
-                    grads[k] += ig
-                elif k in grads:
-                    grads[k] = grads[k] + ig
-                    owned.add(k)
-                else:
-                    grads[k] = ig
-                    if ig is not g and ig.base is None and sum(x is ig for x in igs) == 1:
-                        owned.add(k)
-        node = g = t = ig = igs = None   # frees the node's output and saved operands
-    for k, g in grads.items():
-        t = holders[k]
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
+    nodes = [] if tape is None else tape.nodes
+    try:
+        if loss.data.size != 1:
+            raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+        if tape is None or loss._node is None or loss._node.fn is None:
+            raise ValueError("loss is not connected to any recorded operation")
+        grads = {loss._node: np.ones_like(loss.data)}
+        owned = set()   # parents whose gradient buffer no one else holds
+        while nodes:
+            node = nodes.pop()
+            g = grads.pop(node, None)
+            owned.discard(node)
+            fn, parents = node.fn, node.parents
+            node.release()   # unlinked even if fn raises
+            if g is not None:
+                igs = fn(g)
+                for p, ig in zip(parents, igs):
+                    if p is None or ig is None:
+                        continue
+                    if p in owned:
+                        grads[p] += ig
+                    elif p in grads:
+                        grads[p] = grads[p] + ig
+                        owned.add(p)
+                    else:
+                        grads[p] = ig
+                        if ig is not g and ig.base is None and sum(x is ig for x in igs) == 1:
+                            owned.add(p)
+            node = fn = parents = g = p = ig = igs = None   # frees the operands fn saved
+    finally:
+        for node in nodes:   # left unswept by a gradient function that raised
+            node.release()
+    for leaf, g in grads.items():   # every node's entry was popped with it
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def drop_tape():
     """Discard the thread's tape: the end of a pass that raised before `backward`."""
-    _st().tape = None
+    st = _st()
+    tape, st.tape = st.tape, None
+    for node in [] if tape is None else tape.nodes:
+        node.release()
 
 
 def zero_grads(tensors):
@@ -295,9 +341,10 @@ def mul(a, b):
     a, b = _as_tensor_pair("mul", a, b)
     _check_suffix_broadcast("mul", a.shape, b.shape)
     out = _wrap(a.data * b.data)
-    da, db = a.data, b.data
     sa, sb = a.shape, b.shape
     need_a, need_b = _needs_grad(a), _needs_grad(b)
+    da = a.data if need_b else None   # each operand is kept only for the other's gradient
+    db = b.data if need_a else None
 
     def fn(g):
         return (_sum_to(g * db, sa) if need_a else None,
@@ -308,7 +355,7 @@ def mul(a, b):
 
 def relu(x):
     out = _wrap(np.maximum(x.data, 0.0))
-    mask = x.data > 0  # subgradient at 0 is 0
+    mask = x.data > 0 if _needs_grad(x) else None  # subgradient at 0 is 0
 
     def fn(g):
         return (g * mask,)
@@ -351,9 +398,11 @@ def matmul(a, b, c=None):
         data += c.data
         inputs.append(c)
     out = _wrap(data)
-    da, db = a.data, b.data
     need_a, need_b = _needs_grad(a), _needs_grad(b)
     need_c = c is not None and _needs_grad(c)
+    da = a.data if need_b else None   # each factor is kept only for the other's gradient
+    db = b.data if need_a else None
+    na, nb, n_in = a.ndim, b.ndim, len(inputs)
 
     def fn(g):
         ga = gb = gc = None
@@ -361,15 +410,15 @@ def matmul(a, b, c=None):
             gc = _sum_to(g, sc)
         if need_a:
             # a 2-D b is transposed into a copy, so BLAS runs its no-transpose path
-            bt = np.ascontiguousarray(db.T) if db.ndim == 2 else np.swapaxes(db, -1, -2)
+            bt = np.ascontiguousarray(db.T) if nb == 2 else np.swapaxes(db, -1, -2)
             ga = np.matmul(g, bt)
-            if ga.ndim > da.ndim:
-                ga = ga.sum(axis=tuple(range(ga.ndim - da.ndim)))
-        if need_b and db.ndim < da.ndim:  # shared 2-D weight: one GEMM over all batch rows
+            if ga.ndim > na:
+                ga = ga.sum(axis=tuple(range(ga.ndim - na)))
+        if need_b and nb < na:  # shared 2-D weight: one GEMM over all batch rows
             gb = da.reshape(-1, da.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         elif need_b:
             gb = np.matmul(np.swapaxes(da, -1, -2), g)
-        return (ga, gb, gc)[:len(inputs)]  # one gradient per input
+        return (ga, gb, gc)[:n_in]  # one gradient per input
 
     return _record("matmul", inputs, out, fn)
 
@@ -405,6 +454,10 @@ def attention(q, k, v, scale):
     p.flags.writeable = False
     out = _wrap(np.matmul(p, dv))
     need_q, need_k, need_v = _needs_grad(q), _needs_grad(k), _needs_grad(v)
+    # keep only the operands the needed gradients read
+    dq = dq if need_k else None
+    dk = dk if need_q else None
+    dv = dv if need_q or need_k else None
 
     def fn(g):
         gq = gk = gv = None

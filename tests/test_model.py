@@ -539,7 +539,7 @@ class TestSimilarityAttention:
         halves = period_halves(rng, 4, 2, 3, 3, 1, 6)
         start = len(T.current_tape() or ())
         y = generation_branch(similarity_attention(params, 0, e_r, *halves, config))
-        shapes = [node.out.shape for node in T.current_tape().nodes[start:]]
+        shapes = [node.shape for node in T.current_tape().nodes[start:]]
         T.backward(T.reduce(y))
         assert [s for s in shapes if s[:2] == (4, 2) and s[-1] == 5] == [(4, 2, 3, 5)] * 2
 
@@ -727,8 +727,10 @@ class TestForward:
     def test_tape_of_a_training_step(self):
         # 8 adds remain: 1 per clock (the recent window's and each branch
         # half's), 2 in the fusion and the loss's difference; 7 permutes: into
-        # and out of each spatial attention, one per readout. Outputs are
-        # counted once per base buffer (a reshape is a view of its input)
+        # and out of each spatial attention, one per readout. The outputs
+        # still alive at the end of forward are those some gradient function
+        # reads, and the loss; they are counted once per base buffer (a
+        # reshape is a view of its input), and a dead one reads as empty
         loss, nodes = self._desk_step_tape()
         ops = [node.op for node in nodes]
         bases = {}
@@ -740,13 +742,26 @@ class TestForward:
         assert len(ops) == 104
         assert ops.count("add") == 8
         assert ops.count("permute") == 7
-        assert sum(bases.values()) <= 32_122_392
+        assert sum(bases.values()) <= 23_362_056
+
+    def test_a_kept_prediction_holds_no_graph_after_drop_tape(self):
+        # a pass that fails after forward (say, a non-finite loss) ends in
+        # `drop_tape`; the prediction the caller still holds then keeps no
+        # node's gradient function, and so no saved activation, alive
+        config, params, basis, batch = toy_setup()
+        start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
+        pred = forward(batch, params, config, basis)
+        nodes = T.current_tape().nodes[start:]
+        assert sum(node.out.data.size > 0 for node in nodes) > 1   # operands saved for backward
+        T.drop_tape()
+        assert [node for node in nodes if node.out.data.size > 0] == [pred._node]
+        assert pred._node.fn is None and pred._node.parents is None
 
     def test_no_period_embedding_on_the_tape(self):
         # a branch projects its window's data and clock: no node of a training
         # forward outputs a [N, B, m+n, d_e] embedding
         loss, nodes = self._desk_step_tape()
-        shapes = [node.out.shape for node in nodes]
+        shapes = [node.shape for node in nodes]
         T.backward(loss)
         assert (15, 16, 12, 32) in shapes   # the recent embedding is still dense
         assert (15, 16, 24, 32) not in shapes

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import itertools
 import re
 import weakref
 
@@ -221,9 +222,11 @@ class TestAttention:
         v = T.Tensor(rng.standard_normal((2, 5, 6)))
         out, _ = T.attention(q, k, v, 0.5)
         node = T.current_tape().nodes[-1]
+        fn, parents = node.fn, node.parents   # the sweep releases both
         T.backward(T.reduce(out, kind="sum"))
-        g_q, g_k, g_v = node.fn(np.ones(out.shape))
+        g_q, g_k, g_v = fn(np.ones(out.shape))
         assert g_q.shape == q.shape and g_k.shape == k.shape and g_v is None
+        assert parents == (q, k, None)
         assert v.grad is None
 
     def test_scores_are_read_only(self):
@@ -304,11 +307,12 @@ class TestStorage:
         w = T.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         y = op(const, w)
         node = T.current_tape().nodes[-1]
+        fn, parents = node.fn, node.parents   # the sweep releases both
         T.backward(T.reduce(y, kind="sum"))
-        grads = node.fn(np.ones(y.shape))
-        assert len(grads) == len(node.inputs)
-        for t, g in zip(node.inputs, grads):
-            assert (g is None) == (t is const)
+        grads = fn(np.ones(y.shape))
+        assert len(grads) == len(parents) and parents.count(None) == 1
+        for p, g in zip(parents, grads):   # a constant's parent is None, w's is w
+            assert (g is None) == (p is None) and p in (None, w)
         assert const.grad is None
 
 
@@ -403,7 +407,8 @@ class TestBackward:
 
     def test_gradient_function_that_raises_leaves_no_tape(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
-        y = T.mul(x, T.Tensor(2.0))
+        h = T.mul(x, T.Tensor(2.0))
+        y = T.mul(h, T.Tensor(2.0))
 
         def broken(g):
             raise FloatingPointError("broken gradient")
@@ -412,6 +417,9 @@ class TestBackward:
         with pytest.raises(FloatingPointError, match="broken gradient"):
             T.backward(T.reduce(y, kind="sum"))
         assert T.current_tape() is None
+        # the failing node and the one the sweep never reached are both
+        # released, so h and y are constants to a later pass
+        assert h._node.fn is None and y._node.fn is None
 
     def test_sweep_frees_each_node_behind_it(self):
         # the output of the op that feeds the loss is needed by no earlier
@@ -440,30 +448,65 @@ class TestBackward:
         x = T.Tensor([1.0], requires_grad=True)
         with T.no_grad():
             y = T.mul(x, x)
-        assert not y._tracked
+        assert y._node is None
         with pytest.raises(ValueError):
             T.backward(T.reduce(y, kind="sum"))
+
+    def test_an_addend_dies_when_its_consumer_records(self):
+        # no gradient reads the inner product, only its shape: once the outer
+        # matmul has added it, nothing holds it, though the tape is still live
+        rng = rng_for(41)
+        x, w, r = (T.Tensor(rng.standard_normal(s), requires_grad=True)
+                   for s in ((4, 3), (3, 5), (3, 5)))
+        start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
+        y = T.matmul(x, w, T.matmul(x, r))
+        inner, outer = T.current_tape().nodes[start:]
+        assert inner.out.data.size == 0 and inner.shape == (4, 5)
+        assert outer.out.data is y.data
+        g = rng.standard_normal((4, 5))
+        T.backward(T.reduce(T.mul(y, T.Tensor(g))))
+        assert x.grad.tobytes() == (g @ np.ascontiguousarray(w.data.T)
+                                    + g @ np.ascontiguousarray(r.data.T)).tobytes()
+        assert w.grad.tobytes() == r.grad.tobytes() == (x.data.T @ g).tobytes()
+
+    @pytest.mark.parametrize("finish", ["backward", "drop_tape"])
+    def test_an_output_of_a_finished_pass_is_a_constant(self, finish):
+        rng = rng_for(42)
+        x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        h = T.matmul(x, w)
+        if finish == "backward":
+            T.backward(T.reduce(h))
+        else:
+            T.drop_tape()
+        v = T.Tensor(rng.standard_normal((2, 5)), requires_grad=True)
+        grads = []
+        for operand in (h, T.Tensor(h.data)):
+            T.zero_grads([x, w, v])
+            y = T.matmul(operand, v)
+            assert T.current_tape().nodes[-1].parents == (None, v)
+            T.backward(T.reduce(T.mul(y, y)))
+            assert x.grad is None and w.grad is None
+            grads.append(v.grad.tobytes())
+        assert grads[0] == grads[1]
 
 
 def out_of_place_backward(loss, accumulate=np.add):
     """Reference sweep: every fan-in is ``accumulate(prev, ig)``, by default a fresh sum."""
-    tape = T.current_tape()
-    T.drop_tape()
-    grads = {id(loss): np.ones_like(loss.data)}
-    holders = {id(loss): loss}
-    for node in reversed(tape.nodes):
-        g = grads.get(id(node.out))
-        if g is None:
-            continue
-        for t, ig in zip(node.inputs, node.fn(g)):
-            if ig is not None:
-                k = id(t)
-                holders[k] = t
-                grads[k] = accumulate(grads[k], ig) if k in grads else ig
-    for k, g in grads.items():
-        t = holders[k]
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
+    grads = {loss._node: np.ones_like(loss.data)}
+    try:
+        for node in reversed(T.current_tape().nodes):
+            g = grads.get(node)
+            if g is None:
+                continue
+            for p, ig in zip(node.parents, node.fn(g)):
+                if p is not None and ig is not None:
+                    grads[p] = accumulate(grads[p], ig) if p in grads else ig
+    finally:
+        T.drop_tape()
+    for p, g in grads.items():
+        if isinstance(p, T.Tensor):   # a leaf; the other keys are nodes
+            p.grad = g if p.grad is None else p.grad + g
 
 
 def test_fan_in_check_catches_a_sweep_that_writes_shared_gradients(monkeypatch):
@@ -574,6 +617,38 @@ class TestFanInAccumulation:
         T.backward(T.add(T.reduce(s, kind="sum"), T.reduce(x2, kind="sum")))
         assert np.array_equal(x.grad, [3.0, 3.0, 3.0])
         assert np.array_equal(y.grad, [1.0, 1.0, 1.0])
+
+
+# an op saves only the operands the gradients it must compute read; each case
+# is (op, operand shapes), with the broadcasts each op allows
+CONSTANT_PATTERN_CASES = {
+    "matmul": (T.matmul, [(2, 3, 4), (4, 5)]),
+    "matmul-batched-b": (T.matmul, [(3, 4), (2, 4, 5)]),
+    "matmul-addend": (T.matmul, [(2, 3, 4), (4, 5), (5,)]),
+    "matmul-full-addend": (T.matmul, [(2, 3, 4), (2, 4, 5), (2, 3, 5)]),
+    "mul": (T.mul, [(2, 3, 4), (4,)]),
+    "add": (T.add, [(3, 4), (2, 3, 4)]),
+    "attention": (lambda q, k, v: T.attention(q, k, v, 0.5)[0], [(2, 3, 4), (2, 5, 4), (2, 5, 6)]),
+}
+
+
+@pytest.mark.parametrize("case", CONSTANT_PATTERN_CASES)
+def test_constant_operands_leave_the_other_gradients_unchanged(case):
+    op, shapes = CONSTANT_PATTERN_CASES[case]
+    rng = rng_for(43)
+    arrays = [rng.standard_normal(s) for s in shapes]
+
+    def grads(constant):
+        operands = [T.Tensor(a, requires_grad=i not in constant) for i, a in enumerate(arrays)]
+        y = op(*operands)
+        T.backward(T.reduce(T.mul(y, T.Tensor(np.linspace(-1.0, 2.0, y.size).reshape(y.shape)))))
+        return [None if t.grad is None else t.grad.tobytes() for t in operands]
+
+    every = range(len(arrays))
+    variable = grads(())
+    for n_const in range(1, len(arrays)):
+        for constant in itertools.combinations(every, n_const):
+            assert grads(constant) == [None if i in constant else variable[i] for i in every]
 
 
 # --------------------------------------------------------------------------
@@ -717,18 +792,13 @@ def test_gather_rows_gradient_is_a_fresh_buffer(table_shape, indices):
     # no base: `backward` owns it and sums a later gradient into it in place
     table = T.Tensor(np.ones(table_shape), requires_grad=True)
     out = T.gather_rows(table, np.asarray(indices))
-    node = T.current_tape().nodes[-1]
+    (grad,) = T.current_tape().nodes[-1].fn(np.ones(out.shape))
     T.drop_tape()
-    (grad,) = node.fn(np.ones(out.shape))
     assert grad.base is None and grad.shape == table_shape
 
 
-NOT_OPS = {"Tensor", "Tape", "ShapeError", "no_grad", "backward", "drop_tape",
-           "zero_grads", "gradient_check"}
-
-
 def test_every_op_has_a_registered_check():
-    missing = set(T.__all__) - NOT_OPS - {name for name, _ in checks.registered_checks()}
+    missing = set(T.__all__) - T.NOT_OPS - {name for name, _ in checks.registered_checks()}
     assert not missing
 
 
@@ -743,4 +813,4 @@ def test_every_op_is_called_by_the_model():
                     called.add(f.id)
                 elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "T":
                     called.add(f.attr)
-    assert set(T.__all__) - NOT_OPS - called == set()
+    assert set(T.__all__) - T.NOT_OPS - called == set()
