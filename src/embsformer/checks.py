@@ -257,8 +257,8 @@ def toy_setup(seed=42, n_nodes=4, m=3, n=3, width=4, k_cheb=2, periods=1, n_feat
     lap = normalized_laplacian(graph)
     basis = chebyshev_basis(lap, estimate_lambda_max(lap), k_cheb)
     config = ModelConfig(
-        m=m, n=n, n_nodes=n_nodes, n_features=n_features, d_e=width, d_s=width,
-        d_t=width, h_prime=width, k_cheb=k_cheb, n_blocks=1,
+        m=m, n=n, n_nodes=n_nodes, n_features=n_features, d_e=width, h_prime=width,
+        k_cheb=k_cheb, n_blocks=1,
         periods=tuple(m + n + 2 * i for i in range(periods)),
     )
     params = init_params(config, seed=seed)
@@ -308,7 +308,7 @@ def check_spatial_attention():
     config, params, basis, batch = toy_setup()
     e = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))
     return _check_layer(
-        lambda: spatial_self_attention(params, "transition.0", e, config.d_s),
+        lambda: spatial_self_attention(params, "transition.0", e),
         [e], params, _names(params, "transition.0.spatial."), rng)
 
 
@@ -316,9 +316,9 @@ def check_temporal_attention():
     """The activation input and every temporal weight and bias."""
     rng = _rng(19)
     config, params, basis, batch = toy_setup()
-    x = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_s)))
+    x = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))
     return _check_layer(
-        lambda: temporal_self_attention(params, "transition.0", x, config.d_t),
+        lambda: temporal_self_attention(params, "transition.0", x),
         [x], params, _names(params, "transition.0.temporal."), rng)
 
 

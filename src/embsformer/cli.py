@@ -40,8 +40,6 @@ OPTIONS = {
     "m": ("12", "int"),
     "n": ("12", "int"),
     "d_e": ("32", "int"),
-    "d_s": ("32", "int"),
-    "d_t": ("32", "int"),
     "h_prime": ("32", "int"),
     "k_cheb": ("3", "int"),
     "n_blocks": ("2", "int"),
@@ -63,7 +61,7 @@ OPTIONS = {
 }
 
 _DATASET = ("readings", "adjacency", "holidays")
-_WIDTHS = ("m", "n", "d_e", "d_s", "d_t", "h_prime", "k_cheb", "n_blocks")
+_WIDTHS = ("m", "n", "d_e", "h_prime", "k_cheb", "n_blocks")
 _TRAINING = ("lr", "batch_size", "epochs", "seed")
 
 # The keys each subcommand reads. It takes a flag for each of them and for

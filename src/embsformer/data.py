@@ -334,24 +334,15 @@ def calendar_features(series: RawSeries, holidays=()) -> np.ndarray:
     Columns: minute of day [0, 1439], day of week [0, 6] (Monday = 0) and
     holiday flag {0, 1}, set for every step of a date in ``holidays``.
     """
-    holidays = set(holidays)
-    t_total = series.n_steps
     start_minute = series.start.hour * 60 + series.start.minute
-    idx = np.arange(t_total, dtype=np.int64)
+    idx = np.arange(series.n_steps, dtype=np.int64)
     minute = (start_minute + idx * series.step_minutes) % MINUTES_PER_DAY
     # day boundaries: whole days elapsed since the start timestamp's midnight
     days_elapsed = (start_minute + idx * series.step_minutes) // MINUTES_PER_DAY
     start_dow = series.start.weekday()
     dow = (start_dow + days_elapsed) % 7
-    if holidays:
-        start_date = series.start.date()
-        uniq = np.unique(days_elapsed)
-        flag_by_day = {
-            int(d): int(start_date + timedelta(days=int(d)) in holidays) for d in uniq
-        }
-        hol = np.asarray([flag_by_day[int(d)] for d in days_elapsed], dtype=np.int64)
-    else:
-        hol = np.zeros(t_total, dtype=np.int64)
+    start_date = series.start.date()
+    hol = np.isin(days_elapsed, [(d - start_date).days for d in holidays]).astype(np.int64)
     return np.stack([minute, dow, hol], axis=1)
 
 

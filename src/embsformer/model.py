@@ -95,9 +95,7 @@ class ModelConfig:
     n: int = 12                 # forecast steps
     n_nodes: int = 1
     n_features: int = 1
-    d_e: int = 32               # embedding width
-    d_s: int = 32               # spatial attention width
-    d_t: int = 32               # temporal attention width
+    d_e: int = 32               # embedding width, also that of spatial and temporal attention
     h_prime: int = 32           # hidden width h'
     k_cheb: int = 3
     n_blocks: int = 2
@@ -106,8 +104,7 @@ class ModelConfig:
 
     def __post_init__(self):
         self.periods = tuple(int(p) for p in self.periods)
-        for name in ("m", "n", "n_nodes", "n_features", "d_e", "d_s", "d_t",
-                     "h_prime", "k_cheb", "n_blocks"):
+        for name in ("m", "n", "n_nodes", "n_features", "d_e", "h_prime", "k_cheb", "n_blocks"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.m < self.n and self.periods:
@@ -199,23 +196,12 @@ def init_params(config: ModelConfig, seed=0) -> ModelParameters:
     if c.enable_recent:
         for b in range(c.n_blocks):
             pre = f"transition.{b}"
-            for nm, fan, shape in (
-                ("spatial.wq", c.d_e, (c.d_e, c.d_s)),
-                ("spatial.wk", c.d_e, (c.d_e, c.d_s)),
-                ("spatial.wv", c.d_e, (c.d_e, c.d_s)),
-            ):
-                p.new(f"{pre}.{nm}", _uniform(rng, fan, shape))
-            for nm, width in (("spatial.bq", c.d_s), ("spatial.bk", c.d_s), ("spatial.bv", c.d_s)):
-                p.new(f"{pre}.{nm}", np.zeros(width))
-            for nm, fan, shape in (
-                ("temporal.wq", c.d_s, (c.d_s, c.d_t)),
-                ("temporal.wk", c.d_s, (c.d_s, c.d_t)),
-                ("temporal.wv", c.d_s, (c.d_s, c.d_t)),
-            ):
-                p.new(f"{pre}.{nm}", _uniform(rng, fan, shape))
-            for nm, width in (("temporal.bq", c.d_t), ("temporal.bk", c.d_t), ("temporal.bv", c.d_t)):
-                p.new(f"{pre}.{nm}", np.zeros(width))
-            p.new(f"{pre}.theta", _uniform(rng, c.d_t * c.k_cheb, (c.k_cheb, c.d_t, c.h_prime)))
+            for layer in ("spatial", "temporal"):
+                for nm in ("wq", "wk", "wv"):
+                    p.new(f"{pre}.{layer}.{nm}", _uniform(rng, c.d_e, (c.d_e, c.d_e)))
+                for nm in ("bq", "bk", "bv"):
+                    p.new(f"{pre}.{layer}.{nm}", np.zeros(c.d_e))
+            p.new(f"{pre}.theta", _uniform(rng, c.d_e * c.k_cheb, (c.k_cheb, c.d_e, c.h_prime)))
             p.new(f"{pre}.conv_t", _uniform(rng, c.h_prime, (c.h_prime, c.d_e)))
             p.new(f"{pre}.residual", _uniform(rng, c.d_e, (c.d_e, c.d_e)))
         p.new("readout.time_mix", _uniform(rng, c.m, (c.m, c.n)))
@@ -345,29 +331,34 @@ def _attend(q, k, v, width, sink, label):
     return out
 
 
-def spatial_self_attention(params, prefix, e, d_s, sink=None):
+def _self_attention(params, name, x, sink):
+    """Self-attention over axis -2: x [..., L, d_e] -> [..., L, d_e].
+
+    q, k and v are projected from ``x`` by the ``<name>.w*`` weights and
+    ``<name>.b*`` biases, the scale is 1/sqrt(d_e), and ``sink`` gets the
+    scores labelled with the last part of ``name``.
+    """
+    q, k, v = (T.matmul(x, params[f"{name}.w{c}"], params[f"{name}.b{c}"]) for c in "qkv")
+    return _attend(q, k, v, x.shape[-1], sink, name.rsplit(".", 1)[-1])
+
+
+def spatial_self_attention(params, prefix, e, sink=None):
     """Attention over the node axis, one score matrix per time step.
 
-    e: [N, B, m, d_e] -> [N, B, m, d_s]. The input is permuted to
+    e: [N, B, m, d_e] -> [N, B, m, d_e]. The input is permuted to
     [B, m, N, d_e], so nodes are the attended axis, and the output is
     permuted back. Scores are [B, m, N, N] row-stochastic.
     """
     x = T.permute(e, (1, 2, 0, 3))  # [B, m, N, d_e]
-    q = T.matmul(x, params[f"{prefix}.spatial.wq"], params[f"{prefix}.spatial.bq"])
-    k = T.matmul(x, params[f"{prefix}.spatial.wk"], params[f"{prefix}.spatial.bk"])
-    v = T.matmul(x, params[f"{prefix}.spatial.wv"], params[f"{prefix}.spatial.bv"])
-    return T.permute(_attend(q, k, v, d_s, sink, "spatial"), (2, 0, 1, 3))
+    return T.permute(_self_attention(params, f"{prefix}.spatial", x, sink), (2, 0, 1, 3))
 
 
-def temporal_self_attention(params, prefix, x, d_t, sink=None):
+def temporal_self_attention(params, prefix, x, sink=None):
     """Attention over the time axis, weights shared across nodes.
 
-    x: [N, B, m, d_s] -> [N, B, m, d_t]; scores are [N, B, m, m].
+    x: [N, B, m, d_e] -> [N, B, m, d_e]; scores are [N, B, m, m].
     """
-    q = T.matmul(x, params[f"{prefix}.temporal.wq"], params[f"{prefix}.temporal.bq"])
-    k = T.matmul(x, params[f"{prefix}.temporal.wk"], params[f"{prefix}.temporal.bk"])
-    v = T.matmul(x, params[f"{prefix}.temporal.wv"], params[f"{prefix}.temporal.bv"])
-    return _attend(q, k, v, d_t, sink, "temporal")
+    return _self_attention(params, f"{prefix}.temporal", x, sink)
 
 
 def transition_block(params, prefix, e, basis: ChebyshevBasis, config, sink=None):
@@ -376,8 +367,8 @@ def transition_block(params, prefix, e, basis: ChebyshevBasis, config, sink=None
     residual(e) + conv_t(gcn(temporal_sa(spatial_sa(e)))), where conv_t is the
     per-step channel map h' -> d_e, so blocks stack. e: [N, B, m, d_e].
     """
-    s = spatial_self_attention(params, prefix, e, config.d_s, sink)
-    t = temporal_self_attention(params, prefix, s, config.d_t, sink)
+    s = spatial_self_attention(params, prefix, e, sink)
+    t = temporal_self_attention(params, prefix, s, sink)
     g = cheb_graph_conv(t, basis, params[f"{prefix}.theta"])  # [N, B, m, h']
     res = T.matmul(e, params[f"{prefix}.residual"])
     return T.matmul(g, params[f"{prefix}.conv_t"], res)        # [N, B, m, d_e]

@@ -38,6 +38,7 @@ which keeps shape errors loud.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from contextlib import contextmanager
@@ -441,9 +442,9 @@ def attention(q, k, v, scale):
     """
     sq, sk, sv = q.shape, k.shape, v.shape
     if (min(map(len, (sq, sk, sv))) < 2 or not sq[:-2] == sk[:-2] == sv[:-2]
-            or sq[-1] != sk[-1] or sk[-2] != sv[-2]):
-        raise ShapeError(f"attention: need q [..., L_q, d], k [..., L_k, d], v [..., L_k, d_v]; "
-                         f"got {sq}, {sk}, {sv}")
+            or sq[-1] != sk[-1] or sk[-2] != sv[-2] or not sk[-2]):
+        raise ShapeError(f"attention: need q [..., L_q, d], k [..., L_k, d], v [..., L_k, d_v], "
+                         f"L_k > 0; got {sq}, {sk}, {sv}")
     c = float(scale)
     dq, dk, dv = q.data, k.data, v.data
     p = np.matmul(dq, np.swapaxes(dk, -1, -2))
@@ -485,14 +486,15 @@ def reduce(x, axis=None, kind="sum"):
     if kind not in ("sum", "mean"):
         raise ValueError(f"reduce: unknown kind {kind!r}")
     if axis is None:
-        axes = tuple(range(x.ndim))
-    elif isinstance(axis, int):
-        axes = (axis % x.ndim,)
-    else:
-        axes = tuple(ax % x.ndim for ax in axis)
-    count = 1
-    for ax in axes:
-        count *= x.shape[ax]
+        axis = tuple(range(x.ndim))
+    axes = (axis,) if isinstance(axis, (int, np.integer)) else tuple(axis)
+    if (not all(-x.ndim <= ax < x.ndim for ax in axes)
+            or len({ax % x.ndim for ax in axes}) < len(axes)):
+        raise ShapeError(f"reduce: axis {axis} invalid for shape {x.shape}")
+    axes = tuple(ax % x.ndim for ax in axes)
+    count = math.prod(x.shape[ax] for ax in axes)
+    if kind == "mean" and not count:
+        raise ShapeError(f"reduce: mean over no elements, axis {axis} of shape {x.shape}")
     data = x.data.sum(axis=axes)
     if kind == "mean":
         data = data / count
@@ -526,7 +528,7 @@ def permute(x, axes):
 def reshape(x, shape):
     """View ``x`` under a new shape; the output shares the input's storage."""
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != x.size:
+    if min(shape, default=0) < 0 or math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     out = _wrap(x.data.reshape(shape))
     in_shape = x.shape
@@ -552,6 +554,8 @@ def gather_rows(table, indices):
     idx = np.asarray(indices)
     if idx.dtype.kind not in "iu":
         raise TypeError("gather_rows: indices must be integers")
+    if table.ndim == 0:
+        raise ShapeError("gather_rows: a 0-d table has no rows")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(
             f"gather_rows: index out of range [0, {table.shape[0]}): "

@@ -136,21 +136,21 @@ def test_attention_invariants():
         temporal_self_attention,
     )
 
-    c1 = ModelConfig(m=3, n=3, n_nodes=1, d_e=4, d_s=4, d_t=4, h_prime=4, periods=(6,))
+    c1 = ModelConfig(m=3, n=3, n_nodes=1, d_e=4, h_prime=4, periods=(6,))
     p1 = init_params(c1, seed=1)
     e1 = rng.standard_normal((1, 3, 1, 4))   # [B, m, N, d_e], the layout attended on
     v1 = e1 @ p1["transition.0.spatial.wv"].data + p1["transition.0.spatial.bv"].data
     spatial_exact = np.array_equal(
-        spatial_self_attention(p1, "transition.0", T.Tensor(node_first(e1)), 4).data,
+        spatial_self_attention(p1, "transition.0", T.Tensor(node_first(e1))).data,
         node_first(v1),
     )
 
-    c2 = ModelConfig(m=1, n=1, n_nodes=3, d_e=4, d_s=4, d_t=4, h_prime=4, periods=(2,))
+    c2 = ModelConfig(m=1, n=1, n_nodes=3, d_e=4, h_prime=4, periods=(2,))
     p2 = init_params(c2, seed=2)
     x2 = T.Tensor(node_first(rng.standard_normal((1, 1, 3, 4))))
     v2 = x2.data @ p2["transition.0.temporal.wv"].data + p2["transition.0.temporal.bv"].data
     temporal_exact = np.allclose(
-        temporal_self_attention(p2, "transition.0", x2, 4).data, v2, atol=1e-15
+        temporal_self_attention(p2, "transition.0", x2).data, v2, atol=1e-15
     )
 
     # a branch window is its data [N, B, m+n, F] and clock [B, m+n, d_e], cut
@@ -283,7 +283,7 @@ def test_ablation_ordering(periodic_dataset):
     tcfg = TrainConfig(learning_rate=1e-3, batch_size=16, epochs=10, seed=5)
     rows = training.ablation_grid(
         normalized, basis, training.standard_variants(),
-        dict(m=12, n=12, d_e=16, d_s=16, d_t=16, h_prime=16, k_cheb=2, n_blocks=1),
+        dict(m=12, n=12, d_e=16, h_prime=16, k_cheb=2, n_blocks=1),
         tcfg, splits, normalizer, calendar=calendar,
     )
     elapsed = time.perf_counter() - start
@@ -319,7 +319,7 @@ def test_lookup_sanity():
 
     m = n = 12
     periods = (32, 96)  # 8h and 24h lags at 15-minute steps
-    config = ModelConfig(m=m, n=n, n_nodes=8, n_features=1, d_e=16, d_s=16, d_t=16,
+    config = ModelConfig(m=m, n=n, n_nodes=8, n_features=1, d_e=16,
                          h_prime=16, k_cheb=2, n_blocks=1, periods=periods,
                          enable_recent=False)
     windows = {
@@ -363,7 +363,7 @@ def test_determinism_and_persistence(tmp_path):
         calendar = data.calendar_features(series)
         lap = normalized_laplacian(graph)
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 2)
-        config = ModelConfig(m=4, n=4, n_nodes=5, n_features=1, d_e=8, d_s=8, d_t=8,
+        config = ModelConfig(m=4, n=4, n_nodes=5, n_features=1, d_e=8,
                              h_prime=8, k_cheb=2, n_blocks=1, periods=(24,))
         tr = data.make_windows(normalized, splits[0], 4, 4, [24], calendar=calendar)
         val = data.make_windows(normalized, splits[1], 4, 4, [24], calendar=calendar)
@@ -413,7 +413,7 @@ def test_shape_config_sweep():
                 combos += 1
                 periods = tuple(m + n + 4 * i for i in range(branches))
                 config = ModelConfig(
-                    m=m, n=n, n_nodes=n_nodes, n_features=1, d_e=4, d_s=4, d_t=4,
+                    m=m, n=n, n_nodes=n_nodes, n_features=1, d_e=4,
                     h_prime=4, k_cheb=k_cheb, n_blocks=1, periods=periods,
                     enable_recent=True,
                 )

@@ -30,7 +30,7 @@ def dataset(tmp_path):
 def train_args(dataset, out, extra=()):
     base = ["train", "--readings", dataset / "readings.csv",
             "--adjacency", dataset / "adjacency.csv", "--out", out,
-            "--epochs", 1, "--d-e", 4, "--d-s", 4, "--d-t", 4, "--h-prime", 4,
+            "--epochs", 1, "--d-e", 4, "--h-prime", 4,
             "--k-cheb", 2, "--n-blocks", 1, "--seed", 3]
     return base + list(extra)
 
@@ -119,7 +119,7 @@ class TestTrain:
     def test_config_file_with_override(self, dataset, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("epochs = 1\nseed = 1\nm = 4\nn = 4\nperiods_hours = 24\n"
-                            "d_e = 4\nd_s = 4\nd_t = 4\nh_prime = 4\nk_cheb = 2\nn_blocks = 1\n"
+                            "d_e = 4\nh_prime = 4\nk_cheb = 2\nn_blocks = 1\n"
                             "threads = 1\n")  # a key older versions wrote still parses
         out = tmp_path / "runs"
         assert run_cli(["train", "--config", cfg_file,
@@ -131,10 +131,12 @@ class TestTrain:
 
     def test_unread_config_key_is_warned(self, dataset, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("epoch = 5\nm = 4\nn = 4\nperiods_hours = 24\n")
+        # d_s and d_t: the attention widths of configs written before they became d_e
+        cfg_file.write_text("epoch = 5\nm = 4\nn = 4\nperiods_hours = 24\nd_s = 32\nd_t = 32\n")
         assert run_cli(train_args(dataset, tmp_path / "runs", ["--config", cfg_file])) == 0
-        assert capsys.readouterr().err == (
-            f"warning: {cfg_file}: key 'epoch' is not read by train; ignored\n")
+        assert capsys.readouterr().err == "".join(
+            f"warning: {cfg_file}: key {key!r} is not read by train; ignored\n"
+            for key in ("epoch", "d_s", "d_t"))
 
     def test_bad_holidays_file_fails_cleanly(self, dataset, tmp_path, capsys):
         holidays = tmp_path / "holidays.txt"
@@ -225,11 +227,19 @@ class TestOptions:
                 shown = f"default: {default}" if default else "no default"
                 assert f"{cli._flag(key)} {kind.upper()} {shown}" in help_text
 
+    def test_readme_key_table_matches_command_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| subcommand | config keys |")[1].split("\n\n")[0]
+        rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M))
+        for command in ("synth", "train", "evaluate", "predict"):
+            assert tuple(re.findall(r"`(\w+)`", rows[command])) == cli.COMMAND_KEYS[command]
+
     @pytest.mark.parametrize("command,flag", [
         ("synth", "--readings"), ("synth", "--adjacency"), ("synth", "--holidays"),
         ("predict", "--seed"),
         ("ablation", "--periods"), ("ablation", "--enable-recent"),
         ("ablation", "--enable-period"),
+        ("train", "--d-s"), ("ablation", "--d-t"),   # attention widths are d_e
     ])
     def test_unread_flag_is_rejected(self, command, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -410,7 +420,7 @@ class TestAblationCommand:
         assert run_cli(["ablation", "--readings", dataset / "readings.csv",
                         "--adjacency", dataset / "adjacency.csv",
                         "--out", out, "--m", 4, "--n", 4, "--epochs", 1,
-                        "--d-e", 4, "--d-s", 4, "--d-t", 4, "--h-prime", 4,
+                        "--d-e", 4, "--h-prime", 4,
                         "--k-cheb", 2, "--n-blocks", 1, "--seed", 2]) == 0
         run = next(out.glob("run-ablation-*"))
         doc = json.loads((run / "ablation.json").read_text())

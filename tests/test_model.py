@@ -266,62 +266,60 @@ class TestEmbed:
 
 class TestSpatialAttention:
     def test_single_node_returns_value_exactly(self):
-        config = ModelConfig(m=3, n=3, n_nodes=1, d_e=4, d_s=4, periods=(6,))
+        config = ModelConfig(m=3, n=3, n_nodes=1, d_e=4, periods=(6,))
         params = init_params(config, seed=1)
         rng = np.random.default_rng(4)
         e = rng.standard_normal((1, 3, 1, 4))   # [B, m, N, d_e], the layout attended on
-        out = spatial_self_attention(params, "transition.0", T.Tensor(node_first(e)), 4)
+        out = spatial_self_attention(params, "transition.0", T.Tensor(node_first(e)))
         v = e @ params["transition.0.spatial.wv"].data + params["transition.0.spatial.bv"].data
         assert np.array_equal(out.data, node_first(v))
 
     def test_score_rows_sum_to_one(self):
-        config = ModelConfig(m=3, n=3, n_nodes=5, d_e=4, d_s=4, periods=(6,))
+        config = ModelConfig(m=3, n=3, n_nodes=5, d_e=4, periods=(6,))
         params = init_params(config, seed=2)
         sink = []
         e = T.Tensor(node_first(np.random.default_rng(5).standard_normal((2, 3, 5, 4))))
-        spatial_self_attention(params, "transition.0", e, 4, sink=sink)
+        spatial_self_attention(params, "transition.0", e, sink=sink)
         label, scores = sink[0]
         assert label == "spatial"
         assert scores.shape == (2, 3, 5, 5)
         assert np.max(np.abs(scores.sum(axis=-1) - 1.0)) < 1e-9
 
     def test_node_permutation_equivariance(self):
-        config = ModelConfig(m=2, n=2, n_nodes=3, d_e=4, d_s=4, periods=(4,))
+        config = ModelConfig(m=2, n=2, n_nodes=3, d_e=4, periods=(4,))
         params = init_params(config, seed=3)
         rng = np.random.default_rng(6)
         e = node_first(rng.standard_normal((1, 2, 3, 4)))
         perm = np.array([2, 0, 1])
-        base = spatial_self_attention(params, "transition.0", T.Tensor(e), 4).data
-        moved = spatial_self_attention(
-            params, "transition.0", T.Tensor(e[perm]), 4
-        ).data
+        base = spatial_self_attention(params, "transition.0", T.Tensor(e)).data
+        moved = spatial_self_attention(params, "transition.0", T.Tensor(e[perm])).data
         assert np.allclose(moved, base[perm], atol=1e-12)
 
 
 class TestTemporalAttention:
     def test_single_step_returns_value(self):
-        config = ModelConfig(m=1, n=1, n_nodes=3, d_e=4, d_s=4, d_t=4, periods=(2,))
+        config = ModelConfig(m=1, n=1, n_nodes=3, d_e=4, periods=(2,))
         params = init_params(config, seed=1)
         x = T.Tensor(node_first(np.random.default_rng(7).standard_normal((1, 1, 3, 4))))
-        out = temporal_self_attention(params, "transition.0", x, 4)
+        out = temporal_self_attention(params, "transition.0", x)
         v = x.data @ params["transition.0.temporal.wv"].data + params["transition.0.temporal.bv"].data
         assert np.allclose(out.data, v, atol=1e-15)
 
     def test_weights_shared_across_nodes(self):
-        config = ModelConfig(m=4, n=4, n_nodes=2, d_e=4, d_s=4, d_t=4, periods=(8,))
+        config = ModelConfig(m=4, n=4, n_nodes=2, d_e=4, periods=(8,))
         params = init_params(config, seed=2)
         rng = np.random.default_rng(8)
         one_series = rng.standard_normal((1, 4, 1, 4))
         x = T.Tensor(node_first(np.tile(one_series, (1, 1, 2, 1))))
-        out = temporal_self_attention(params, "transition.0", x, 4).data
+        out = temporal_self_attention(params, "transition.0", x).data
         assert np.array_equal(out[0], out[1])
 
     def test_score_rows_sum_to_one(self):
-        config = ModelConfig(m=4, n=4, n_nodes=2, d_e=4, d_s=4, d_t=4, periods=(8,))
+        config = ModelConfig(m=4, n=4, n_nodes=2, d_e=4, periods=(8,))
         params = init_params(config, seed=2)
         sink = []
         x = T.Tensor(node_first(np.random.default_rng(9).standard_normal((1, 4, 2, 4))))
-        temporal_self_attention(params, "transition.0", x, 4, sink=sink)
+        temporal_self_attention(params, "transition.0", x, sink=sink)
         _, scores = sink[0]
         assert scores.shape == (2, 1, 4, 4)
         assert np.max(np.abs(scores.sum(axis=-1) - 1.0)) < 1e-9
@@ -388,7 +386,7 @@ class TestTransitionReadout:
     @pytest.mark.parametrize("m,n", [(12, 12), (36, 36), (12, 36)])
     def test_shapes(self, m, n):
         # m < n is legal for the recent-only path; branches need m >= n
-        config = ModelConfig(m=m, n=n, n_nodes=5, d_e=4, d_s=4, d_t=4, h_prime=4,
+        config = ModelConfig(m=m, n=n, n_nodes=5, d_e=4, h_prime=4,
                              k_cheb=2, n_blocks=1, periods=(), enable_recent=True)
         params = init_params(config, seed=0)
         h = T.Tensor(node_first(np.random.default_rng(14).standard_normal((2, m, 5, 4))))
@@ -419,7 +417,7 @@ def unfolded_readout(params, y):
 
 class TestSimilarityAttention:
     def _config(self, **kw):
-        defaults = dict(m=3, n=3, n_nodes=2, d_e=4, d_s=4, d_t=4, h_prime=4,
+        defaults = dict(m=3, n=3, n_nodes=2, d_e=4, h_prime=4,
                         k_cheb=2, n_blocks=1, periods=(6,))
         defaults.update(kw)
         return ModelConfig(**defaults)
@@ -641,7 +639,7 @@ class TestMseLoss:
 class TestForward:
     def test_ablation_flags(self):
         for enable_recent, periods in ((True, ()), (False, (6,)), (True, (6,))):
-            config = ModelConfig(m=3, n=3, n_nodes=4, d_e=4, d_s=4, d_t=4, h_prime=4,
+            config = ModelConfig(m=3, n=3, n_nodes=4, d_e=4, h_prime=4,
                                  k_cheb=2, n_blocks=1, periods=periods,
                                  enable_recent=enable_recent)
             params = init_params(config, seed=1)
@@ -668,8 +666,8 @@ class TestForward:
     @pytest.mark.parametrize("branches", [0, 1, 2, 4])
     def test_shape_sweep(self, m, n, k_cheb, branches):
         periods = tuple(m + n + 4 * i for i in range(branches))
-        config = ModelConfig(m=m, n=n, n_nodes=5, n_features=2, d_e=4, d_s=4,
-                             d_t=4, h_prime=4, k_cheb=k_cheb, n_blocks=1,
+        config = ModelConfig(m=m, n=n, n_nodes=5, n_features=2, d_e=4,
+                             h_prime=4, k_cheb=k_cheb, n_blocks=1,
                              periods=periods, enable_recent=True)
         params = init_params(config, seed=0)
         basis = basis_for(config)
@@ -684,7 +682,7 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_node_permutation_equivariance_edgeless(self):
-        config = ModelConfig(m=3, n=3, n_nodes=4, d_e=4, d_s=4, d_t=4, h_prime=4,
+        config = ModelConfig(m=3, n=3, n_nodes=4, d_e=4, h_prime=4,
                              k_cheb=2, n_blocks=1, periods=(6,))
         params = init_params(config, seed=5)
         g = TrafficGraph(adjacency=np.zeros((4, 4)))
@@ -840,6 +838,12 @@ class TestCheckpoint:
         self._replace_config(path, {**config.to_dict(), "enable_period": True})
         with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*enable_period"):
             load_checkpoint(path)
+        # a config written while ModelConfig still had separate attention widths
+        path = tmp_path / "attention-widths.ckpt"
+        save_checkpoint(path, params, config)
+        self._replace_config(path, {**config.to_dict(), "d_s": config.d_e, "d_t": config.d_e})
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*d_s"):
+            load_checkpoint(path)
 
         old_kernel = params.copy()
         kernel = old_kernel["branch.0.conv_c"]
@@ -889,12 +893,13 @@ class TestCheckpoint:
 
     def test_param_count_formula(self):
         # documented closed form: embeddings + per-block + readout + branches + head
-        c = ModelConfig(m=5, n=3, n_nodes=7, n_features=2, d_e=6, d_s=5, d_t=4,
+        # d_e != h_prime, so the formula tells the two widths apart
+        c = ModelConfig(m=5, n=3, n_nodes=7, n_features=2, d_e=6,
                         h_prime=3, k_cheb=2, n_blocks=2, periods=(8, 16))
         params = init_params(c, seed=0)
         embedding = (1440 + 7 + 2) * c.d_e + c.n_features * c.d_e  # embed.calendar, embed.proj
-        per_block = (3 * c.d_e * c.d_s + 3 * c.d_s + 3 * c.d_s * c.d_t + 3 * c.d_t
-                     + c.k_cheb * c.d_t * c.h_prime + c.h_prime * c.d_e + c.d_e * c.d_e)
+        per_block = (7 * c.d_e * c.d_e + 6 * c.d_e            # spatial, temporal, residual
+                     + c.k_cheb * c.d_e * c.h_prime + c.h_prime * c.d_e)   # theta, conv_t
         readout = c.m * c.n + c.d_e
         align = 2 * (c.m - c.n + 1) * c.h_prime * c.h_prime if c.m != c.n else 0
         per_branch = (3 * c.d_e * c.h_prime + 3 * c.h_prime + align

@@ -209,7 +209,8 @@ class TestAttention:
         ((2, 3, 4), (2, 5, 3), (2, 5, 6)),   # query and key widths differ
         ((2, 3, 4), (2, 5, 4), (2, 4, 6)),   # key and value lengths differ
         ((1, 1), (1,), (1, 1)),              # a key without a length axis
-    ], ids=["batch", "width", "length", "rank"])
+        ((2, 3, 4), (2, 0, 4), (2, 0, 6)),   # no keys to attend to
+    ], ids=["batch", "width", "length", "rank", "no-keys"])
     def test_shape_mismatch_raises(self, shapes):
         q, k, v = (T.Tensor(np.zeros(s)) for s in shapes)
         with pytest.raises(T.ShapeError):
@@ -256,9 +257,26 @@ class TestElementwise:
         out = T.reduce(T.Tensor(np.ones((3, 4))), axis=1, kind="sum")
         assert np.array_equal(out.data, [4.0, 4.0, 4.0])
 
+    def test_reduce_takes_a_numpy_integer_axis(self):
+        out = T.reduce(T.Tensor(np.ones((3, 4))), axis=np.int64(-1))
+        assert np.array_equal(out.data, [4.0, 4.0, 4.0])
+
     def test_reduce_mean_all(self):
         out = T.reduce(T.Tensor([[2.0, 4.0], [6.0, 8.0]]), kind="mean")
         assert out.item() == 5.0
+
+    @pytest.mark.parametrize("axis", [3, -5, (0, 0), (1, -1)],
+                             ids=["past-the-end", "before-the-start", "repeated", "aliased"])
+    def test_reduce_rejects_a_bad_axis(self, axis):
+        # an out-of-range axis once wrapped around, and a repeated one hit numpy
+        x = T.Tensor(np.arange(6.0).reshape(2, 3))
+        with pytest.raises(T.ShapeError, match=re.escape(f"reduce: axis {axis} invalid for "
+                                                         "shape (2, 3)")):
+            T.reduce(x, axis=axis)
+
+    def test_reduce_mean_over_no_elements_raises(self):
+        with pytest.raises(T.ShapeError, match="reduce: mean over no elements"):
+            T.reduce(T.Tensor(np.zeros((2, 0))), axis=1, kind="mean")
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(T.ShapeError):
@@ -279,6 +297,12 @@ class TestElementwise:
     def test_reshape_mismatch(self):
         with pytest.raises(T.ShapeError):
             T.reshape(T.Tensor(np.zeros((2, 3))), (4, 2))
+
+    @pytest.mark.parametrize("in_shape,shape", [((2, 3), (-1, -6)), ((0,), (0, -1))],
+                             ids=["product-matches", "empty"])
+    def test_reshape_rejects_negative_dims(self, in_shape, shape):
+        with pytest.raises(T.ShapeError, match="reshape: cannot view"):
+            T.reshape(T.Tensor(np.zeros(in_shape)), shape)
 
 
 class TestStorage:
@@ -795,6 +819,90 @@ def test_gather_rows_gradient_is_a_fresh_buffer(table_shape, indices):
     (grad,) = T.current_tape().nodes[-1].fn(np.ones(out.shape))
     T.drop_tape()
     assert grad.base is None and grad.shape == table_shape
+
+
+def test_gather_rows_rejects_a_0d_table():
+    with pytest.raises(T.ShapeError, match="gather_rows: a 0-d table"):
+        T.gather_rows(T.Tensor(2.0), np.array([0]))
+
+
+# --------------------------------------------------------------------------
+# shape contracts
+# --------------------------------------------------------------------------
+
+SHAPES = st.lists(st.integers(0, 3), max_size=4).map(tuple)
+
+
+def draw_op_call(draw, op):
+    """Operands for ``op`` drawn near its shape contract: (call, numpy oracle of the result)."""
+    rng = rng_for(70)
+
+    def arr(shape):
+        return T.Tensor(rng.standard_normal(shape))
+
+    a = arr(draw(SHAPES))
+    x = a.data
+    if op in ("add", "mul"):
+        keep = draw(st.integers(0, x.ndim))
+        b = arr(draw(st.one_of(st.just(x.shape[x.ndim - keep:]), SHAPES)))  # a suffix, or not
+        oracle = {"add": np.add, "mul": np.multiply}[op]
+        return lambda: getattr(T, op)(a, b), lambda: oracle(x, b.data)
+    if op == "reduce":
+        ax = st.integers(-5, 4)
+        axis = draw(st.one_of(st.none(), ax, ax.map(np.int64),
+                              st.lists(ax, max_size=3).map(tuple)))
+        kind = draw(st.sampled_from(["sum", "mean"]))
+        return lambda: T.reduce(a, axis, kind), lambda: getattr(np, kind)(x, axis=axis)
+    if op == "permute":
+        axes = draw(st.one_of(st.permutations(range(x.ndim)),
+                              st.lists(st.integers(-1, 4), max_size=5)))
+        return lambda: T.permute(a, axes), lambda: np.transpose(x, axes)
+    if op == "reshape":
+        shape = draw(st.one_of(st.just((x.size,)), st.just(x.shape[::-1]),
+                               st.lists(st.integers(-1, 6), max_size=4).map(tuple)))
+        return lambda: T.reshape(a, shape), lambda: x.reshape(shape)
+    if op == "gather_rows":
+        index = st.integers(-2, 4)
+        rows = draw(st.one_of(index, st.lists(index, max_size=4),
+                              st.lists(st.lists(index, min_size=2, max_size=2),
+                                       min_size=1, max_size=3)))
+        dtype = draw(st.sampled_from([np.int64, np.uint8, np.float64]))
+        idx = np.asarray(rows, dtype=np.int64).astype(dtype)   # uint8 wraps -1 to 255
+        return lambda: T.gather_rows(a, idx), lambda: x[idx]
+    # attention
+    batch = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    lq, lk, d, dv = (draw(st.integers(0, 3)) for _ in range(4))
+    shapes = [batch + (lq, d), batch + (lk, d), batch + (lk, dv)]
+    if draw(st.booleans()):   # break the contract, or keep it by chance
+        shapes[draw(st.integers(0, 2))] = draw(SHAPES)
+    q, k, v = map(arr, shapes)
+
+    def oracle():
+        s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        return np.matmul(e / e.sum(axis=-1, keepdims=True), v.data)
+
+    return lambda: T.attention(q, k, v, 1.0)[0], oracle
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.given(op=st.sampled_from(["add", "mul", "reduce", "permute", "reshape",
+                                      "gather_rows", "attention"]),
+                  data=st.data())
+def test_op_shape_contracts_fuzz(op, data):
+    # an op returns numpy's result or raises a typed error that starts with
+    # its name: never an IndexError, a numpy AxisError (an IndexError too)
+    # or a numpy broadcast error
+    call, oracle = draw_op_call(data.draw, op)
+    try:
+        out = call()
+    except (TypeError, ValueError) as exc:
+        assert not isinstance(exc, IndexError)
+        assert str(exc).startswith((f"{op}: ", f"{op} ")), exc
+        return
+    expected = oracle()
+    assert out.shape == expected.shape
+    np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_every_op_has_a_registered_check():

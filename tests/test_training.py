@@ -42,7 +42,7 @@ def tiny_dataset(seed=13, days=6, step=60, noise=1.0, weekly=0.0, n_nodes=5):
 
 
 def tiny_model(n_nodes=5, periods=(24,), **kw):
-    defaults = dict(m=4, n=4, n_nodes=n_nodes, n_features=1, d_e=8, d_s=8, d_t=8,
+    defaults = dict(m=4, n=4, n_nodes=n_nodes, n_features=1, d_e=8,
                     h_prime=8, k_cheb=2, n_blocks=1, periods=periods)
     defaults.update(kw)
     return ModelConfig(**defaults)
@@ -142,7 +142,7 @@ class TestTrain:
 
     def test_selection_returns_best_epoch_not_final(self):
         series, normalized, splits, normalizer, calendar, basis = tiny_dataset(seed=6)
-        config = tiny_model(d_e=4, d_s=4, d_t=4, h_prime=4)
+        config = tiny_model(d_e=4, h_prime=4)
         tr = data.make_windows(normalized, splits[0], 4, 4, [24], calendar=calendar)
         val = data.make_windows(normalized, splits[1], 4, 4, [24], calendar=calendar)
         # aggressive rate so validation MAE oscillates
@@ -158,7 +158,7 @@ class TestTrain:
     def test_determinism_across_runs(self):
         def run():
             series, normalized, splits, normalizer, calendar, basis = tiny_dataset(seed=5)
-            config = tiny_model(d_e=4, d_s=4, d_t=4, h_prime=4)
+            config = tiny_model(d_e=4, h_prime=4)
             tr = data.make_windows(normalized, splits[0], 4, 4, [24], calendar=calendar)
             val = data.make_windows(normalized, splits[1], 4, 4, [24], calendar=calendar)
             tcfg = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=2, seed=3)
@@ -171,7 +171,7 @@ class TestTrain:
 
     def test_divergence_aborts_with_epoch(self):
         series, normalized, splits, normalizer, calendar, basis = tiny_dataset(seed=7)
-        config = tiny_model(d_e=4, d_s=4, d_t=4, h_prime=4)
+        config = tiny_model(d_e=4, h_prime=4)
         tr = data.make_windows(normalized, splits[0], 4, 4, [24], calendar=calendar)
         val = data.make_windows(normalized, splits[1], 4, 4, [24], calendar=calendar)
         bad_init = init_params(config, seed=0)
@@ -183,7 +183,7 @@ class TestTrain:
 
     def test_step_that_raises_mid_forward_leaves_no_tape(self, monkeypatch):
         series, normalized, splits, normalizer, calendar, basis = tiny_dataset(seed=7)
-        config = tiny_model(d_e=4, d_s=4, d_t=4, h_prime=4)
+        config = tiny_model(d_e=4, h_prime=4)
         tr = data.make_windows(normalized, splits[0], 4, 4, [24], calendar=calendar)
         val = data.make_windows(normalized, splits[1], 4, 4, [24], calendar=calendar)
         readout = model.transition_readout
@@ -321,7 +321,7 @@ class TestAblationGrid:
         tcfg = TrainConfig(learning_rate=1e-3, batch_size=16, epochs=1, seed=1)
         rows = training.ablation_grid(
             normalized, basis, variants,
-            dict(m=4, n=4, d_e=4, d_s=4, d_t=4, h_prime=4, k_cheb=2, n_blocks=1),
+            dict(m=4, n=4, d_e=4, h_prime=4, k_cheb=2, n_blocks=1),
             tcfg, splits, normalizer, calendar=calendar,
         )
         assert len(rows) == 1
