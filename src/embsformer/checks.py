@@ -4,10 +4,9 @@ Each check builds seeded inputs, reduces the op output to a scalar with a
 fixed random weighting (so gradients are non-degenerate), and compares the
 tape's gradients against central differences. The model-level check runs
 at a point with a small loss (target = initial prediction + perturbation):
-attention key biases are mathematically inert under row softmax, so their
-true gradient is zero and a small loss keeps one-ulp finite-difference
-noise below the relative-error floor while real gradient bugs still scale
-with the signal.
+its worst relative error measured 4.3e-6 there and 3.3e-5, a third of the
+1e-4 tolerance, at a zero target; real gradient bugs still scale with the
+signal.
 """
 
 from __future__ import annotations
@@ -46,10 +45,6 @@ def _rng(salt):
     return np.random.default_rng(1_000_003 + salt)
 
 
-def _check(f, x, eps=1e-5, elements=None):
-    return T.gradient_check(f, x, eps=eps, elements=elements)
-
-
 # --------------------------------------------------------------------------
 # op-level checks
 # --------------------------------------------------------------------------
@@ -72,7 +67,8 @@ def check_matmul():
     def f_c(t):
         return T.reduce(T.mul(T.matmul(a, b, t), T.Tensor(w)), kind="sum")
 
-    return max(_check(f_a, a), _check(f_b, b), _check(f_c, bias), _check(f_c, full))
+    return max(T.gradient_check(f_a, a), T.gradient_check(f_b, b),
+               T.gradient_check(f_c, bias), T.gradient_check(f_c, full))
 
 
 def check_matmul_batched():
@@ -87,7 +83,7 @@ def check_matmul_batched():
     def f_b(t):
         return T.reduce(T.mul(T.matmul(a, t), T.Tensor(w)), kind="sum")
 
-    return max(_check(f_a, a), _check(f_b, b))
+    return max(T.gradient_check(f_a, a), T.gradient_check(f_b, b))
 
 
 def check_attention():
@@ -101,9 +97,9 @@ def check_attention():
     def loss(qq, kk, vv):
         return T.reduce(T.mul(T.attention(qq, kk, vv, 0.7)[0], T.Tensor(w)), kind="sum")
 
-    return max(_check(lambda t: loss(t, k, v), q),
-               _check(lambda t: loss(q, t, v), k),
-               _check(lambda t: loss(q, k, t), v))
+    return max(T.gradient_check(lambda t: loss(t, k, v), q),
+               T.gradient_check(lambda t: loss(q, t, v), k),
+               T.gradient_check(lambda t: loss(q, k, t), v))
 
 
 def _elementwise_check(op, salt):
@@ -118,7 +114,7 @@ def _elementwise_check(op, salt):
     def f_b(t):
         return T.reduce(T.mul(op(a, t), T.Tensor(w)), kind="sum")
 
-    return max(_check(f_a, a), _check(f_b, b))
+    return max(T.gradient_check(f_a, a), T.gradient_check(f_b, b))
 
 
 def check_add():
@@ -140,7 +136,7 @@ def check_relu():
     def f(t):
         return T.reduce(T.mul(T.relu(t), T.Tensor(w)), kind="sum")
 
-    return _check(f, x)
+    return T.gradient_check(f, x)
 
 
 def check_reduce():
@@ -155,7 +151,7 @@ def check_reduce():
     def f_mean(t):
         return T.reduce(T.mul(T.reduce(t, axis=0, kind="mean"), T.Tensor(w_mean)), kind="sum")
 
-    return max(_check(f_sum, x), _check(f_mean, x))
+    return max(T.gradient_check(f_sum, x), T.gradient_check(f_mean, x))
 
 
 def check_permute():
@@ -166,7 +162,7 @@ def check_permute():
     def f(t):
         return T.reduce(T.mul(T.permute(t, (2, 0, 1)), T.Tensor(w)), kind="sum")
 
-    return _check(f, x)
+    return T.gradient_check(f, x)
 
 
 def check_reshape():
@@ -177,7 +173,7 @@ def check_reshape():
     def f(t):
         return T.reduce(T.mul(T.reshape(t, (3, 4)), T.Tensor(w)), kind="sum")
 
-    return _check(f, x)
+    return T.gradient_check(f, x)
 
 
 def check_gather():
@@ -189,7 +185,7 @@ def check_gather():
     def f(t):
         return T.reduce(T.mul(T.gather_rows(t, idx), T.Tensor(w)), kind="sum")
 
-    return _check(f, table)
+    return T.gradient_check(f, table)
 
 
 def check_fan_in():
@@ -220,7 +216,7 @@ def check_fan_in():
             loss = term if loss is None else T.add(loss, term)
         return loss
 
-    return _check(f, x)
+    return T.gradient_check(f, x)
 
 
 def check_cheb_conv():
@@ -239,7 +235,7 @@ def check_cheb_conv():
     def f_theta(t):
         return T.reduce(T.mul(cheb_graph_conv(x, basis, t), T.Tensor(w)), kind="sum")
 
-    return max(_check(f_x, x), _check(f_theta, theta))
+    return max(T.gradient_check(f_x, x), T.gradient_check(f_theta, theta))
 
 
 # --------------------------------------------------------------------------
@@ -280,12 +276,7 @@ def _check_layer(layer, inputs, params, names, rng):
     """Worst error of a weighted sum of ``layer()`` over its ``inputs`` and weights ``names``.
 
     ``layer`` takes no argument: it reads its activation inputs and weights
-    where `T.gradient_check` perturbs them, in place. An attention key
-    bias (``*.bk``) shifts every score of a row by the same amount, so the
-    loss is flat in it and its true gradient is zero. Central differences
-    of a flat function are exact at any step, so key biases take eps = 1,
-    which keeps rounding noise far below the 1e-8 floor a zero gradient is
-    compared against; a wrong gradient of any size still fails.
+    where `T.gradient_check` perturbs them, in place.
     """
     with T.no_grad():
         w = T.Tensor(rng.standard_normal(layer().shape))
@@ -293,9 +284,7 @@ def _check_layer(layer, inputs, params, names, rng):
     def f(_):
         return T.reduce(T.mul(layer(), w), kind="sum")
 
-    errors = [_check(f, t) for t in inputs]
-    errors += [_check(f, params[n], eps=1.0 if n.endswith(".bk") else 1e-5) for n in names]
-    return max(errors)
+    return max(T.gradient_check(f, t) for t in inputs + [params[n] for n in names])
 
 
 def _names(params, prefix):
@@ -363,7 +352,7 @@ def check_transition_readout():
     def f(t):
         return T.reduce(T.mul(transition_readout(params, t, config), T.Tensor(w)), kind="sum")
 
-    return _check(f, h)
+    return T.gradient_check(f, h)
 
 
 def _used_table_elements(batch, d_e):
@@ -392,13 +381,13 @@ def check_full_model():
         moved = dataclasses.replace(batch, recent=t)
         return mse_loss(forward(moved, params, config, basis), batch.target)
 
-    worst = max(worst, _check(f_input, x))
+    worst = max(worst, T.gradient_check(f_input, x))
     for name, tens in params.items():
         def f(t):
             return loss_fn()
 
         elems = _used_table_elements(batch, tens.shape[1]) if name == "embed.calendar" else None
-        worst = max(worst, _check(f, tens, elements=elems))
+        worst = max(worst, T.gradient_check(f, tens, elements=elems))
     return worst
 
 

@@ -71,7 +71,7 @@ COMMAND_KEYS = {
               "graph_model", "seed"),
     "train": _DATASET + _WIDTHS + ("periods_hours", "enable_recent", "enable_period")
              + _TRAINING,
-    "evaluate": _DATASET + ("seed",),
+    "evaluate": _DATASET,
     "predict": _DATASET,
     "ablation": _DATASET + _WIDTHS + _TRAINING,
 }
@@ -320,7 +320,7 @@ def cmd_evaluate(args):
     with np.errstate(all="ignore"):
         report = training.evaluate(
             params, samples, normalizer, config, basis,
-            meta={"split": args.split, "seed": cfg["seed"], "n_samples": len(samples)},
+            meta={"split": args.split, "n_samples": len(samples)},
         )
     doc = report.to_dict()
     print(f"split={args.split}  samples={len(samples)}  horizon={config.n}")

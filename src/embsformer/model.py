@@ -28,14 +28,16 @@ map is a matmul, and each weight has the shape of the map it applies.
 Only the recent window is embedded. The embedding is affine (data block
 times ``embed.proj`` plus the clock), and a branch uses its window only
 through the key and value projections, so each branch projects its
-window's data block and clock directly: k = x (P W_k) + (clock W_k + b_k),
-a rank-F product carrying a [B, m, h'] clock addend. The pseudo-input and
-the pseudo-future each get their own data block and clock, so no
-[N, B, m+n, d_e] period embedding is built and nothing is sliced. The
-branch readout (channel map conv_t, then feature map conv_c) is linear
-and follows the attention directly, so its product c = conv_t conv_c
-[h', 1] is folded into the values: v = x ((P W_v) c) + (clock W_v + b_v) c
-is one column, [N, B, n, 1], and only queries and keys are h' wide.
+window's data block and clock directly: k = x (P W_k) + clock W_k, a
+rank-F product carrying a [B, m, h'] clock addend. Keys carry no bias:
+q (k_j + b) = q k_j + q b shifts a whole score row by one amount, which
+the row softmax cancels. The pseudo-input and the pseudo-future each get
+their own data block and clock, so no [N, B, m+n, d_e] period embedding
+is built and nothing is sliced. The branch readout (channel map conv_t,
+then feature map conv_c) is linear and follows the attention directly,
+so its product c = conv_t conv_c [h', 1] is folded into the values:
+v = x ((P W_v) c) + (clock W_v + b_v) c is one column, [N, B, n, 1], and
+only queries and keys are h' wide.
 """
 
 from __future__ import annotations
@@ -182,9 +184,10 @@ def _uniform(rng, fan_in, shape):
 def init_params(config: ModelConfig, seed=0) -> ModelParameters:
     """Deterministic initialization; draw order follows the path layout below.
 
-    Affine/conv weights are uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), biases
-    zero, fusion weights start at ones (period weights scaled by
-    1/(1+branch count)). The calendar embedding table uses fan_in = d_e.
+    Affine/conv weights are uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), query
+    and value biases zero (keys have none), fusion weights start at ones
+    (period weights scaled by 1/(1+branch count)). The calendar embedding
+    table uses fan_in = d_e.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     p = ModelParameters()
@@ -199,7 +202,7 @@ def init_params(config: ModelConfig, seed=0) -> ModelParameters:
             for layer in ("spatial", "temporal"):
                 for nm in ("wq", "wk", "wv"):
                     p.new(f"{pre}.{layer}.{nm}", _uniform(rng, c.d_e, (c.d_e, c.d_e)))
-                for nm in ("bq", "bk", "bv"):
+                for nm in ("bq", "bv"):
                     p.new(f"{pre}.{layer}.{nm}", np.zeros(c.d_e))
             p.new(f"{pre}.theta", _uniform(rng, c.d_e * c.k_cheb, (c.k_cheb, c.d_e, c.h_prime)))
             p.new(f"{pre}.conv_t", _uniform(rng, c.h_prime, (c.h_prime, c.d_e)))
@@ -211,7 +214,7 @@ def init_params(config: ModelConfig, seed=0) -> ModelParameters:
         pre = f"branch.{i}"
         for nm in ("wq", "wk", "wv"):
             p.new(f"{pre}.{nm}", _uniform(rng, c.d_e, (c.d_e, c.h_prime)))
-        for nm in ("bq", "bk", "bv"):
+        for nm in ("bq", "bv"):
             p.new(f"{pre}.{nm}", np.zeros(c.h_prime))
         if c.m != c.n:
             width = c.m - c.n + 1
@@ -334,11 +337,14 @@ def _attend(q, k, v, width, sink, label):
 def _self_attention(params, name, x, sink):
     """Self-attention over axis -2: x [..., L, d_e] -> [..., L, d_e].
 
-    q, k and v are projected from ``x`` by the ``<name>.w*`` weights and
-    ``<name>.b*`` biases, the scale is 1/sqrt(d_e), and ``sink`` gets the
+    q, k and v are projected from ``x`` by the ``<name>.w*`` weights; only
+    q and v have biases (``<name>.bq``, ``<name>.bv``), since the row softmax
+    cancels a key bias. The scale is 1/sqrt(d_e), and ``sink`` gets the
     scores labelled with the last part of ``name``.
     """
-    q, k, v = (T.matmul(x, params[f"{name}.w{c}"], params[f"{name}.b{c}"]) for c in "qkv")
+    q = T.matmul(x, params[f"{name}.wq"], params[f"{name}.bq"])
+    k = T.matmul(x, params[f"{name}.wk"])
+    v = T.matmul(x, params[f"{name}.wv"], params[f"{name}.bv"])
     return _attend(q, k, v, x.shape[-1], sink, name.rsplit(".", 1)[-1])
 
 
@@ -405,12 +411,12 @@ def _align(x, kernel):
     return T.matmul(windows, T.reshape(kernel, (w * c, c_out)))
 
 
-def _project_embedding(params, x, clock, w, b, out=None):
-    """(x @ embed.proj + clock) @ w + b, regrouped so the embedding is never built.
+def _project_embedding(params, x, clock, w, b=None, out=None):
+    """(x @ embed.proj + clock) @ w (+ b), regrouped so the embedding is never built.
 
     x: [N, B, L, F], clock: [B, L, d_e] -> [N, B, L, h']. The data term is
     a rank-F product against embed.proj @ w, and the clock term
-    clock @ w + b rides on it as the GEMM's addend, broadcast over nodes.
+    clock @ w (+ b) rides on it as the GEMM's addend, broadcast over nodes.
     ``out`` [h', r], when given, is a map applied to the result, folded
     into both terms before the rank-F product: -> [N, B, L, r].
     """
@@ -448,7 +454,7 @@ def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, 
             raise ValueError(f"{half} has {x.shape[2]} steps, expected {steps}")
     pre = f"branch.{branch}"
     q = T.matmul(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])            # [N, B, m, h']
-    k = _project_embedding(params, *pseudo_input, params[f"{pre}.wk"], params[f"{pre}.bk"])
+    k = _project_embedding(params, *pseudo_input, params[f"{pre}.wk"])
     readout = T.matmul(params[f"{pre}.conv_t"], params[f"{pre}.conv_c"])        # [h', 1]
     v = _project_embedding(params, *pseudo_future, params[f"{pre}.wv"], params[f"{pre}.bv"],
                            readout)                                             # [N, B, n, 1]

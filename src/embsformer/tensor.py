@@ -416,7 +416,8 @@ def matmul(a, b, c=None):
             if ga.ndim > na:
                 ga = ga.sum(axis=tuple(range(ga.ndim - na)))
         if need_b and nb < na:  # shared 2-D weight: one GEMM over all batch rows
-            gb = da.reshape(-1, da.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            rows = math.prod(g.shape[:-1])   # not -1: a zero width leaves it ambiguous
+            gb = da.reshape(rows, da.shape[-1]).T @ g.reshape(rows, g.shape[-1])
         elif need_b:
             gb = np.matmul(np.swapaxes(da, -1, -2), g)
         return (ga, gb, gc)[:n_in]  # one gradient per input
@@ -520,7 +521,7 @@ def permute(x, axes):
     inv = np.argsort(axes)
 
     def fn(g):
-        return (np.ascontiguousarray(np.transpose(g, inv)),)
+        return (np.transpose(g, inv).copy(),)   # row-major, and 0-d stays 0-d
 
     return _record("permute", [x], out, fn)
 

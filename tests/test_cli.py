@@ -236,7 +236,7 @@ class TestOptions:
 
     @pytest.mark.parametrize("command,flag", [
         ("synth", "--readings"), ("synth", "--adjacency"), ("synth", "--holidays"),
-        ("predict", "--seed"),
+        ("predict", "--seed"), ("evaluate", "--seed"),   # neither reads randomness
         ("ablation", "--periods"), ("ablation", "--enable-recent"),
         ("ablation", "--enable-period"),
         ("train", "--d-s"), ("ablation", "--d-t"),   # attention widths are d_e
@@ -244,7 +244,7 @@ class TestOptions:
     def test_unread_flag_is_rejected(self, command, flag, tmp_path, capsys):
         out = tmp_path / "out"
         args = [command, flag, "1", "--out", out]
-        if command == "predict":
+        if command in ("evaluate", "predict"):
             args += ["--checkpoint", tmp_path / "none"]
         with pytest.raises(SystemExit) as exc:
             run_cli(args)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from embsformer import cli
 from embsformer import tensor as T
 from embsformer.checks import toy_setup
 from embsformer.graph import TrafficGraph, cheb_graph_conv, chebyshev_basis, normalized_laplacian
@@ -36,6 +37,7 @@ from embsformer.model import (
     transition_block,
     transition_readout,
 )
+from embsformer.training import hours_to_steps
 
 
 CALENDAR_VOCAB = (1440, 7, 2)     # minute of day, day of week, holiday flag
@@ -106,10 +108,33 @@ class TestInitParams:
         bound = 1.0 / np.sqrt(config.d_e)
         three = [rng.uniform(-bound, bound, (rows, config.d_e)) for rows in CALENDAR_VOCAB]
         assert params["embed.calendar"].data.tobytes() == np.concatenate(three).tobytes()
-        # every other parameter, in path order, as the three-table layout drew it
+        # every other parameter, in path order, as the three-table layout drew
+        # it; the zero key biases that layout also held drew nothing
         rest = b"".join(t.data.tobytes() for name, t in params.items() if name != "embed.calendar")
         assert hashlib.sha256(rest).hexdigest() == (
-            "cb75591162386769ff054cafb1ad7a2f9b65181b71816c8da95aa94b14094d24")
+            "6f754a049c3bb615a0b90663e5ed361d31996317a223f8bb8171dd145d84b3f0")
+
+    def test_a_branch_has_a_fifth_of_the_transition_parameters(self):
+        # the paper's similarity module needs about 20 % of the parameters of
+        # the attention-based transition path; the desk model at the CLI
+        # defaults, on the dataset `synth` writes by default
+        widths = {key: int(cli.OPTIONS[key][0])
+                  for key in ("m", "n", "d_e", "h_prime", "k_cheb", "n_blocks")}
+        step = int(cli.OPTIONS["step_minutes"][0])
+        hours = sorted(int(h) for h in cli.OPTIONS["periods_hours"][0].split(","))
+        config = ModelConfig(n_nodes=int(cli.OPTIONS["nodes"][0]),
+                             periods=[hours_to_steps(h, step) for h in hours], **widths)
+        params = init_params(config, seed=0)
+
+        def size(prefix):
+            return sum(t.size for name, t in params.items() if name.startswith(prefix))
+
+        d, h, k = config.d_e, config.h_prime, config.k_cheb
+        branch, blocks = size("branch.0."), size("transition.")
+        assert branch == 3 * d * h + 2 * h + h * h + h == 4192
+        assert blocks == config.n_blocks * (7 * d * d + 4 * d + k * d * h + h * d) == 22784
+        assert round(100 * branch / blocks, 1) == 18.4 <= 20
+        assert (len(params.names()), params.count()) == (47, 78284)
 
 
 def tiled_embed(params, config, block, calendar):
@@ -341,8 +366,8 @@ class TestTransitionBlock:
         assert out.shape == e.shape
 
     def test_gradient_reaches_every_live_weight(self):
-        # attention key biases are mathematically inert under row softmax;
-        # every other transition parameter must receive signal
+        # keys carry no bias, which no softmax could see, so every parameter
+        # must receive signal
         config, params, basis, batch = toy_setup()
         params.zero_grads()
         pred = forward(batch, params, config, basis)
@@ -351,8 +376,7 @@ class TestTransitionBlock:
         T.backward(loss)
         for name, tens in params.items():
             assert tens.grad is not None, name
-            if not name.endswith(".bk"):
-                assert np.linalg.norm(tens.grad) > 1e-12, name
+            assert np.linalg.norm(tens.grad) > 1e-12, name
 
     @pytest.mark.parametrize("layer", ["transition_block", "cheb_graph_conv"])
     def test_adds_ride_the_matmuls(self, layer):
@@ -429,7 +453,6 @@ class TestSimilarityAttention:
         params[f"{pre}.wq"].data[:] = np.eye(4)
         params[f"{pre}.wk"].data[:] = np.eye(4)
         params[f"{pre}.bq"].data[:] = 0.0
-        params[f"{pre}.bk"].data[:] = 0.0
         scale = 40.0
         # orthogonal one-hot time codes; recent equals the pseudo-input, whose
         # data is zero, so its embedding is the clock alone
@@ -513,8 +536,8 @@ class TestSimilarityAttention:
             dense = {}
             for name, (x, clock), steps in (("k", halves[0], slice(0, m)),
                                             ("v", halves[1], slice(m, m + n))):
-                w, b = params[f"branch.0.w{name}"], params[f"branch.0.b{name}"]
-                dense[name] = e_p[:, :, steps] @ w.data + b.data
+                w, b = params[f"branch.0.w{name}"], params.tensors.get(f"branch.0.b{name}")
+                dense[name] = e_p[:, :, steps] @ w.data + (0.0 if b is None else b.data)
                 factored = _project_embedding(params, x, clock, w, b).data
                 assert np.max(np.abs(factored - dense[name])) <= 1e-12 * np.max(np.abs(dense[name]))
             q = T.matmul(e_r, params["branch.0.wq"], params["branch.0.bq"])
@@ -852,9 +875,13 @@ class TestCheckpoint:
         table = three_tables.tensors.pop("embed.calendar").data
         for name, lo, hi in (("minute", 0, 1440), ("dow", 1440, 1447), ("holiday", 1447, 1449)):
             three_tables.new(f"embed.{name}", table[lo:hi])
+        key_biases = params.copy()      # the key biases no row softmax can see
+        for name in params.names():
+            if name.endswith(".wk"):
+                key_biases.new(name[:-3] + ".bk", np.zeros(params[name].shape[1]))
         del params.tensors["head.w_r"]
         for name, table in (("missing", params), ("old-kernel", old_kernel),
-                            ("three-tables", three_tables)):
+                            ("three-tables", three_tables), ("key-biases", key_biases)):
             path = tmp_path / f"{name}.ckpt"
             save_checkpoint(path, table, config)
             with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*do not match"):
@@ -898,11 +925,11 @@ class TestCheckpoint:
                         h_prime=3, k_cheb=2, n_blocks=2, periods=(8, 16))
         params = init_params(c, seed=0)
         embedding = (1440 + 7 + 2) * c.d_e + c.n_features * c.d_e  # embed.calendar, embed.proj
-        per_block = (7 * c.d_e * c.d_e + 6 * c.d_e            # spatial, temporal, residual
+        per_block = (7 * c.d_e * c.d_e + 4 * c.d_e            # spatial, temporal, residual
                      + c.k_cheb * c.d_e * c.h_prime + c.h_prime * c.d_e)   # theta, conv_t
         readout = c.m * c.n + c.d_e
         align = 2 * (c.m - c.n + 1) * c.h_prime * c.h_prime if c.m != c.n else 0
-        per_branch = (3 * c.d_e * c.h_prime + 3 * c.h_prime + align
+        per_branch = (3 * c.d_e * c.h_prime + 2 * c.h_prime + align
                       + c.h_prime * c.h_prime + c.h_prime)
         head = c.n * c.n_nodes * (1 + len(c.periods))
         expected = embedding + c.n_blocks * per_block + readout + 2 * per_branch + head

@@ -84,6 +84,16 @@ class TestMatmul:
         assert np.max(np.abs(w.grad - batched)) <= 1e-12 * np.max(np.abs(batched))
         assert np.max(np.abs(a.grad - g @ w.data.T)) <= 1e-12 * np.max(np.abs(a.grad))
 
+    @pytest.mark.parametrize("a_shape,w_shape", [((2, 3, 0), (0, 4)), ((2, 3, 4), (4, 0))],
+                             ids=["zero-inner", "zero-output"])
+    def test_shared_weight_gradient_with_a_zero_width(self, a_shape, w_shape):
+        # the one-GEMM weight gradient must not ask reshape to infer -1 beside a 0
+        a = T.Tensor(np.ones(a_shape), requires_grad=True)
+        w = T.Tensor(np.ones(w_shape), requires_grad=True)
+        T.backward(T.reduce(T.matmul(a, w)))
+        assert (a.grad.shape, w.grad.shape) == (a_shape, w_shape)
+        assert not a.grad.any() and not w.grad.any()
+
     @pytest.mark.parametrize("addend_shape", [(32,), (16, 12, 15, 32)], ids=["bias", "full"])
     def test_addend_bytes_equal_numpy(self, addend_shape):
         rng = rng_for(3)
@@ -252,6 +262,12 @@ class TestElementwise:
         x = T.Tensor(rng.standard_normal((2, 3, 4)))
         back = T.permute(T.permute(x, (2, 0, 1)), (1, 2, 0))
         assert np.array_equal(back.data, x.data)
+
+    def test_permute_gradient_of_a_0d_tensor_is_0d(self):
+        # np.ascontiguousarray returns at least 1-d, which once gave shape (1,)
+        x = T.Tensor(2.0, requires_grad=True)
+        T.backward(T.reduce(T.permute(x, ())))
+        assert x.grad.shape == () and x.grad == 1.0
 
     def test_reduce_sum_axis(self):
         out = T.reduce(T.Tensor(np.ones((3, 4))), axis=1, kind="sum")
@@ -834,14 +850,30 @@ SHAPES = st.lists(st.integers(0, 3), max_size=4).map(tuple)
 
 
 def draw_op_call(draw, op):
-    """Operands for ``op`` drawn near its shape contract: (call, numpy oracle of the result)."""
+    """Operands for ``op`` drawn near its shape contract: (call, numpy oracle of the result).
+
+    Every operand is a ``requires_grad`` leaf, so a call that returns
+    records a node whose parents are its operands.
+    """
     rng = rng_for(70)
 
     def arr(shape):
-        return T.Tensor(rng.standard_normal(shape))
+        return T.Tensor(rng.standard_normal(shape), requires_grad=True)
 
+    if op == "matmul":   # the factor contract: >= 2-D, inner dims, equal or one 2-D batch
+        batch = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+        p, q, r = (draw(st.integers(0, 3)) for _ in range(3))
+        shared = draw(st.sampled_from(["none", "a", "b"]))   # the 2-D operand, if any
+        shapes = [(p, q) if shared == "a" else batch + (p, q),
+                  (q, r) if shared == "b" else batch + (q, r)]
+        if draw(st.booleans()):   # break the contract, or keep it by chance
+            shapes[draw(st.integers(0, 1))] = draw(SHAPES)
+        a, b = map(arr, shapes)
+        return lambda: T.matmul(a, b), lambda: np.matmul(a.data, b.data)
     a = arr(draw(SHAPES))
     x = a.data
+    if op == "relu":
+        return lambda: T.relu(a), lambda: np.maximum(x, 0.0)
     if op in ("add", "mul"):
         keep = draw(st.integers(0, x.ndim))
         b = arr(draw(st.one_of(st.just(x.shape[x.ndim - keep:]), SHAPES)))  # a suffix, or not
@@ -886,13 +918,14 @@ def draw_op_call(draw, op):
 
 
 @hypothesis.settings(max_examples=500, deadline=None)
-@hypothesis.given(op=st.sampled_from(["add", "mul", "reduce", "permute", "reshape",
-                                      "gather_rows", "attention"]),
+@hypothesis.given(op=st.sampled_from(["matmul", "add", "mul", "relu", "reduce", "permute",
+                                      "reshape", "gather_rows", "attention"]),
                   data=st.data())
 def test_op_shape_contracts_fuzz(op, data):
     # an op returns numpy's result or raises a typed error that starts with
     # its name: never an IndexError, a numpy AxisError (an IndexError too)
-    # or a numpy broadcast error
+    # or a numpy broadcast error; and backward through what it returns
+    # gives every operand a finite gradient of the operand's shape
     call, oracle = draw_op_call(data.draw, op)
     try:
         out = call()
@@ -903,6 +936,10 @@ def test_op_shape_contracts_fuzz(op, data):
     expected = oracle()
     assert out.shape == expected.shape
     np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+    operands = out._node.parents   # the sweep releases them
+    T.backward(T.reduce(T.mul(out, T.Tensor(rng_for(71).standard_normal(out.shape)))))
+    for t in operands:
+        assert t.grad.shape == t.shape and np.isfinite(t.grad).all()
 
 
 def test_every_op_has_a_registered_check():
