@@ -102,6 +102,23 @@ def check_attention():
                T.gradient_check(lambda t: loss(q, k, t), v))
 
 
+def check_self_attention():
+    # a batch dim and d, d_k and d_v all different, so a transposed or
+    # swapped projection gradient cannot pass
+    rng = _rng(24)
+    operands = [T.Tensor(rng.standard_normal(s))
+                for s in ((2, 3, 4), (4, 5), (4, 5), (4, 6), (5,), (6,))]
+    w = rng.standard_normal((2, 3, 6))
+
+    def loss_at(i):
+        def f(t):
+            args = operands[:i] + [t] + operands[i + 1:]
+            return T.reduce(T.mul(T.self_attention(*args, 0.7)[0], T.Tensor(w)), kind="sum")
+        return f
+
+    return max(T.gradient_check(loss_at(i), t) for i, t in enumerate(operands))
+
+
 def _elementwise_check(op, salt):
     rng = _rng(salt)
     a = T.Tensor(rng.standard_normal((3, 4)))
@@ -397,6 +414,7 @@ def registered_checks():
         ("matmul", check_matmul),
         ("matmul-batched", check_matmul_batched),
         ("attention", check_attention),
+        ("self_attention", check_self_attention),
         ("add", check_add),
         ("mul", check_mul),
         ("relu", check_relu),

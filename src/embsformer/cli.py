@@ -12,6 +12,7 @@ never reused, and every output file is written through `data.atomic_write`.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -183,11 +184,33 @@ def write_effective_config(cfg, path, extra):
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # what `config.txt` records beyond the config, so a `--config` file may set them unread
 MANIFEST_KEYS = ("readings_sha256", "adjacency_sha256", "numpy_version", "blas_name",
-                 "blas_version", *THREAD_VARIABLES, "config_hash")
+                 "blas_version", "blas_num_threads", *THREAD_VARIABLES, "config_hash")
+
+
+def blas_num_threads():
+    """The thread count numpy's bundled OpenBLAS runs with, as text, or "unknown".
+
+    Asked of the library itself, through its `scipy_openblas_get_num_threads64_`
+    symbol; loading the file numpy already loaded returns numpy's copy.
+    """
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                       *root.glob(".dylibs/*openblas*")]):
+        try:
+            get = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return str(get())
+    return "unknown"
 
 
 def _run_manifest(cfg):
-    """What results depend on beyond the config: dataset hashes, numpy and BLAS, BLAS threads."""
+    """What results depend on beyond the config: dataset hashes, numpy and BLAS, BLAS threads.
+
+    Threads are recorded twice: the count the BLAS actually runs with, and
+    the environment variables that set it.
+    """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):   # numpy < 1.26 takes no mode and returns nothing
@@ -198,6 +221,7 @@ def _run_manifest(cfg):
         "numpy_version": np.__version__,
         "blas_name": blas.get("name", "unknown"),
         "blas_version": blas.get("version", "unknown"),
+        "blas_num_threads": blas_num_threads(),
     }
     for var in THREAD_VARIABLES:
         manifest[var] = os.environ.get(var, "unset")
@@ -320,7 +344,8 @@ def cmd_evaluate(args):
     with np.errstate(all="ignore"):
         report = training.evaluate(
             params, samples, normalizer, config, basis,
-            meta={"split": args.split, "n_samples": len(samples)},
+            meta={"split": args.split, "n_samples": len(samples),
+                  "param_groups": params.group_counts()},
         )
     doc = report.to_dict()
     print(f"split={args.split}  samples={len(samples)}  horizon={config.n}")
@@ -401,12 +426,15 @@ def cmd_ablation(args):
             calendar=calendar, log=print,
         )
     ranked = sorted(rows, key=lambda r: r["mae"])
-    header = f"{'variant':18s} {'MAE':>10s} {'RMSE':>10s} {'MAPE%':>8s} {'persist':>10s} {'params':>8s}"
+    groups = list(ranked[0]["param_groups"])
+    header = (f"{'variant':18s} {'MAE':>10s} {'RMSE':>10s} {'MAPE%':>8s} {'persist':>10s} "
+              f"{'params':>8s}" + "".join(f" {g:>10s}" for g in groups))
     table_lines = [header]
     for row in ranked:
         table_lines.append(
             f"{row['variant']:18s} {row['mae']:10.4f} {row['rmse']:10.4f} "
             f"{row['mape_pct']:8.2f} {row['persistence_mae']:10.4f} {row['param_count']:8d}"
+            + "".join(f" {row['param_groups'][g]:10d}" for g in groups)
         )
     table = "\n".join(table_lines)
     print(table)

@@ -8,6 +8,7 @@ flow to k-hop neighborhoods.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,9 +145,11 @@ def cheb_graph_conv(x: Tensor, basis: ChebyshevBasis, theta: Tensor) -> Tensor:
     """ReLU( sum_k T_k(L~) . x . theta_k ), independently per trailing index.
 
     x: [N, ..., C_in], node-first, theta: [K, C_in, C_out] -> [N, ..., C_out].
-    Each hop T_k x is one [N, N] @ [N, rest] GEMM on a reshape view of x
-    whose rows are the nodes; theta_k then maps the channels, with the
-    running sum as the matmul addend. Differentiable in both x and theta.
+    The sum is taken as sum_k T_k (x theta_k): theta_k maps the channels
+    first, and each hop is then one [N, N] @ [N, rest] GEMM on a reshape
+    view of x theta_k whose rows are the nodes, with the running sum as
+    its addend. So backward reads x, for the theta gradients, and no hop
+    output. Differentiable in both x and theta.
     """
     if theta.shape[0] != basis.order:
         raise ValueError(
@@ -157,10 +160,13 @@ def cheb_graph_conv(x: Tensor, basis: ChebyshevBasis, theta: Tensor) -> Tensor:
         raise ValueError(
             f"x has {n_nodes} nodes but basis was built for {basis.num_nodes}"
         )
-    acc = matmul(x, gather_rows(theta, np.asarray(0)))  # T_0 = I
-    if basis.order > 1:
-        rows = reshape(x, (n_nodes, x.size // n_nodes))  # [N, rest]
+    out_shape = x.shape[:-1] + theta.shape[-1:]
+    rows = (n_nodes, math.prod(out_shape[1:]))
+
+    def mapped(k):   # x theta_k as [N, rest]
+        return reshape(matmul(x, gather_rows(theta, np.asarray(k))), rows)
+
+    acc = mapped(0)   # T_0 = I
     for k in range(1, basis.order):
-        hop = reshape(matmul(basis.tensors()[k], rows), x.shape)
-        acc = matmul(hop, gather_rows(theta, np.asarray(k)), acc)
-    return relu(acc)
+        acc = matmul(basis.tensors()[k], mapped(k), acc)
+    return relu(reshape(acc, out_shape))

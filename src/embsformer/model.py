@@ -23,7 +23,10 @@ similarity attention act on the last two axes as they stand, and the
 Chebyshev hops are one [N, N] @ [N, rest] GEMM each. Spatial attention
 permutes in and back out, and the m != n alignment permutes around its
 window gather; nothing else moves an activation. Every learned linear
-map is a matmul, and each weight has the shape of the map it applies.
+map is a matmul, but for the q, k and v projections of spatial and
+temporal attention: one `tensor.self_attention` node each, which keeps
+only its input and recomputes them in backward. Each weight has the shape
+of the map it applies.
 
 Only the recent window is embedded. The embedding is affine (data block
 times ``embed.proj`` plus the clock), and a branch uses its window only
@@ -85,6 +88,11 @@ CALENDAR_VOCAB = np.array([1440, 7, 2])
 CALENDAR_OFFSETS = np.cumsum(CALENDAR_VOCAB) - CALENDAR_VOCAB   # 0, 1440, 1447
 
 CHECKPOINT_MAGIC = b"EMBS1"
+
+# the group of each parameter's first dotted part; "head" holds every map
+# into the forecast layout: the recent path's readout and the fusion weights
+PARAM_GROUPS = {"embed": "embed", "transition": "transition", "branch": "branch",
+                "readout": "head", "head": "head"}
 
 
 class CheckpointError(ValueError):
@@ -165,6 +173,13 @@ class ModelParameters:
 
     def count(self):
         return sum(t.size for t in self.tensors.values())
+
+    def group_counts(self):
+        """Parameter counts by `PARAM_GROUPS` group: embed, transition, branch, head."""
+        counts = dict.fromkeys(PARAM_GROUPS.values(), 0)
+        for name, t in self.tensors.items():
+            counts[PARAM_GROUPS[name.split(".", 1)[0]]] += t.size
+        return counts
 
     def zero_grads(self):
         T.zero_grads(self.tensors.values())
@@ -327,8 +342,9 @@ def embed(params, config, block, calendar):
     return T.matmul(x, params["embed.proj"], clock)                # [N, B, steps, d_e]
 
 
-def _attend(q, k, v, width, sink, label):
-    out, scores = T.attention(q, k, v, 1.0 / np.sqrt(width))
+def _collect(sink, label, result):
+    """The output of an (out, scores) attention result; ``sink`` gets the labelled scores."""
+    out, scores = result
     if sink is not None:
         sink.append((label, scores))
     return out
@@ -339,13 +355,13 @@ def _self_attention(params, name, x, sink):
 
     q, k and v are projected from ``x`` by the ``<name>.w*`` weights; only
     q and v have biases (``<name>.bq``, ``<name>.bv``), since the row softmax
-    cancels a key bias. The scale is 1/sqrt(d_e), and ``sink`` gets the
-    scores labelled with the last part of ``name``.
+    cancels a key bias. One `T.self_attention` node keeps only ``x`` and
+    recomputes the projections in backward. The scale is 1/sqrt(d_e), and
+    ``sink`` gets the scores labelled with the last part of ``name``.
     """
-    q = T.matmul(x, params[f"{name}.wq"], params[f"{name}.bq"])
-    k = T.matmul(x, params[f"{name}.wk"])
-    v = T.matmul(x, params[f"{name}.wv"], params[f"{name}.bv"])
-    return _attend(q, k, v, x.shape[-1], sink, name.rsplit(".", 1)[-1])
+    weights = (params[f"{name}.{nm}"] for nm in ("wq", "wk", "wv", "bq", "bv"))
+    return _collect(sink, name.rsplit(".", 1)[-1],
+                    T.self_attention(x, *weights, 1.0 / np.sqrt(x.shape[-1])))
 
 
 def spatial_self_attention(params, prefix, e, sink=None):
@@ -461,7 +477,8 @@ def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, 
     if m != n:
         q = _align(q, params[f"{pre}.align_q"])  # [N, B, n, h']
         k = _align(k, params[f"{pre}.align_k"])
-    return _attend(q, k, v, config.h_prime, sink, f"similarity.{branch}")
+    return _collect(sink, f"similarity.{branch}",
+                    T.attention(q, k, v, 1.0 / np.sqrt(config.h_prime)))
 
 
 def generation_branch(y):

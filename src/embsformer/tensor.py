@@ -32,8 +32,9 @@ elementwise op must equal a trailing suffix of the longer one (classic
 bias-add), matmul only broadcasts a 2-D operand across the other side's
 leading batch dims, its optional addend ``c`` (``matmul(a, b, c)`` is
 a @ b + c in one node) must be a suffix of the output shape, and
-attention broadcasts nothing. Anything else needs an explicit reshape,
-which keeps shape errors loud.
+attention broadcasts nothing, nor does self_attention beyond adding its
+1-D biases. Anything else needs an explicit reshape, which keeps shape
+errors loud.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "no_grad",
     "matmul",
     "attention",
+    "self_attention",
     "add",
     "mul",
     "relu",
@@ -365,8 +367,19 @@ def relu(x):
 
 
 # --------------------------------------------------------------------------
-# matmul / attention
+# matmul / attention / self-attention
 # --------------------------------------------------------------------------
+
+
+def _transposed(w):
+    """A 2-D weight transposed into a copy, so BLAS runs its no-transpose path."""
+    return np.ascontiguousarray(w.T)
+
+
+def _shared_weight_grad(a, g):
+    """Gradient of a 2-D weight shared across a's batch rows: one GEMM over all of them."""
+    rows = math.prod(g.shape[:-1])   # not -1: a zero width leaves it ambiguous
+    return a.reshape(rows, a.shape[-1]).T @ g.reshape(rows, g.shape[-1])
 
 
 def matmul(a, b, c=None):
@@ -410,14 +423,11 @@ def matmul(a, b, c=None):
         if need_c:
             gc = _sum_to(g, sc)
         if need_a:
-            # a 2-D b is transposed into a copy, so BLAS runs its no-transpose path
-            bt = np.ascontiguousarray(db.T) if nb == 2 else np.swapaxes(db, -1, -2)
-            ga = np.matmul(g, bt)
+            ga = np.matmul(g, _transposed(db) if nb == 2 else np.swapaxes(db, -1, -2))
             if ga.ndim > na:
                 ga = ga.sum(axis=tuple(range(ga.ndim - na)))
-        if need_b and nb < na:  # shared 2-D weight: one GEMM over all batch rows
-            rows = math.prod(g.shape[:-1])   # not -1: a zero width leaves it ambiguous
-            gb = da.reshape(rows, da.shape[-1]).T @ g.reshape(rows, g.shape[-1])
+        if need_b and nb < na:
+            gb = _shared_weight_grad(da, g)
         elif need_b:
             gb = np.matmul(np.swapaxes(da, -1, -2), g)
         return (ga, gb, gc)[:n_in]  # one gradient per input
@@ -430,6 +440,39 @@ def _softmax_grad(p, g):
     g -= (g * p).sum(axis=-1, keepdims=True)
     g *= p
     return g
+
+
+def _attend(q, k, v, c):
+    """Attention on arrays: (out, scores, grads), shared by `attention` and `self_attention`.
+
+    scores = softmax(c * q kᵀ) along the last axis, computed in place with
+    max-subtraction and made read-only; out = scores @ v.
+    ``grads(g, q, k, v, need_q, need_k, need_v)`` returns (gq, gk, gv) for
+    the output gradient ``g``, each None unless needed. It keeps only the
+    scores and the scale: gv reads the scores alone, and the caller hands
+    it v when gq or gk is needed, k when gq is and q when gk is.
+    """
+    p = np.matmul(q, np.swapaxes(k, -1, -2))
+    p *= c
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    p.flags.writeable = False
+
+    def grads(g, q, k, v, need_q, need_k, need_v):
+        gq = gk = gv = None
+        if need_v:
+            gv = np.matmul(np.swapaxes(p, -1, -2), g)
+        if need_q or need_k:
+            gs = _softmax_grad(p, np.matmul(g, np.swapaxes(v, -1, -2)))
+            gs *= c
+            if need_q:
+                gq = np.matmul(gs, k)
+            if need_k:
+                gk = np.matmul(np.swapaxes(gs, -1, -2), q)
+        return gq, gk, gv
+
+    return np.matmul(p, v), p, grads
 
 
 def attention(q, k, v, scale):
@@ -446,15 +489,9 @@ def attention(q, k, v, scale):
             or sq[-1] != sk[-1] or sk[-2] != sv[-2] or not sk[-2]):
         raise ShapeError(f"attention: need q [..., L_q, d], k [..., L_k, d], v [..., L_k, d_v], "
                          f"L_k > 0; got {sq}, {sk}, {sv}")
-    c = float(scale)
     dq, dk, dv = q.data, k.data, v.data
-    p = np.matmul(dq, np.swapaxes(dk, -1, -2))
-    p *= c
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    p.flags.writeable = False
-    out = _wrap(np.matmul(p, dv))
+    data, p, grads = _attend(dq, dk, dv, float(scale))
+    out = _wrap(data)
     need_q, need_k, need_v = _needs_grad(q), _needs_grad(k), _needs_grad(v)
     # keep only the operands the needed gradients read
     dq = dq if need_k else None
@@ -462,19 +499,63 @@ def attention(q, k, v, scale):
     dv = dv if need_q or need_k else None
 
     def fn(g):
-        gq = gk = gv = None
-        if need_v:
-            gv = np.matmul(np.swapaxes(p, -1, -2), g)
-        if need_q or need_k:
-            gs = _softmax_grad(p, np.matmul(g, np.swapaxes(dv, -1, -2)))
-            gs *= c
-            if need_q:
-                gq = np.matmul(gs, dk)
-            if need_k:
-                gk = np.matmul(np.swapaxes(gs, -1, -2), dq)
-        return gq, gk, gv
+        return grads(g, dq, dk, dv, need_q, need_k, need_v)
 
     return _record("attention", [q, k, v], out, fn), p
+
+
+def self_attention(x, wq, wk, wv, bq, bv, scale):
+    """Attention of ``x`` to itself over axis -2, keeping only x for backward; (out, scores).
+
+    x: [..., L, d], wq and wk: [d, d_k], wv: [d, d_v], bq: [d_k], bv: [d_v]
+    -> out [..., L, d_v]. q = x wq + bq, k = x wk and v = x wv + bv are
+    three GEMMs computed as `matmul` computes them, then `attention` runs
+    on them. The gradient function keeps x, the weights and the scores, and
+    recomputes the projections its gradients read, so no [..., L, d]
+    projection outlives the forward. Every output and gradient equals that
+    of the `matmul` and `attention` chain, byte for byte: gx is summed in
+    that chain's sweep order, ((gv wvᵀ) + gk wkᵀ) + gq wqᵀ.
+    """
+    sx, sq, sk, sv, sbq, sbv = (t.shape for t in (x, wq, wk, wv, bq, bv))
+    if (len(sx) < 2 or not sx[-2] or len(sq) != 2 or sq != sk or len(sv) != 2
+            or not sx[-1] == sq[0] == sv[0] or sbq != sq[1:] or sbv != sv[1:]):
+        raise ShapeError(f"self_attention: need x [..., L, d], L > 0, wq and wk [d, d_k], "
+                         f"wv [d, d_v], bq [d_k], bv [d_v]; got {sx}, {sq}, {sk}, {sv}, "
+                         f"{sbq}, {sbv}")
+    dx, dwq, dwk, dwv, dbq, dbv = (t.data for t in (x, wq, wk, wv, bq, bv))
+
+    def project(w, b=None):
+        y = np.matmul(dx, w)
+        if b is not None:
+            y += b
+        return y
+
+    data, p, grads = _attend(project(dwq, dbq), project(dwk), project(dwv, dbv), float(scale))
+    out = _wrap(data)
+    need_x, need_wq, need_wk, need_wv, need_bq, need_bv = map(
+        _needs_grad, (x, wq, wk, wv, bq, bv))
+    need_q = need_x or need_wq or need_bq
+    need_k = need_x or need_wk
+    need_v = need_x or need_wv or need_bv
+
+    def fn(g):
+        gq, gk, gv = grads(g, project(dwq, dbq) if need_k else None,
+                           project(dwk) if need_q else None,
+                           project(dwv, dbv) if need_q or need_k else None,
+                           need_q, need_k, need_v)
+        gx = None
+        if need_x:
+            gx = np.matmul(gv, _transposed(dwv))
+            gx += np.matmul(gk, _transposed(dwk))
+            gx += np.matmul(gq, _transposed(dwq))
+        return (gx,
+                _shared_weight_grad(dx, gq) if need_wq else None,
+                _shared_weight_grad(dx, gk) if need_wk else None,
+                _shared_weight_grad(dx, gv) if need_wv else None,
+                _sum_to(gq, sbq) if need_bq else None,
+                _sum_to(gv, sbv) if need_bv else None)
+
+    return _record("self_attention", [x, wq, wk, wv, bq, bv], out, fn), p
 
 
 # --------------------------------------------------------------------------

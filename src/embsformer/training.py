@@ -45,8 +45,9 @@ __all__ = [
 
 # Adam's moment decay rates and denominator floor, the values of Kingma & Ba (2015)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-# windows per forward pass when forecasting or evaluating
-FORECAST_BATCH = 64
+# windows per forward pass when forecasting or evaluating: the CLI's training
+# batch, so a validation pass never needs more memory than the training step
+FORECAST_BATCH = 16
 
 
 class DivergenceError(RuntimeError):
@@ -356,6 +357,7 @@ def ablation_grid(series, basis, variants, model_kwargs, tcfg: TrainConfig,
             "persistence_mae": persistence.mae_avg,
             "best_epoch": result.best_epoch,
             "param_count": result.params.count(),
+            "param_groups": result.params.group_counts(),
         }
         rows.append(row)
         if log:

@@ -111,10 +111,35 @@ class TestTrain:
         assert "OPENBLAS_NUM_THREADS = 1\n" in config_txt
         assert "OMP_NUM_THREADS = 2\n" in config_txt
         assert "MKL_NUM_THREADS = unset\n" in config_txt
+        # the count the BLAS runs with, which the variables only request
+        assert f"blas_num_threads = {cli.blas_num_threads()}\n" in config_txt
         assert not list(run.glob("*.tmp"))
         trace = (run / "trace.csv").read_text().splitlines()
         assert trace[0] == "epoch,train_loss,val_mae"
         assert len(trace) == 2  # one epoch
+
+    def test_blas_threads_are_read_from_the_library(self):
+        # the count follows OPENBLAS_NUM_THREADS at start-up, where numpy
+        # bundles an OpenBLAS that can be asked; elsewhere it is unknown
+        counts = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            done = subprocess.run(
+                [sys.executable, "-c", "from embsformer import cli; print(cli.blas_num_threads())"],
+                env=env, capture_output=True, text=True, check=True)
+            counts.append(done.stdout.strip())
+        assert tuple(counts) in (("1", "2"), ("unknown", "unknown"))
+
+    @pytest.mark.parametrize("library", ["missing", "no-symbol"])
+    def test_blas_threads_unknown_without_the_symbol(self, monkeypatch, library):
+        def load(path):
+            if library == "missing":
+                raise OSError(f"{path}: cannot open shared object file")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+        assert cli.blas_num_threads() == "unknown"
 
     def test_config_file_with_override(self, dataset, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -289,6 +314,9 @@ class TestEvaluate:
         assert doc["mape_skipped"] >= 0
         assert doc["horizon"] == 4
         assert "config_hash" in doc["meta"]
+        params, _ = load_checkpoint(run / "model.ckpt")
+        assert doc["meta"]["param_groups"] == params.group_counts()
+        assert sum(doc["meta"]["param_groups"].values()) == params.count()
 
     def test_corrupt_checkpoint_magic(self, trained, tmp_path):
         dataset, run = trained
@@ -431,6 +459,13 @@ class TestAblationCommand:
         for row in doc:
             assert f"{row['mae']:10.4f}" in text
             assert f"{row['rmse']:10.4f}" in text
+            groups = row["param_groups"]
+            assert sum(groups.values()) == row["param_count"]
+            assert "".join(f" {groups[g]:10d}" for g in ("embed", "transition", "branch",
+                                                         "head")) in text
+        by_name = {row["variant"]: row for row in doc}
+        assert by_name["w/o-recent"]["param_groups"]["transition"] == 0
+        assert by_name["w/o-period"]["param_groups"]["branch"] == 0
 
     def test_too_short_dataset_rejected(self, tmp_path):
         dataset = tmp_path / "data"

@@ -240,8 +240,9 @@ class TestChebGraphConv:
         assert x.grad is not None and theta.grad is not None
 
     def test_each_hop_is_one_gemm(self):
-        # at K=3: the [N, rest] view of x, then per hop one [N, N] @ [N, rest]
-        # matmul and one reshape back; per tap one theta gather and matmul
+        # at K=3: per tap one theta gather, one x theta_k matmul and its
+        # [N, rest] view; per hop one [N, N] @ [N, rest] matmul whose addend
+        # is the running sum; one reshape back to [N, ..., C_out]
         g = random_graph(79, 5)
         lap = normalized_laplacian(g)
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
@@ -252,11 +253,29 @@ class TestChebGraphConv:
         y = cheb_graph_conv(x, basis, theta)
         nodes = T.current_tape().nodes[start:]
         # a hop's constant [N, N] basis matrix has no parent; its other
-        # parent is the [N, rest] view of x
-        hops = [(node.shape, node.parents[1].op, node.parents[1].shape) for node in nodes
-                if node.op == "matmul" and node.parents[0] is None]
+        # parents are the [N, rest] view of x theta_k and the running sum
+        hops = [(node.shape, node.parents[1].op, node.parents[1].shape, node.parents[2].op)
+                for node in nodes if node.op == "matmul" and node.parents[0] is None]
         T.backward(T.reduce(y, kind="sum"))
         ops = [node.op for node in nodes]
         assert {op: ops.count(op) for op in set(ops)} == {
-            "reshape": 3, "matmul": 5, "gather_rows": 3, "relu": 1}
-        assert hops == [((5, 24), "reshape", (5, 24))] * 2
+            "reshape": 4, "matmul": 5, "gather_rows": 3, "relu": 1}
+        assert hops == [((5, 16), "reshape", (5, 16), "reshape"),
+                        ((5, 16), "reshape", (5, 16), "matmul")]
+
+    def test_backward_keeps_no_hop_output(self):
+        # the hops act on x theta_k, so the gradients read x and the theta
+        # taps: at the end of forward the only outputs still alive are the
+        # gathered taps and the result
+        g = random_graph(80, 5)
+        lap = normalized_laplacian(g)
+        basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
+        rng = np.random.default_rng(80)
+        x = T.Tensor(rng.standard_normal((5, 2, 4, 3)), requires_grad=True)
+        theta = T.Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
+        start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
+        y = cheb_graph_conv(x, basis, theta)
+        nodes = T.current_tape().nodes[start:]
+        alive = [node.op for node in nodes if node.out.data.size and node is not y._node]
+        T.backward(T.reduce(y, kind="sum"))
+        assert alive == ["gather_rows"] * 3

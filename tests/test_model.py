@@ -135,6 +135,28 @@ class TestInitParams:
         assert blocks == config.n_blocks * (7 * d * d + 4 * d + k * d * h + h * d) == 22784
         assert round(100 * branch / blocks, 1) == 18.4 <= 20
         assert (len(params.names()), params.count()) == (47, 78284)
+        # the per-group counts that `ablation` and `evaluate` report show it
+        groups = params.group_counts()
+        assert groups["branch"] == len(config.periods) * 4192
+        assert groups["transition"] == 22784
+        assert groups == {"embed": 46400, "transition": 22784, "branch": 8384, "head": 716}
+
+    @pytest.mark.parametrize("kwargs", [
+        {"periods": (24, 48)},
+        {"m": 5, "n": 3, "periods": (8, 16), "d_e": 6, "h_prime": 3},   # alignment kernels
+        {"periods": (24,), "enable_recent": False},                    # no transition, no readout
+        {"n_blocks": 3, "k_cheb": 1},                                  # no branch
+    ], ids=["both-paths", "aligned", "branches-only", "recent-only"])
+    def test_group_counts_partition_the_parameters(self, kwargs):
+        params = init_params(ModelConfig(n_nodes=3, **kwargs), seed=0)
+        groups = params.group_counts()
+        assert list(groups) == ["embed", "transition", "branch", "head"]
+        assert sum(groups.values()) == params.count()
+        # "head" is every map into the forecast layout: readout and fusion weights
+        for group, prefixes in (("embed", ("embed.",)), ("transition", ("transition.",)),
+                                ("branch", ("branch.",)), ("head", ("readout.", "head."))):
+            assert groups[group] == sum(t.size for name, t in params.items()
+                                        if name.startswith(prefixes))
 
 
 def tiled_embed(params, config, block, calendar):
@@ -392,7 +414,8 @@ class TestTransitionBlock:
         ops = [node.op for node in T.current_tape().nodes[start:]]
         T.backward(T.reduce(out, kind="sum"))
         assert "add" not in ops
-        assert ops.count("matmul") == (13 if layer == "transition_block" else 5)
+        # a self-attention layer is one node, which projects q, k and v itself
+        assert ops.count("matmul") == (7 if layer == "transition_block" else 5)
 
 
 class TestTransitionReadout:
@@ -724,11 +747,11 @@ class TestForward:
         assert np.allclose(moved, base[:, :, perm], atol=1e-10)
 
     @staticmethod
-    def _desk_step_tape():
+    def _desk_step_tape(sink=None):
         """Loss and tape nodes of one training forward at the benchmark's desk shape.
 
         m = n = 12, N = 15, B = 16, two blocks, periods of 24 h and 168 h at
-        15-minute steps.
+        15-minute steps. ``sink`` is passed to `forward`.
         """
         config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
         params = init_params(config, seed=0)
@@ -742,28 +765,36 @@ class TestForward:
             period_calendar=random_calendar(rng, (16, k, 24)),
         )
         start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
-        loss = mse_loss(forward(batch, params, config, basis_for(config)), batch.target)
+        loss = mse_loss(forward(batch, params, config, basis_for(config), sink), batch.target)
         return loss, T.current_tape().nodes[start:]
 
     def test_tape_of_a_training_step(self):
         # 8 adds remain: 1 per clock (the recent window's and each branch
         # half's), 2 in the fusion and the loss's difference; 7 permutes: into
-        # and out of each spatial attention, one per readout. The outputs
+        # and out of each spatial attention, one per readout; 4 self-attention
+        # nodes, one per layer, and no q, k or v projection node. The outputs
         # still alive at the end of forward are those some gradient function
         # reads, and the loss; they are counted once per base buffer (a
-        # reshape is a view of its input), and a dead one reads as empty
-        loss, nodes = self._desk_step_tape()
+        # reshape is a view of its input), and a dead one reads as empty. The
+        # scores each attention saves are no node output: the sink holds them
+        sink = []
+        loss, nodes = self._desk_step_tape(sink)
         ops = [node.op for node in nodes]
         bases = {}
         for node in nodes:
             data = node.out.data
             base = data if data.base is None else data.base
             bases[id(base)] = base.nbytes
+        outputs = sum(bases.values())
+        for _, scores in sink:
+            bases[id(scores if scores.base is None else scores.base)] = scores.nbytes
         T.backward(loss)
-        assert len(ops) == 104
+        assert len(ops) == 94
         assert ops.count("add") == 8
         assert ops.count("permute") == 7
-        assert sum(bases.values()) <= 23_362_056
+        assert ops.count("self_attention") == 4 and ops.count("attention") == 2
+        assert outputs <= 11_565_576
+        assert sum(bases.values()) <= 13_362_696   # + 1,797,120 of scores
 
     def test_a_kept_prediction_holds_no_graph_after_drop_tape(self):
         # a pass that fails after forward (say, a non-finite loss) ends in

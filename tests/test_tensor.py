@@ -247,6 +247,97 @@ class TestAttention:
             scores[0, 0] = 0.0
 
 
+def self_attention_run(arrays, needs, fused):
+    """Output, scores and the six operand gradients of self-attention on ``arrays``.
+
+    ``arrays`` are x, wq, wk, wv, bq, bv; ``needs`` says which of them are
+    ``requires_grad``. ``fused`` runs `T.self_attention`, else the
+    `matmul` and `attention` chain it replaces.
+    """
+    ts = [T.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
+    x, wq, wk, wv, bq, bv = ts
+    scale = 1.0 / np.sqrt(x.shape[-1])
+    if fused:
+        out, scores = T.self_attention(x, wq, wk, wv, bq, bv, scale)
+    else:
+        out, scores = T.attention(T.matmul(x, wq, bq), T.matmul(x, wk), T.matmul(x, wv, bv),
+                                  scale)
+    if any(needs):
+        weights = rng_for(12).standard_normal(out.shape)
+        T.backward(T.reduce(T.mul(out, T.Tensor(weights)), kind="sum"))
+    return [out.data, scores] + [t.grad for t in ts]
+
+
+def reachable_arrays(obj, found=None):
+    """Every ndarray a gradient function reaches through closures, containers and tensors."""
+    found = [] if found is None else found
+    if isinstance(obj, np.ndarray):
+        found.append(obj)
+    elif isinstance(obj, T.Tensor):
+        reachable_arrays(obj.data, found)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            reachable_arrays(item, found)
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        for cell in obj.__closure__:
+            reachable_arrays(cell.cell_contents, found)
+    return found
+
+
+class TestSelfAttention:
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(batch=st.lists(st.integers(1, 3), max_size=2), length=st.integers(1, 6),
+                      d=st.integers(1, 6), d_k=st.integers(1, 6), d_v=st.integers(1, 6),
+                      needs=st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_equals_the_matmul_attention_chain(self, batch, length, d, d_k, d_v, needs):
+        # byte for byte: the output, the scores and every gradient, whichever
+        # operands need one
+        rng = rng_for(11)
+        shapes = [tuple(batch) + (length, d), (d, d_k), (d, d_k), (d, d_v), (d_k,), (d_v,)]
+        arrays = [rng.standard_normal(s) for s in shapes]
+        fused = self_attention_run(arrays, needs, fused=True)
+        chain = self_attention_run(arrays, needs, fused=False)
+        for a, b in zip(fused, chain):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert [g is not None for g in fused[2:]] == needs
+
+    @pytest.mark.parametrize("shape", [(16, 12, 15, 32), (1, 12, 170, 32)],
+                             ids=["desk-spatial", "pems-spatial"])
+    def test_equals_the_chain_at_model_shapes(self, shape):
+        rng = rng_for(13)
+        d = shape[-1]
+        arrays = [rng.standard_normal(s) for s in (shape, (d, d), (d, d), (d, d), (d,), (d,))]
+        fused = self_attention_run(arrays, [True] * 6, fused=True)
+        chain = self_attention_run(arrays, [True] * 6, fused=False)
+        assert [a.tobytes() for a in fused] == [b.tobytes() for b in chain]
+
+    def test_gradient_function_keeps_x_and_no_projection(self):
+        # q, k and v are recomputed in backward: of the arrays the node's
+        # gradient function reaches, only x is as large as a projection
+        rng = rng_for(14)
+        x = T.Tensor(rng.standard_normal((16, 12, 15, 32)), requires_grad=True)
+        params = [T.Tensor(rng.standard_normal(s), requires_grad=True)
+                  for s in ((32, 32), (32, 32), (32, 32), (32,), (32,))]
+        out, _ = T.self_attention(x, *params, 0.25)
+        large = {id(a): a for a in reachable_arrays(out._node.fn) if a.size >= x.size}
+        T.backward(T.reduce(out, kind="sum"))
+        assert list(large) == [id(x.data)]
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4), (4, 5), (4, 6), (4, 6), (5,), (6,)),     # query and key widths differ
+        ((2, 3, 4), (3, 5), (3, 5), (3, 6), (5,), (6,)),     # weights do not take x's width
+        ((2, 3, 4), (4, 5), (4, 5), (4, 6), (6,), (6,)),     # query bias of the value width
+        ((2, 3, 4), (4, 5), (4, 5), (4, 6), (5,), (3, 6)),   # a value bias that is not 1-D
+        ((2, 0, 4), (4, 5), (4, 5), (4, 6), (5,), (6,)),     # no positions to attend to
+        ((4,), (4, 5), (4, 5), (4, 6), (5,), (6,)),          # x without a length axis
+    ], ids=["key-width", "input-width", "query-bias", "value-bias", "no-keys", "rank"])
+    def test_shape_mismatch_raises(self, shapes):
+        with pytest.raises(T.ShapeError, match="self_attention: "):
+            T.self_attention(*(T.Tensor(np.zeros(s)) for s in shapes), 1.0)
+
+
 # --------------------------------------------------------------------------
 # elementwise / shape ops
 # --------------------------------------------------------------------------
@@ -901,6 +992,19 @@ def draw_op_call(draw, op):
         dtype = draw(st.sampled_from([np.int64, np.uint8, np.float64]))
         idx = np.asarray(rows, dtype=np.int64).astype(dtype)   # uint8 wraps -1 to 255
         return lambda: T.gather_rows(a, idx), lambda: x[idx]
+    if op == "self_attention":
+        batch = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+        length, d, dk, dv = (draw(st.integers(0, 3)) for _ in range(4))
+        shapes = [batch + (length, d), (d, dk), (d, dk), (d, dv), (dk,), (dv,)]
+        if draw(st.booleans()):   # break the contract, or keep it by chance
+            shapes[draw(st.integers(0, 5))] = draw(SHAPES)
+        x, wq, wk, wv, bq, bv = map(arr, shapes)
+
+        def projected():
+            return (x.data @ wq.data + bq.data, x.data @ wk.data, x.data @ wv.data + bv.data)
+
+        return (lambda: T.self_attention(x, wq, wk, wv, bq, bv, 1.0)[0],
+                lambda: attention_oracle(*projected()))
     # attention
     batch = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
     lq, lk, d, dv = (draw(st.integers(0, 3)) for _ in range(4))
@@ -908,18 +1012,18 @@ def draw_op_call(draw, op):
     if draw(st.booleans()):   # break the contract, or keep it by chance
         shapes[draw(st.integers(0, 2))] = draw(SHAPES)
     q, k, v = map(arr, shapes)
+    return lambda: T.attention(q, k, v, 1.0)[0], lambda: attention_oracle(q.data, k.data, v.data)
 
-    def oracle():
-        s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        return np.matmul(e / e.sum(axis=-1, keepdims=True), v.data)
 
-    return lambda: T.attention(q, k, v, 1.0)[0], oracle
+def attention_oracle(q, k, v):
+    s = np.matmul(q, np.swapaxes(k, -1, -2))
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return np.matmul(e / e.sum(axis=-1, keepdims=True), v)
 
 
 @hypothesis.settings(max_examples=500, deadline=None)
 @hypothesis.given(op=st.sampled_from(["matmul", "add", "mul", "relu", "reduce", "permute",
-                                      "reshape", "gather_rows", "attention"]),
+                                      "reshape", "gather_rows", "attention", "self_attention"]),
                   data=st.data())
 def test_op_shape_contracts_fuzz(op, data):
     # an op returns numpy's result or raises a typed error that starts with

@@ -213,7 +213,7 @@ class TestTrain:
         loss = mse_loss(forward(batch, init_params(big), big,
                                 chebyshev_basis(lap, estimate_lambda_max(lap), 3)),
                         batch.target)
-        assert len(T.current_tape()) == 104
+        assert len(T.current_tape()) == 94
         T.backward(loss)
 
 
@@ -284,6 +284,20 @@ class TestMetrics:
         )
         assert abs(rep.mae_avg - direct.mae_avg) < 1e-8
         assert abs(rep.rmse_avg - direct.rmse_avg) < 1e-8
+
+    @pytest.mark.parametrize("batch", [32, 64])
+    def test_forecast_batch_moves_no_prediction(self, monkeypatch, batch):
+        # `forecast` runs in batches of the training batch size, 16, to bound
+        # its memory; larger batches, 64 among them, give the same bytes
+        series, normalized, splits, normalizer, calendar, basis = tiny_dataset(seed=8, days=9)
+        config = tiny_model(n_blocks=2)
+        samples = data.make_windows(normalized, splits[0], 4, 4, [24], calendar=calendar)
+        params = init_params(config, seed=1)
+        assert len(samples) > 64 and training.FORECAST_BATCH == TrainConfig().batch_size
+        preds, targets = training.forecast(params, samples, config, basis)
+        monkeypatch.setattr(training, "FORECAST_BATCH", batch)
+        again, targets_again = training.forecast(params, samples, config, basis)
+        assert preds.tobytes() == again.tobytes() and targets.tobytes() == targets_again.tobytes()
 
 
 class TestBaselines:
