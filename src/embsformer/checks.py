@@ -50,88 +50,73 @@ def _rng(salt):
 # --------------------------------------------------------------------------
 
 
+def _check(call, tensors, rng):
+    """Worst error of a fixed random weighting of ``call()`` over each of ``tensors``.
+
+    ``call`` takes no argument: it reads the tensors where
+    `T.gradient_check` perturbs them, in place.
+    """
+    with T.no_grad():
+        w = T.Tensor(rng.standard_normal(call().shape))
+
+    def f(_):
+        return T.reduce(T.mul(call(), w), kind="sum")
+
+    return max(T.gradient_check(f, t) for t in tensors)
+
+
+def _tensors(rng, *shapes):
+    return [T.Tensor(rng.standard_normal(s)) for s in shapes]
+
+
 def check_matmul():
+    # addends: a bias [r] and a full [p, r]
     rng = _rng(1)
-    a = T.Tensor(rng.standard_normal((3, 4)))
-    b = T.Tensor(rng.standard_normal((4, 2)))
-    w = rng.standard_normal((3, 2))
-    bias = T.Tensor(rng.standard_normal(2))        # addends: a bias [r] and a full [p, r]
-    full = T.Tensor(rng.standard_normal((3, 2)))
-
-    def f_a(t):
-        return T.reduce(T.mul(T.matmul(t, b), T.Tensor(w)), kind="sum")
-
-    def f_b(t):
-        return T.reduce(T.mul(T.matmul(a, t), T.Tensor(w)), kind="sum")
-
-    def f_c(t):
-        return T.reduce(T.mul(T.matmul(a, b, t), T.Tensor(w)), kind="sum")
-
-    return max(T.gradient_check(f_a, a), T.gradient_check(f_b, b),
-               T.gradient_check(f_c, bias), T.gradient_check(f_c, full))
+    a, b, bias, full = _tensors(rng, (3, 4), (4, 2), (2,), (3, 2))
+    return max(_check(lambda: T.matmul(a, b), [a, b], rng),
+               _check(lambda: T.matmul(a, b, bias), [bias], rng),
+               _check(lambda: T.matmul(a, b, full), [full], rng))
 
 
 def check_matmul_batched():
     rng = _rng(2)
-    a = T.Tensor(rng.standard_normal((2, 3, 4)))
-    b = T.Tensor(rng.standard_normal((4, 5)))
-    w = rng.standard_normal((2, 3, 5))
-
-    def f_a(t):
-        return T.reduce(T.mul(T.matmul(t, b), T.Tensor(w)), kind="sum")
-
-    def f_b(t):
-        return T.reduce(T.mul(T.matmul(a, t), T.Tensor(w)), kind="sum")
-
-    return max(T.gradient_check(f_a, a), T.gradient_check(f_b, b))
+    a, b = _tensors(rng, (2, 3, 4), (4, 5))
+    return _check(lambda: T.matmul(a, b), [a, b], rng)
 
 
 def check_attention():
-    # a batch dim and L_q != L_k, so a transposed gradient cannot pass
+    # distinct sources: q with a bias, a bare k, v with a full addend; a batch
+    # dim, L_q != L_k and every width different, so a transposed or swapped
+    # gradient cannot pass
     rng = _rng(3)
-    q = T.Tensor(rng.standard_normal((2, 3, 4)))
-    k = T.Tensor(rng.standard_normal((2, 5, 4)))
-    v = T.Tensor(rng.standard_normal((2, 5, 6)))
-    w = rng.standard_normal((2, 3, 6))
-
-    def loss(qq, kk, vv):
-        return T.reduce(T.mul(T.attention(qq, kk, vv, 0.7)[0], T.Tensor(w)), kind="sum")
-
-    return max(T.gradient_check(lambda t: loss(t, k, v), q),
-               T.gradient_check(lambda t: loss(q, t, v), k),
-               T.gradient_check(lambda t: loss(q, k, t), v))
+    ts = xq, wq, bq, k, xv, wv, cv = _tensors(rng, (2, 3, 4), (4, 5), (5,), (2, 6, 5),
+                                              (2, 6, 3), (3, 7), (6, 7))
+    return _check(lambda: T.attention((xq, wq, bq), k, (xv, wv, cv), 0.7)[0], ts, rng)
 
 
-def check_self_attention():
-    # a batch dim and d, d_k and d_v all different, so a transposed or
-    # swapped projection gradient cannot pass
-    rng = _rng(24)
-    operands = [T.Tensor(rng.standard_normal(s))
-                for s in ((2, 3, 4), (4, 5), (4, 5), (4, 6), (5,), (6,))]
-    w = rng.standard_normal((2, 3, 6))
+def _self_attention_check(axis, x_shape, salt):
+    # one source for q, k and v; d, d_k and d_v all different, so a
+    # transposed or swapped projection gradient cannot pass
+    rng = _rng(salt)
+    ts = x, wq, wk, wv, bq, bv = _tensors(rng, x_shape, (4, 5), (4, 5), (4, 6), (5,), (6,))
+    return _check(lambda: T.attention((x, wq, bq), (x, wk, None), (x, wv, bv), 0.7, axis)[0],
+                  ts, rng)
 
-    def loss_at(i):
-        def f(t):
-            args = operands[:i] + [t] + operands[i + 1:]
-            return T.reduce(T.mul(T.self_attention(*args, 0.7)[0], T.Tensor(w)), kind="sum")
-        return f
 
-    return max(T.gradient_check(loss_at(i), t) for i, t in enumerate(operands))
+def check_attention_shared():
+    return _self_attention_check(-2, (2, 3, 4), 24)
+
+
+def check_attention_shared_axis0():
+    # attending over axis 0 of [3, 2, 2, 4], moved behind two batch axes
+    return _self_attention_check(0, (3, 2, 2, 4), 25)
 
 
 def _elementwise_check(op, salt):
     rng = _rng(salt)
-    a = T.Tensor(rng.standard_normal((3, 4)))
-    b = T.Tensor(rng.standard_normal((3, 4)) + 3.0)
-    w = rng.standard_normal((3, 4))
-
-    def f_a(t):
-        return T.reduce(T.mul(op(t, b), T.Tensor(w)), kind="sum")
-
-    def f_b(t):
-        return T.reduce(T.mul(op(a, t), T.Tensor(w)), kind="sum")
-
-    return max(T.gradient_check(f_a, a), T.gradient_check(f_b, b))
+    a, b = _tensors(rng, (3, 4), (3, 4))
+    b.data += 3.0
+    return _check(lambda: op(a, b), [a, b], rng)
 
 
 def check_add():
@@ -144,65 +129,34 @@ def check_mul():
 
 def check_relu():
     rng = _rng(8)
-    # keep inputs away from the kink at 0
-    data = rng.standard_normal((4, 4))
-    data = np.where(np.abs(data) < 0.05, 0.1, data)
-    x = T.Tensor(data)
-    w = rng.standard_normal((4, 4))
-
-    def f(t):
-        return T.reduce(T.mul(T.relu(t), T.Tensor(w)), kind="sum")
-
-    return T.gradient_check(f, x)
+    (x,) = _tensors(rng, (4, 4))
+    x.data[np.abs(x.data) < 0.05] = 0.1   # keep inputs away from the kink at 0
+    return _check(lambda: T.relu(x), [x], rng)
 
 
 def check_reduce():
     rng = _rng(10)
-    x = T.Tensor(rng.standard_normal((3, 4, 2)))
-    w_sum = rng.standard_normal((3, 2))
-    w_mean = rng.standard_normal((4, 2))
-
-    def f_sum(t):
-        return T.reduce(T.mul(T.reduce(t, axis=1, kind="sum"), T.Tensor(w_sum)), kind="sum")
-
-    def f_mean(t):
-        return T.reduce(T.mul(T.reduce(t, axis=0, kind="mean"), T.Tensor(w_mean)), kind="sum")
-
-    return max(T.gradient_check(f_sum, x), T.gradient_check(f_mean, x))
+    (x,) = _tensors(rng, (3, 4, 2))
+    return max(_check(lambda: T.reduce(x, axis=1, kind="sum"), [x], rng),
+               _check(lambda: T.reduce(x, axis=0, kind="mean"), [x], rng))
 
 
 def check_permute():
     rng = _rng(11)
-    x = T.Tensor(rng.standard_normal((2, 3, 4)))
-    w = rng.standard_normal((4, 2, 3))
-
-    def f(t):
-        return T.reduce(T.mul(T.permute(t, (2, 0, 1)), T.Tensor(w)), kind="sum")
-
-    return T.gradient_check(f, x)
+    (x,) = _tensors(rng, (2, 3, 4))
+    return _check(lambda: T.permute(x, (2, 0, 1)), [x], rng)
 
 
 def check_reshape():
     rng = _rng(12)
-    x = T.Tensor(rng.standard_normal((2, 6)))
-    w = rng.standard_normal((3, 4))
-
-    def f(t):
-        return T.reduce(T.mul(T.reshape(t, (3, 4)), T.Tensor(w)), kind="sum")
-
-    return T.gradient_check(f, x)
+    (x,) = _tensors(rng, (2, 6))
+    return _check(lambda: T.reshape(x, (3, 4)), [x], rng)
 
 
 def check_gather():
     rng = _rng(16)
-    table = T.Tensor(rng.standard_normal((6, 3)))
-    idx = np.array([[0, 2, 2], [5, 1, 0]])
-    w = rng.standard_normal((2, 3, 3))
-
-    def f(t):
-        return T.reduce(T.mul(T.gather_rows(t, idx), T.Tensor(w)), kind="sum")
-
-    return T.gradient_check(f, table)
+    (table,) = _tensors(rng, (6, 3))
+    return _check(lambda: T.gather_rows(table, np.array([[0, 2, 2], [5, 1, 0]])), [table], rng)
 
 
 def check_fan_in():
@@ -242,17 +196,9 @@ def check_cheb_conv():
     graph = TrafficGraph(adjacency=adj)
     lap = normalized_laplacian(graph)
     basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
-    x = T.Tensor(rng.standard_normal((4, 2, 3)) + 0.5)   # node-first [N, T, C]
-    theta = T.Tensor(rng.standard_normal((3, 3, 2)))
-    w = rng.standard_normal((4, 2, 2))
-
-    def f_x(t):
-        return T.reduce(T.mul(cheb_graph_conv(t, basis, theta), T.Tensor(w)), kind="sum")
-
-    def f_theta(t):
-        return T.reduce(T.mul(cheb_graph_conv(x, basis, t), T.Tensor(w)), kind="sum")
-
-    return max(T.gradient_check(f_x, x), T.gradient_check(f_theta, theta))
+    x, theta = _tensors(rng, (4, 2, 3), (3, 3, 2))   # node-first x [N, T, C]
+    x.data += 0.5
+    return _check(lambda: cheb_graph_conv(x, basis, theta), [x, theta], rng)
 
 
 # --------------------------------------------------------------------------
@@ -290,18 +236,8 @@ def toy_setup(seed=42, n_nodes=4, m=3, n=3, width=4, k_cheb=2, periods=1, n_feat
 
 
 def _check_layer(layer, inputs, params, names, rng):
-    """Worst error of a weighted sum of ``layer()`` over its ``inputs`` and weights ``names``.
-
-    ``layer`` takes no argument: it reads its activation inputs and weights
-    where `T.gradient_check` perturbs them, in place.
-    """
-    with T.no_grad():
-        w = T.Tensor(rng.standard_normal(layer().shape))
-
-    def f(_):
-        return T.reduce(T.mul(layer(), w), kind="sum")
-
-    return max(T.gradient_check(f, t) for t in inputs + [params[n] for n in names])
+    """Worst error of `_check` over a layer's activation ``inputs`` and weights ``names``."""
+    return _check(layer, inputs + [params[n] for n in names], rng)
 
 
 def _names(params, prefix):
@@ -363,13 +299,8 @@ def check_transition_block():
 def check_transition_readout():
     rng = _rng(22)
     config, params, basis, batch = toy_setup()
-    h = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))
-    w = rng.standard_normal((1, config.n, config.n_nodes))
-
-    def f(t):
-        return T.reduce(T.mul(transition_readout(params, t, config), T.Tensor(w)), kind="sum")
-
-    return T.gradient_check(f, h)
+    (h,) = _tensors(rng, (config.n_nodes, 1, config.m, config.d_e))
+    return _check(lambda: transition_readout(params, h, config), [h], rng)
 
 
 def _used_table_elements(batch, d_e):
@@ -414,7 +345,8 @@ def registered_checks():
         ("matmul", check_matmul),
         ("matmul-batched", check_matmul_batched),
         ("attention", check_attention),
-        ("self_attention", check_self_attention),
+        ("attention-shared", check_attention_shared),
+        ("attention-shared-axis0", check_attention_shared_axis0),
         ("add", check_add),
         ("mul", check_mul),
         ("relu", check_relu),

@@ -19,14 +19,17 @@ Everything operates on batches and runs node-first: `embed` turns a
 [B, steps, N, F] data block into a [N, B, steps, d_e] activation, and the
 readouts turn [N, B, ...] back into the [B, n, N] forecast. On that layout
 the per-step clock [B, steps, d_e] broadcasts as a suffix, temporal and
-similarity attention act on the last two axes as they stand, and the
-Chebyshev hops are one [N, N] @ [N, rest] GEMM each. Spatial attention
-permutes in and back out, and the m != n alignment permutes around its
-window gather; nothing else moves an activation. Every learned linear
-map is a matmul, but for the q, k and v projections of spatial and
-temporal attention: one `tensor.self_attention` node each, which keeps
-only its input and recomputes them in backward. Each weight has the shape
-of the map it applies.
+similarity attention act on the last two axes as they stand, spatial
+attention attends over axis 0 (`tensor.attention` moves it in a transient
+copy), and the Chebyshev hops are one [N, N] @ [N, rest] GEMM each. Only
+the m != n alignment permutes around its window gather; nothing else
+moves an activation on the tape. Every learned linear map is a matmul,
+but for the q, k and v projections of every attention: each attention is
+one `tensor.attention` node, which takes its operands as source triples,
+keeps only their sources, weights and addends, and recomputes the
+projections in backward (queries and keys aligned when m != n are the
+exception: they enter as tensors). Each weight has the shape of the map
+it applies.
 
 Only the recent window is embedded. The embedding is affine (data block
 times ``embed.proj`` plus the clock), and a branch uses its window only
@@ -350,29 +353,29 @@ def _collect(sink, label, result):
     return out
 
 
-def _self_attention(params, name, x, sink):
-    """Self-attention over axis -2: x [..., L, d_e] -> [..., L, d_e].
+def _self_attention(params, name, x, axis, sink):
+    """Self-attention of x [..., d_e] over ``axis``; the output has x's shape.
 
     q, k and v are projected from ``x`` by the ``<name>.w*`` weights; only
     q and v have biases (``<name>.bq``, ``<name>.bv``), since the row softmax
-    cancels a key bias. One `T.self_attention` node keeps only ``x`` and
-    recomputes the projections in backward. The scale is 1/sqrt(d_e), and
-    ``sink`` gets the scores labelled with the last part of ``name``.
+    cancels a key bias. One `T.attention` node keeps only ``x`` and the
+    weights, and recomputes the projections in backward. The scale is
+    1/sqrt(d_e), and ``sink`` gets the scores labelled with the last part
+    of ``name``.
     """
-    weights = (params[f"{name}.{nm}"] for nm in ("wq", "wk", "wv", "bq", "bv"))
+    wq, wk, wv, bq, bv = (params[f"{name}.{nm}"] for nm in ("wq", "wk", "wv", "bq", "bv"))
     return _collect(sink, name.rsplit(".", 1)[-1],
-                    T.self_attention(x, *weights, 1.0 / np.sqrt(x.shape[-1])))
+                    T.attention((x, wq, bq), (x, wk, None), (x, wv, bv),
+                                1.0 / np.sqrt(x.shape[-1]), axis))
 
 
 def spatial_self_attention(params, prefix, e, sink=None):
     """Attention over the node axis, one score matrix per time step.
 
-    e: [N, B, m, d_e] -> [N, B, m, d_e]. The input is permuted to
-    [B, m, N, d_e], so nodes are the attended axis, and the output is
-    permuted back. Scores are [B, m, N, N] row-stochastic.
+    e: [N, B, m, d_e] -> [N, B, m, d_e]; nodes, axis 0, are the attended
+    axis. Scores are [B, m, N, N] row-stochastic.
     """
-    x = T.permute(e, (1, 2, 0, 3))  # [B, m, N, d_e]
-    return T.permute(_self_attention(params, f"{prefix}.spatial", x, sink), (2, 0, 1, 3))
+    return _self_attention(params, f"{prefix}.spatial", e, 0, sink)
 
 
 def temporal_self_attention(params, prefix, x, sink=None):
@@ -380,7 +383,7 @@ def temporal_self_attention(params, prefix, x, sink=None):
 
     x: [N, B, m, d_e] -> [N, B, m, d_e]; scores are [N, B, m, m].
     """
-    return _self_attention(params, f"{prefix}.temporal", x, sink)
+    return _self_attention(params, f"{prefix}.temporal", x, -2, sink)
 
 
 def transition_block(params, prefix, e, basis: ChebyshevBasis, config, sink=None):
@@ -403,12 +406,16 @@ def transition_readout(params, h, config):
     [d_e, 1] collapses the features at every step and node, then
     ``readout.time_mix`` [m, n] maps the m input steps to the n forecast
     steps, shared across nodes. Collapsing the features first regroups the
-    same sum and never builds an [N, B, d_e, n] intermediate. One small
-    permute of the [N, B, n] result gives the forecast layout.
+    same sum and never builds an [N, B, d_e, n] intermediate. The time mix
+    is one [N·B, m] @ [m, n] GEMM: as an [N, B, m] product, numpy would run
+    it as N matrix-vector products when B = 1, and a window's forecast
+    would depend on its batch. One small permute of the [N, B, n] result
+    gives the forecast layout.
     """
     n_nodes, b, m, _ = h.shape
-    y = T.reshape(T.matmul(h, params["readout.feature"]), (n_nodes, b, m))
-    return T.permute(T.matmul(y, params["readout.time_mix"]), (1, 2, 0))
+    y = T.reshape(T.matmul(h, params["readout.feature"]), (n_nodes * b, m))
+    y = T.reshape(T.matmul(y, params["readout.time_mix"]), (n_nodes, b, config.n))
+    return T.permute(y, (1, 2, 0))
 
 
 def _align(x, kernel):
@@ -428,18 +435,18 @@ def _align(x, kernel):
 
 
 def _project_embedding(params, x, clock, w, b=None, out=None):
-    """(x @ embed.proj + clock) @ w (+ b), regrouped so the embedding is never built.
+    """(x @ embed.proj + clock) @ w (+ b) as a source triple, so the embedding is never built.
 
-    x: [N, B, L, F], clock: [B, L, d_e] -> [N, B, L, h']. The data term is
-    a rank-F product against embed.proj @ w, and the clock term
-    clock @ w (+ b) rides on it as the GEMM's addend, broadcast over nodes.
-    ``out`` [h', r], when given, is a map applied to the result, folded
-    into both terms before the rank-F product: -> [N, B, L, r].
+    x: [N, B, L, F], clock: [B, L, d_e] -> (x, embed.proj @ w,
+    clock @ w (+ b)), which stands for the [N, B, L, h'] projection
+    `T.matmul` of the triple computes: a rank-F product whose addend, the
+    clock term, broadcasts over nodes. ``out`` [h', r], when given, is a
+    map applied to the projection, folded into both terms: -> [N, B, L, r].
     """
     data_w, clock_term = T.matmul(params["embed.proj"], w), T.matmul(clock, w, b)
     if out is not None:
         data_w, clock_term = T.matmul(data_w, out), T.matmul(clock_term, out)
-    return T.matmul(x, data_w, clock_term)
+    return x, data_w, clock_term
 
 
 def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, config,
@@ -452,9 +459,11 @@ def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, 
     ([N, B, n, F], [B, n, d_e]). Queries come from the recent embedding,
     keys from the pseudo-input, values from the pseudo-future. Keys and
     values are projected straight from each half's data and clock
-    (`_project_embedding`), so no period embedding is materialized. When
-    m != n a width-(m-n+1) correlation over time (`_align`) maps query/key
-    length to n.
+    (`_project_embedding`), so no period embedding is materialized. All
+    three go to `T.attention` as source triples, which it projects itself,
+    so no q, k or v node is recorded. When m != n a width-(m-n+1)
+    correlation over time (`_align`) maps query/key length to n, on
+    queries and keys projected by `T.matmul` first.
 
     The branch readout, the channel map ``conv_t`` [h', h'] then the
     feature map ``conv_c`` [h', 1], is linear and follows the attention
@@ -469,14 +478,14 @@ def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, 
         if x.shape[2] != steps:
             raise ValueError(f"{half} has {x.shape[2]} steps, expected {steps}")
     pre = f"branch.{branch}"
-    q = T.matmul(e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])            # [N, B, m, h']
+    q = (e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])                    # [N, B, m, h']
     k = _project_embedding(params, *pseudo_input, params[f"{pre}.wk"])
     readout = T.matmul(params[f"{pre}.conv_t"], params[f"{pre}.conv_c"])        # [h', 1]
     v = _project_embedding(params, *pseudo_future, params[f"{pre}.wv"], params[f"{pre}.bv"],
                            readout)                                             # [N, B, n, 1]
     if m != n:
-        q = _align(q, params[f"{pre}.align_q"])  # [N, B, n, h']
-        k = _align(k, params[f"{pre}.align_k"])
+        q = _align(T.matmul(*q), params[f"{pre}.align_q"])  # [N, B, n, h']
+        k = _align(T.matmul(*k), params[f"{pre}.align_k"])
     return _collect(sink, f"similarity.{branch}",
                     T.attention(q, k, v, 1.0 / np.sqrt(config.h_prime)))
 

@@ -32,9 +32,9 @@ elementwise op must equal a trailing suffix of the longer one (classic
 bias-add), matmul only broadcasts a 2-D operand across the other side's
 leading batch dims, its optional addend ``c`` (``matmul(a, b, c)`` is
 a @ b + c in one node) must be a suffix of the output shape, and
-attention broadcasts nothing, nor does self_attention beyond adding its
-1-D biases. Anything else needs an explicit reshape, which keeps shape
-errors loud.
+attention broadcasts only inside the projections of its operands, each a
+2-D weight and an addend under matmul's rules. Anything else needs an
+explicit reshape, which keeps shape errors loud.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "no_grad",
     "matmul",
     "attention",
-    "self_attention",
     "add",
     "mul",
     "relu",
@@ -201,9 +200,10 @@ def _parent(t):
 
     That is the node that produced ``t`` while its tape is live, else ``t``
     itself if it is a ``requires_grad`` leaf. An output of a finished or
-    discarded pass is a constant. Nothing gets a gradient under `no_grad`.
+    discarded pass is a constant, and so is an absent operand (None).
+    Nothing gets a gradient under `no_grad`.
     """
-    if not _st().enabled:
+    if t is None or not _st().enabled:
         return None
     node = t._node
     if node is not None and node.fn is not None:
@@ -367,7 +367,7 @@ def relu(x):
 
 
 # --------------------------------------------------------------------------
-# matmul / attention / self-attention
+# matmul / attention
 # --------------------------------------------------------------------------
 
 
@@ -442,120 +442,117 @@ def _softmax_grad(p, g):
     return g
 
 
-def _attend(q, k, v, c):
-    """Attention on arrays: (out, scores, grads), shared by `attention` and `self_attention`.
+def _project(x, w, c):
+    """x @ w + c on arrays, as `matmul` computes it; without w it is x (+ c)."""
+    y = x if w is None else np.matmul(x, w)
+    if c is not None:
+        y = y + c if w is None else np.add(y, c, out=y)
+    return y
 
-    scores = softmax(c * q kᵀ) along the last axis, computed in place with
-    max-subtraction and made read-only; out = scores @ v.
-    ``grads(g, q, k, v, need_q, need_k, need_v)`` returns (gq, gk, gv) for
-    the output gradient ``g``, each None unless needed. It keeps only the
-    scores and the scale: gv reads the scores alone, and the caller hands
-    it v when gq or gk is needed, k when gq is and q when gk is.
+
+def attention(q, k, v, scale, axis=-2):
+    """Scaled dot-product attention over ``axis``; returns (out, scores).
+
+    Each of q, k and v is a bare tensor x or a source triple (x, w, c) that
+    stands for the projection ``matmul(x, w, c)``, w [d, d'] and c being
+    optional. The op reads every source with ``axis`` moved to -2, in a
+    transient contiguous copy, and in that layout the projections
+    q [..., L_q, d_k], k [..., L_k, d_k] and v [..., L_k, d_v] must have
+    equal batch dims, and each addend must be a suffix of its projection.
+    scores [..., L_q, L_k] = softmax(scale * q kᵀ) along the last axis,
+    computed in place with max-subtraction, is a read-only array in that
+    layout; out = scores @ v has the attended axis moved back.
+
+    The gradient function keeps only the sources, weights, addends and
+    scores its gradients read, and recomputes one projection at a time: v
+    (for the score gradient), then q (for gk), then k (for gq); so no
+    projection outlives the forward. A source that several operands share,
+    as in self-attention, gets one gradient, ((gv wvᵀ) + gk wkᵀ) + gq wqᵀ,
+    moved back once. A constant gets no gradient.
     """
-    p = np.matmul(q, np.swapaxes(k, -1, -2))
-    p *= c
+    srcs = [(op, None, None) if isinstance(op, Tensor) else op for op in (q, k, v)]
+    nd = srcs[0][0].ndim
+    if nd < 2 or any(x.ndim != nd for x, _, _ in srcs) or not -nd <= axis < nd - 1:
+        raise ShapeError(f"attention: sources need one rank >= 2 and an axis before the last; "
+                         f"got {[x.shape for x, _, _ in srcs]}, axis {axis}")
+    ax = axis % nd
+
+    def move(a, src, dst):   # a transient contiguous copy, unless the axis is -2 already
+        return a if ax == nd - 2 else np.ascontiguousarray(np.moveaxis(a, src, dst))
+
+    shapes = []
+    for x, w, c in srcs:
+        s = x.shape[:ax] + x.shape[ax + 1:-1] + (x.shape[ax], x.shape[-1])
+        if w is not None and (w.ndim != 2 or w.shape[0] != s[-1]):
+            raise ShapeError(f"attention: weight {w.shape} does not map a source {x.shape}")
+        s = s if w is None else s[:-1] + w.shape[1:]
+        if c is not None and (c.ndim > len(s) or s[len(s) - c.ndim:] != c.shape):
+            raise ShapeError(f"attention: addend {c.shape} is not a suffix of its projection {s}")
+        shapes.append(s)
+    sq, sk, sv = shapes
+    if not sq[:-2] == sk[:-2] == sv[:-2] or sq[-1] != sk[-1] or sk[-2] != sv[-2] or not sk[-2]:
+        raise ShapeError(f"attention: need q [..., L_q, d], k [..., L_k, d], v [..., L_k, d_v], "
+                         f"L_k > 0; got {sq}, {sk}, {sv}")
+    scale = float(scale)
+    needs = [[_needs_grad(t) for t in src] for src in srcs]
+    need_q, need_k, need_v = (any(n) for n in needs)
+    # x is read by its projection and its weight's gradient, w by its
+    # projection and its source's gradient, c by its projection only
+    kept = [tuple(None if t is None or not keep else t.data
+                  for t, keep in zip(src, (redo or nw, redo or nx, redo)))
+            for src, (nx, nw, _), redo in zip(srcs, needs, (need_k, need_q, need_q or need_k))]
+    ids = [id(x) for x, _, _ in srcs]
+    c_shapes = [None if c is None else c.shape for _, _, c in srcs]
+
+    def sources(arrays):   # each distinct source moved once
+        moved = {}
+        for x, _, _ in arrays:
+            if x is not None and id(x) not in moved:
+                moved[id(x)] = move(x, ax, -2)
+        return [None if x is None else moved[id(x)] for x, _, _ in arrays]
+
+    arrays = [tuple(None if t is None else t.data for t in src) for src in srcs]
+    pq, pk, pv = (_project(x, w, c) for x, (_, w, c) in zip(sources(arrays), arrays))
+    p = np.matmul(pq, np.swapaxes(pk, -1, -2))
+    p *= scale
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     p.flags.writeable = False
+    out = _wrap(move(np.matmul(p, pv), -2, ax))
 
-    def grads(g, q, k, v, need_q, need_k, need_v):
+    def fn(g):
+        g = move(g, ax, -2)
+        xs = sources(kept)
         gq = gk = gv = None
         if need_v:
             gv = np.matmul(np.swapaxes(p, -1, -2), g)
         if need_q or need_k:
-            gs = _softmax_grad(p, np.matmul(g, np.swapaxes(v, -1, -2)))
-            gs *= c
-            if need_q:
-                gq = np.matmul(gs, k)
+            gs = _softmax_grad(p, np.matmul(g, np.swapaxes(_project(xs[2], *kept[2][1:]), -1, -2)))
+            gs *= scale
             if need_k:
-                gk = np.matmul(np.swapaxes(gs, -1, -2), q)
-        return gq, gk, gv
+                gk = np.matmul(np.swapaxes(gs, -1, -2), _project(xs[0], *kept[0][1:]))
+            if need_q:
+                gq = np.matmul(gs, _project(xs[1], *kept[1][1:]))
+        grads = [[None] * 3 for _ in kept]
+        sums = {}   # id(source) -> (operand, gradient so far)
+        for i, gy in ((2, gv), (1, gk), (0, gq)):
+            (nx, nw, nc), w = needs[i], kept[i][1]
+            if nw:
+                grads[i][1] = _shared_weight_grad(xs[i], gy)
+            if nc:
+                grads[i][2] = _sum_to(gy, c_shapes[i])
+            if nx:
+                part = gy if w is None else np.matmul(gy, _transposed(w))
+                j, gx = sums.get(ids[i], (i, None))
+                if gx is not None:   # in place only into a sum or product made here
+                    part = np.add(gx, part, out=None if any(gx is a for a in (gq, gk, gv)) else gx)
+                sums[ids[i]] = j, part
+        for i, gx in sums.values():
+            grads[i][0] = move(gx, -2, ax)
+        return [g for row in grads for g in row]
 
-    return np.matmul(p, v), p, grads
-
-
-def attention(q, k, v, scale):
-    """Scaled dot-product attention over the last two axes; returns (out, scores).
-
-    q: [..., L_q, d], k: [..., L_k, d], v: [..., L_k, d_v] with equal batch
-    dims (no broadcasting) -> out [..., L_q, d_v] = scores @ v, where scores
-    [..., L_q, L_k] = softmax(scale * q kᵀ) along the last axis, computed in
-    place with max-subtraction. ``scores`` is a read-only array, kept for
-    the backward pass; a constant operand gets no gradient.
-    """
-    sq, sk, sv = q.shape, k.shape, v.shape
-    if (min(map(len, (sq, sk, sv))) < 2 or not sq[:-2] == sk[:-2] == sv[:-2]
-            or sq[-1] != sk[-1] or sk[-2] != sv[-2] or not sk[-2]):
-        raise ShapeError(f"attention: need q [..., L_q, d], k [..., L_k, d], v [..., L_k, d_v], "
-                         f"L_k > 0; got {sq}, {sk}, {sv}")
-    dq, dk, dv = q.data, k.data, v.data
-    data, p, grads = _attend(dq, dk, dv, float(scale))
-    out = _wrap(data)
-    need_q, need_k, need_v = _needs_grad(q), _needs_grad(k), _needs_grad(v)
-    # keep only the operands the needed gradients read
-    dq = dq if need_k else None
-    dk = dk if need_q else None
-    dv = dv if need_q or need_k else None
-
-    def fn(g):
-        return grads(g, dq, dk, dv, need_q, need_k, need_v)
-
-    return _record("attention", [q, k, v], out, fn), p
-
-
-def self_attention(x, wq, wk, wv, bq, bv, scale):
-    """Attention of ``x`` to itself over axis -2, keeping only x for backward; (out, scores).
-
-    x: [..., L, d], wq and wk: [d, d_k], wv: [d, d_v], bq: [d_k], bv: [d_v]
-    -> out [..., L, d_v]. q = x wq + bq, k = x wk and v = x wv + bv are
-    three GEMMs computed as `matmul` computes them, then `attention` runs
-    on them. The gradient function keeps x, the weights and the scores, and
-    recomputes the projections its gradients read, so no [..., L, d]
-    projection outlives the forward. Every output and gradient equals that
-    of the `matmul` and `attention` chain, byte for byte: gx is summed in
-    that chain's sweep order, ((gv wvᵀ) + gk wkᵀ) + gq wqᵀ.
-    """
-    sx, sq, sk, sv, sbq, sbv = (t.shape for t in (x, wq, wk, wv, bq, bv))
-    if (len(sx) < 2 or not sx[-2] or len(sq) != 2 or sq != sk or len(sv) != 2
-            or not sx[-1] == sq[0] == sv[0] or sbq != sq[1:] or sbv != sv[1:]):
-        raise ShapeError(f"self_attention: need x [..., L, d], L > 0, wq and wk [d, d_k], "
-                         f"wv [d, d_v], bq [d_k], bv [d_v]; got {sx}, {sq}, {sk}, {sv}, "
-                         f"{sbq}, {sbv}")
-    dx, dwq, dwk, dwv, dbq, dbv = (t.data for t in (x, wq, wk, wv, bq, bv))
-
-    def project(w, b=None):
-        y = np.matmul(dx, w)
-        if b is not None:
-            y += b
-        return y
-
-    data, p, grads = _attend(project(dwq, dbq), project(dwk), project(dwv, dbv), float(scale))
-    out = _wrap(data)
-    need_x, need_wq, need_wk, need_wv, need_bq, need_bv = map(
-        _needs_grad, (x, wq, wk, wv, bq, bv))
-    need_q = need_x or need_wq or need_bq
-    need_k = need_x or need_wk
-    need_v = need_x or need_wv or need_bv
-
-    def fn(g):
-        gq, gk, gv = grads(g, project(dwq, dbq) if need_k else None,
-                           project(dwk) if need_q else None,
-                           project(dwv, dbv) if need_q or need_k else None,
-                           need_q, need_k, need_v)
-        gx = None
-        if need_x:
-            gx = np.matmul(gv, _transposed(dwv))
-            gx += np.matmul(gk, _transposed(dwk))
-            gx += np.matmul(gq, _transposed(dwq))
-        return (gx,
-                _shared_weight_grad(dx, gq) if need_wq else None,
-                _shared_weight_grad(dx, gk) if need_wk else None,
-                _shared_weight_grad(dx, gv) if need_wv else None,
-                _sum_to(gq, sbq) if need_bq else None,
-                _sum_to(gv, sbv) if need_bv else None)
-
-    return _record("self_attention", [x, wq, wk, wv, bq, bv], out, fn), p
+    return _record("attention", [t for src in srcs for t in src], out, fn), p
 
 
 # --------------------------------------------------------------------------

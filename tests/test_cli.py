@@ -412,7 +412,7 @@ class TestGradcheckCommand:
         assert run_cli(["gradcheck"]) == 0
         out = capsys.readouterr().out
         lines = [line for line in out.splitlines() if line.startswith("PASS")]
-        assert len(lines) >= 12
+        assert len(lines) == len(out.splitlines()) - 1 == 20   # and the summary line
 
     def test_corrupted_softmax_backward_is_caught(self, capsys, monkeypatch):
         def broken(p, g):

@@ -561,7 +561,7 @@ class TestSimilarityAttention:
                                             ("v", halves[1], slice(m, m + n))):
                 w, b = params[f"branch.0.w{name}"], params.tensors.get(f"branch.0.b{name}")
                 dense[name] = e_p[:, :, steps] @ w.data + (0.0 if b is None else b.data)
-                factored = _project_embedding(params, x, clock, w, b).data
+                factored = T.matmul(*_project_embedding(params, x, clock, w, b)).data
                 assert np.max(np.abs(factored - dense[name])) <= 1e-12 * np.max(np.abs(dense[name]))
             q = T.matmul(e_r, params["branch.0.wq"], params["branch.0.bq"])
             k = T.Tensor(dense["k"])
@@ -575,7 +575,8 @@ class TestSimilarityAttention:
 
     def test_width_h_prime_only_for_queries_and_keys(self):
         # the readout rides on the values: no value, attention output or
-        # conv_t product of width h' is recorded
+        # conv_t product of width h' is recorded; and at m == n queries and
+        # keys are projected inside the attention node, so none is recorded
         config = self._config(n_nodes=4, d_e=6, h_prime=5)
         params = init_params(config, seed=9)
         rng = np.random.default_rng(19)
@@ -585,7 +586,7 @@ class TestSimilarityAttention:
         y = generation_branch(similarity_attention(params, 0, e_r, *halves, config))
         shapes = [node.shape for node in T.current_tape().nodes[start:]]
         T.backward(T.reduce(y))
-        assert [s for s in shapes if s[:2] == (4, 2) and s[-1] == 5] == [(4, 2, 3, 5)] * 2
+        assert [s for s in shapes if s[:2] == (4, 2) and s[-1] == 5] == []
 
 
 class TestGenerationBranch:
@@ -770,16 +771,20 @@ class TestForward:
 
     def test_tape_of_a_training_step(self):
         # 8 adds remain: 1 per clock (the recent window's and each branch
-        # half's), 2 in the fusion and the loss's difference; 7 permutes: into
-        # and out of each spatial attention, one per readout; 4 self-attention
-        # nodes, one per layer, and no q, k or v projection node. The outputs
-        # still alive at the end of forward are those some gradient function
-        # reads, and the loss; they are counted once per base buffer (a
-        # reshape is a view of its input), and a dead one reads as empty. The
-        # scores each attention saves are no node output: the sink holds them
+        # half's), 2 in the fusion and the loss's difference; 3 permutes, one
+        # per readout, and none around spatial attention, which attends over
+        # axis 0 in place; 6 attention nodes, one per layer and branch, and no
+        # q, k or v projection node: the branches project their queries, keys
+        # and values inside the node too. The outputs still alive at the end
+        # of forward are those some gradient function reads, and the loss;
+        # they are counted once per base buffer (a reshape is a view of its
+        # input), and a dead one reads as empty. The scores each attention
+        # saves are no node output: the sink holds them
         sink = []
         loss, nodes = self._desk_step_tape(sink)
         ops = [node.op for node in nodes]
+        around = [(p.op, node.op) for node in nodes for p in node.parents
+                  if isinstance(p, T._Node) and "attention" in (p.op, node.op)]
         bases = {}
         for node in nodes:
             data = node.out.data
@@ -789,12 +794,13 @@ class TestForward:
         for _, scores in sink:
             bases[id(scores if scores.base is None else scores.base)] = scores.nbytes
         T.backward(loss)
-        assert len(ops) == 94
+        assert len(ops) == 85
         assert ops.count("add") == 8
-        assert ops.count("permute") == 7
-        assert ops.count("self_attention") == 4 and ops.count("attention") == 2
-        assert outputs <= 11_565_576
-        assert sum(bases.values()) <= 13_362_696   # + 1,797,120 of scores
+        assert ops.count("permute") == 3 and ("permute", "attention") not in around
+        assert ("attention", "permute") not in around
+        assert ops.count("attention") == 6 and ops.count("matmul") == 31
+        assert outputs <= 7_197_720
+        assert sum(bases.values()) <= 8_994_840   # + 1,797,120 of scores
 
     def test_a_kept_prediction_holds_no_graph_after_drop_tape(self):
         # a pass that fails after forward (say, a non-finite loss) ends in

@@ -235,10 +235,23 @@ class TestAttention:
         node = T.current_tape().nodes[-1]
         fn, parents = node.fn, node.parents   # the sweep releases both
         T.backward(T.reduce(out, kind="sum"))
-        g_q, g_k, g_v = fn(np.ones(out.shape))
-        assert g_q.shape == q.shape and g_k.shape == k.shape and g_v is None
-        assert parents == (q, k, None)
+        grads = fn(np.ones(out.shape))   # x, w and c of q, of k and of v
+        assert grads[0].shape == q.shape and grads[3].shape == k.shape
+        assert grads[1:3] + grads[4:] == [None] * 7
+        assert parents == (q, None, None, k, None, None, None, None, None)
         assert v.grad is None
+
+    def test_keeps_only_what_its_gradients_read(self):
+        # gv = scoresᵀ g reads neither q, k nor v; with the value's weight the
+        # only operand to differentiate, its source is all the node keeps
+        rng = rng_for(15)
+        q, k, xv = (T.Tensor(rng.standard_normal((2, 5, 4))) for _ in range(3))
+        wv = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        out, scores = T.attention(q, k, (xv, wv, None), 0.5)
+        kept = {id(a) for a in reachable_arrays(out._node.fn)}
+        T.backward(T.reduce(out, kind="sum"))
+        assert id(xv.data) in kept and id(scores) in kept
+        assert id(q.data) not in kept and id(k.data) not in kept and id(wv.data) not in kept
 
     def test_scores_are_read_only(self):
         q = T.Tensor(np.ones((2, 3)))
@@ -247,25 +260,52 @@ class TestAttention:
             scores[0, 0] = 0.0
 
 
-def self_attention_run(arrays, needs, fused):
-    """Output, scores and the six operand gradients of self-attention on ``arrays``.
+def self_attention_run(arrays, needs, axis=-2):
+    """Output, scores and the six operand gradients of `T.attention` of x to itself.
 
     ``arrays`` are x, wq, wk, wv, bq, bv; ``needs`` says which of them are
-    ``requires_grad``. ``fused`` runs `T.self_attention`, else the
-    `matmul` and `attention` chain it replaces.
+    ``requires_grad``. The loss weights the output by `loss_weights`.
     """
     ts = [T.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
     x, wq, wk, wv, bq, bv = ts
-    scale = 1.0 / np.sqrt(x.shape[-1])
-    if fused:
-        out, scores = T.self_attention(x, wq, wk, wv, bq, bv, scale)
-    else:
-        out, scores = T.attention(T.matmul(x, wq, bq), T.matmul(x, wk), T.matmul(x, wv, bv),
-                                  scale)
+    out, scores = T.attention((x, wq, bq), (x, wk, None), (x, wv, bv),
+                              1.0 / np.sqrt(x.shape[-1]), axis)
     if any(needs):
-        weights = rng_for(12).standard_normal(out.shape)
-        T.backward(T.reduce(T.mul(out, T.Tensor(weights)), kind="sum"))
+        T.backward(T.reduce(T.mul(out, T.Tensor(loss_weights(out.shape))), kind="sum"))
     return [out.data, scores] + [t.grad for t in ts]
+
+
+def loss_weights(shape):
+    return rng_for(12).standard_normal(shape)
+
+
+def self_attention_oracle(arrays, axis=-2):
+    """What `self_attention_run` returns with every gradient, computed in numpy.
+
+    The projections (matmul), then attention, then their gradients, each
+    product and sum in the op's order and grouping, on x with ``axis``
+    moved to -2; the output and x's gradient are moved back.
+    """
+    x, wq, wk, wv, bq, bv = arrays
+    g = loss_weights(x.shape[:-1] + wv.shape[1:])
+    x, g = (np.ascontiguousarray(np.moveaxis(a, axis, -2)) for a in (x, g))
+    c = 1.0 / np.sqrt(x.shape[-1])
+    q, k, v = x @ wq + bq, x @ wk, x @ wv + bv
+    p = q @ np.swapaxes(k, -1, -2) * c
+    p = np.exp(p - p.max(axis=-1, keepdims=True))
+    p = p / p.sum(axis=-1, keepdims=True)
+    gv = np.swapaxes(p, -1, -2) @ g
+    gs = g @ np.swapaxes(v, -1, -2)
+    gs = (gs - (gs * p).sum(axis=-1, keepdims=True)) * p * c
+    gq, gk = gs @ k, np.swapaxes(gs, -1, -2) @ q
+    gx = gv @ wv.T.copy() + gk @ wk.T.copy() + gq @ wq.T.copy()
+
+    def weight_grad(gy):
+        return x.reshape(-1, x.shape[-1]).T @ gy.reshape(-1, gy.shape[-1])
+
+    lead = tuple(range(x.ndim - 1))
+    return [np.moveaxis(p @ v, -2, axis), p, np.moveaxis(gx, -2, axis),
+            weight_grad(gq), weight_grad(gk), weight_grad(gv), gq.sum(axis=lead), gv.sum(axis=lead)]
 
 
 def reachable_arrays(obj, found=None):
@@ -288,54 +328,59 @@ class TestSelfAttention:
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(batch=st.lists(st.integers(1, 3), max_size=2), length=st.integers(1, 6),
                       d=st.integers(1, 6), d_k=st.integers(1, 6), d_v=st.integers(1, 6),
-                      needs=st.lists(st.booleans(), min_size=6, max_size=6))
-    def test_equals_the_matmul_attention_chain(self, batch, length, d, d_k, d_v, needs):
-        # byte for byte: the output, the scores and every gradient, whichever
-        # operands need one
+                      needs=st.lists(st.booleans(), min_size=6, max_size=6),
+                      back=st.integers(2, 4))
+    def test_equals_the_matmul_attention_chain(self, batch, length, d, d_k, d_v, needs, back):
+        # byte for byte against the numpy oracle: the output, the scores and
+        # every gradient, whichever operands need one, over any axis
         rng = rng_for(11)
         shapes = [tuple(batch) + (length, d), (d, d_k), (d, d_k), (d, d_v), (d_k,), (d_v,)]
         arrays = [rng.standard_normal(s) for s in shapes]
-        fused = self_attention_run(arrays, needs, fused=True)
-        chain = self_attention_run(arrays, needs, fused=False)
-        for a, b in zip(fused, chain):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert [g is not None for g in fused[2:]] == needs
+        axis = -min(back, len(shapes[0]))
+        got = self_attention_run(arrays, needs, axis)
+        ref = self_attention_oracle(arrays, axis)
+        assert [g is not None for g in got[2:]] == needs
+        for a, b in zip(got, ref):
+            assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes())
 
     @pytest.mark.parametrize("shape", [(16, 12, 15, 32), (1, 12, 170, 32)],
                              ids=["desk-spatial", "pems-spatial"])
     def test_equals_the_chain_at_model_shapes(self, shape):
+        # spatial attention as the model runs it: node-first x [N, B, m, d]
+        # attended over axis 0
         rng = rng_for(13)
         d = shape[-1]
-        arrays = [rng.standard_normal(s) for s in (shape, (d, d), (d, d), (d, d), (d,), (d,))]
-        fused = self_attention_run(arrays, [True] * 6, fused=True)
-        chain = self_attention_run(arrays, [True] * 6, fused=False)
-        assert [a.tobytes() for a in fused] == [b.tobytes() for b in chain]
+        arrays = [np.moveaxis(rng.standard_normal(shape), -2, 0).copy()]
+        arrays += [rng.standard_normal(s) for s in ((d, d), (d, d), (d, d), (d,), (d,))]
+        got = self_attention_run(arrays, [True] * 6, axis=0)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in self_attention_oracle(arrays, 0)]
 
     def test_gradient_function_keeps_x_and_no_projection(self):
-        # q, k and v are recomputed in backward: of the arrays the node's
-        # gradient function reaches, only x is as large as a projection
+        # q, k and v are recomputed in backward, and x is moved to the
+        # attended layout again there: of the arrays the node's gradient
+        # function reaches, only x is as large as a projection
         rng = rng_for(14)
-        x = T.Tensor(rng.standard_normal((16, 12, 15, 32)), requires_grad=True)
-        params = [T.Tensor(rng.standard_normal(s), requires_grad=True)
-                  for s in ((32, 32), (32, 32), (32, 32), (32,), (32,))]
-        out, _ = T.self_attention(x, *params, 0.25)
-        large = {id(a): a for a in reachable_arrays(out._node.fn) if a.size >= x.size}
-        T.backward(T.reduce(out, kind="sum"))
-        assert list(large) == [id(x.data)]
+        for axis in (-2, 0):
+            x = T.Tensor(rng.standard_normal((16, 12, 15, 32)), requires_grad=True)
+            wq, wk, wv, bq, bv = (T.Tensor(rng.standard_normal(s), requires_grad=True)
+                                  for s in ((32, 32), (32, 32), (32, 32), (32,), (32,)))
+            out, _ = T.attention((x, wq, bq), (x, wk, None), (x, wv, bv), 0.25, axis)
+            large = {id(a): a for a in reachable_arrays(out._node.fn) if a.size >= x.size}
+            T.backward(T.reduce(out, kind="sum"))
+            assert list(large) == [id(x.data)]
 
     @pytest.mark.parametrize("shapes", [
         ((2, 3, 4), (4, 5), (4, 6), (4, 6), (5,), (6,)),     # query and key widths differ
         ((2, 3, 4), (3, 5), (3, 5), (3, 6), (5,), (6,)),     # weights do not take x's width
         ((2, 3, 4), (4, 5), (4, 5), (4, 6), (6,), (6,)),     # query bias of the value width
-        ((2, 3, 4), (4, 5), (4, 5), (4, 6), (5,), (3, 6)),   # a value bias that is not 1-D
+        ((2, 3, 4), (4, 5), (4, 5), (4, 6), (5,), (4, 6)),   # a value bias that is no suffix
         ((2, 0, 4), (4, 5), (4, 5), (4, 6), (5,), (6,)),     # no positions to attend to
         ((4,), (4, 5), (4, 5), (4, 6), (5,), (6,)),          # x without a length axis
     ], ids=["key-width", "input-width", "query-bias", "value-bias", "no-keys", "rank"])
     def test_shape_mismatch_raises(self, shapes):
-        with pytest.raises(T.ShapeError, match="self_attention: "):
-            T.self_attention(*(T.Tensor(np.zeros(s)) for s in shapes), 1.0)
+        x, wq, wk, wv, bq, bv = (T.Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(T.ShapeError, match="attention: "):
+            T.attention((x, wq, bq), (x, wk, None), (x, wv, bv), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -992,38 +1037,49 @@ def draw_op_call(draw, op):
         dtype = draw(st.sampled_from([np.int64, np.uint8, np.float64]))
         idx = np.asarray(rows, dtype=np.int64).astype(dtype)   # uint8 wraps -1 to 255
         return lambda: T.gather_rows(a, idx), lambda: x[idx]
-    if op == "self_attention":
-        batch = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
-        length, d, dk, dv = (draw(st.integers(0, 3)) for _ in range(4))
-        shapes = [batch + (length, d), (d, dk), (d, dk), (d, dv), (dk,), (dv,)]
-        if draw(st.booleans()):   # break the contract, or keep it by chance
-            shapes[draw(st.integers(0, 5))] = draw(SHAPES)
-        x, wq, wk, wv, bq, bv = map(arr, shapes)
-
-        def projected():
-            return (x.data @ wq.data + bq.data, x.data @ wk.data, x.data @ wv.data + bv.data)
-
-        return (lambda: T.self_attention(x, wq, wk, wv, bq, bv, 1.0)[0],
-                lambda: attention_oracle(*projected()))
-    # attention
+    # attention: each operand bare or a source triple, missing w or c at random
     batch = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
     lq, lk, d, dv = (draw(st.integers(0, 3)) for _ in range(4))
-    shapes = [batch + (lq, d), batch + (lk, d), batch + (lk, dv)]
+    axis = draw(st.integers(-len(batch) - 2, len(batch) + 1))   # or the last axis, -1
+    shapes, parts = [], []
+    for length, width in ((lq, d), (lk, d), (lk, dv)):
+        form = draw(st.sampled_from(["x", "xw", "xc", "xwc"]))
+        proj = batch + (length, width)   # in the attended layout
+        src = list(proj)
+        src.insert(axis % len(proj), src.pop(-2))
+        if "w" in form:
+            src[-1] = draw(st.integers(0, 3))
+            shapes.append(tuple(src))
+            shapes.append((src[-1], width))
+        else:
+            shapes.append(tuple(src))
+        if "c" in form:
+            shapes.append(proj[len(proj) - draw(st.integers(0, len(proj))):])
+        parts.append(form)
     if draw(st.booleans()):   # break the contract, or keep it by chance
-        shapes[draw(st.integers(0, 2))] = draw(SHAPES)
-    q, k, v = map(arr, shapes)
-    return lambda: T.attention(q, k, v, 1.0)[0], lambda: attention_oracle(q.data, k.data, v.data)
+        shapes[draw(st.integers(0, len(shapes) - 1))] = draw(SHAPES)
+    leaves = iter([arr(shape) for shape in shapes])
+    ops = [{t: next(leaves) if t in form else None for t in "xwc"} for form in parts]
+    return (lambda: T.attention(*((o["x"], o["w"], o["c"]) for o in ops), 1.0, axis)[0],
+            lambda: attention_oracle(*ops, axis=axis))
 
 
-def attention_oracle(q, k, v):
+def attention_oracle(*ops, axis=-2):
+    """Attention of the projections of source triples given as dicts of x, w and c, in numpy."""
+    def project(x, w, c):
+        y = np.moveaxis(x.data, axis, -2)
+        y = y if w is None else y @ w.data
+        return y if c is None else y + c.data
+
+    q, k, v = (project(o["x"], o["w"], o["c"]) for o in ops)
     s = np.matmul(q, np.swapaxes(k, -1, -2))
     e = np.exp(s - s.max(axis=-1, keepdims=True))
-    return np.matmul(e / e.sum(axis=-1, keepdims=True), v)
+    return np.moveaxis(np.matmul(e / e.sum(axis=-1, keepdims=True), v), -2, axis)
 
 
 @hypothesis.settings(max_examples=500, deadline=None)
 @hypothesis.given(op=st.sampled_from(["matmul", "add", "mul", "relu", "reduce", "permute",
-                                      "reshape", "gather_rows", "attention", "self_attention"]),
+                                      "reshape", "gather_rows", "attention"]),
                   data=st.data())
 def test_op_shape_contracts_fuzz(op, data):
     # an op returns numpy's result or raises a typed error that starts with
@@ -1040,10 +1096,109 @@ def test_op_shape_contracts_fuzz(op, data):
     expected = oracle()
     assert out.shape == expected.shape
     np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
-    operands = out._node.parents   # the sweep releases them
+    operands = [t for t in out._node.parents if t is not None]   # the sweep releases them
     T.backward(T.reduce(T.mul(out, T.Tensor(rng_for(71).standard_normal(out.shape)))))
     for t in operands:
         assert t.grad.shape == t.shape and np.isfinite(t.grad).all()
+
+
+# --------------------------------------------------------------------------
+# gradient properties
+# --------------------------------------------------------------------------
+
+DIMS = st.integers(1, 3)
+GRAD_OPS = sorted(set(T.__all__) - T.NOT_OPS)
+
+
+def draw_grad_case(draw, op):
+    """A small call of ``op`` within its contract: (call of the operands, operand shapes).
+
+    Each shape is at most 3 wide on every axis, so a finite-difference
+    check of every operand element stays cheap.
+    """
+    batch = tuple(draw(st.lists(DIMS, max_size=2)))
+    if op == "matmul":   # batched or one shared 2-D factor, with an addend or none
+        p, q, r = (draw(DIMS) for _ in range(3))
+        shared = draw(st.sampled_from(["none", "a", "b"]))
+        shapes = [(p, q) if shared == "a" else batch + (p, q),
+                  (q, r) if shared == "b" else batch + (q, r)]
+        out = batch + (p, r)
+        if draw(st.booleans()):
+            shapes.append(out[len(out) - draw(st.integers(1, len(out))):])
+        return T.matmul, shapes
+    if op == "attention":   # distinct or shared sources, a weight or an addend missing
+        length, d_k, d_v = (draw(DIMS) for _ in range(3))
+        nd = len(batch) + 2
+        axis = draw(st.integers(0, nd - 2)) - draw(st.sampled_from([0, nd]))
+        shapes, forms = [], []
+        shared = draw(st.booleans())
+        for i, (rows, width) in enumerate(((draw(DIMS), d_k), (length, d_k), (length, d_v))):
+            rows = length if shared else rows
+            form = "xwc" if shared else draw(st.sampled_from(["x", "xw", "xc", "xwc"]))
+            proj = batch + (rows, width)
+            src = list(proj)
+            src.insert(axis % nd, src.pop(-2))
+            if "w" in form:
+                src[-1] = 2
+            if not (shared and i):
+                shapes.append(tuple(src))
+            if "w" in form:
+                shapes.append((2, width))
+            if "c" in form:   # a key addend constant along the keys has no gradient
+                shapes.append(proj[nd - draw(st.integers(2 if i == 1 else 1, nd)):])
+            forms.append(form)
+
+        def call(*operands):
+            it = iter(operands)
+            x = next(it) if shared else None
+            srcs = [tuple((x if shared and t == "x" else next(it)) if t in form else None
+                          for t in "xwc") for form in forms]
+            return T.attention(*srcs, 0.7, axis)[0]
+
+        return call, shapes
+    if op in ("add", "mul"):
+        a = batch + (draw(DIMS),)
+        b = a[len(a) - draw(st.integers(0, len(a))):]
+        return getattr(T, op), draw(st.permutations([a, b]))
+    if op == "relu":
+        return T.relu, [batch + (draw(DIMS),)]
+    shape = batch + (draw(DIMS),)
+    if op == "reduce":
+        axes = draw(st.lists(st.integers(0, len(shape) - 1), unique=True, max_size=len(shape)))
+        kind = draw(st.sampled_from(["sum", "mean"]))
+        return (lambda x: T.reduce(x, tuple(axes) or None, kind)), [shape]
+    if op == "permute":
+        axes = draw(st.permutations(range(len(shape))))
+        return (lambda x: T.permute(x, axes)), [shape]
+    if op == "reshape":
+        return (lambda x: T.reshape(x, shape[::-1])), [shape]
+    # gather_rows: at least one index repeated
+    rows = draw(st.lists(st.integers(0, shape[0] - 1), min_size=1, max_size=4))
+    idx = np.array(rows + rows[:1])
+    return (lambda x: T.gather_rows(x, idx)), [shape]
+
+
+@pytest.mark.parametrize("op", GRAD_OPS)
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(data=st.data())
+def test_every_op_matches_central_differences(op, data):
+    # every operand of every op, at small random shapes and inputs, against
+    # central differences; ReLU inputs are kept away from its kink
+    call, shapes = draw_grad_case(data.draw, op)
+    rng = rng_for(80)
+    operands = [T.Tensor(rng.standard_normal(s)) for s in shapes]
+    if op == "relu":
+        operands[0].data += np.copysign(0.1, operands[0].data)
+    weights = T.Tensor(rng.standard_normal(call(*operands).shape))
+    T.drop_tape()
+
+    def loss_at(i):
+        def f(t):
+            return T.reduce(T.mul(call(*operands[:i], t, *operands[i + 1:]), weights))
+        return f
+
+    for i, t in enumerate(operands):
+        assert T.gradient_check(loss_at(i), t) <= checks.GRAD_TOLERANCE, (i, shapes)
 
 
 def test_every_op_has_a_registered_check():

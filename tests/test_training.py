@@ -2,8 +2,10 @@
 
 from datetime import datetime
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from embsformer import data, model, training
 from embsformer.checks import toy_setup
@@ -213,7 +215,7 @@ class TestTrain:
         loss = mse_loss(forward(batch, init_params(big), big,
                                 chebyshev_basis(lap, estimate_lambda_max(lap), 3)),
                         batch.target)
-        assert len(T.current_tape()) == 94
+        assert len(T.current_tape()) == 85
         T.backward(loss)
 
 
@@ -298,6 +300,23 @@ class TestMetrics:
         monkeypatch.setattr(training, "FORECAST_BATCH", batch)
         again, targets_again = training.forecast(params, samples, config, basis)
         assert preds.tobytes() == again.tobytes() and targets.tobytes() == targets_again.tobytes()
+
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @hypothesis.given(size=st.integers(1, 16), picks=st.data())
+    def test_a_window_forecast_does_not_depend_on_its_batch(self, size, picks):
+        # "same inputs, same bytes": a window's forecast alone, at any
+        # position of a batch of any size, and in a batch of 16 are one array
+        series, normalized, splits, normalizer, calendar, basis = tiny_dataset(seed=8)
+        config = tiny_model()
+        samples = data.make_windows(normalized, splits[0], 4, 4, [24], calendar=calendar)[:16]
+        params = init_params(config, seed=1)
+        assert len(samples) == 16
+        full = training.predict(params, samples, config, basis)
+        rows = picks.draw(st.lists(st.integers(0, 15), min_size=size, max_size=size))
+        batch = training.predict(params, [samples[r] for r in rows], config, basis)
+        for pred, r in zip(batch, rows):
+            alone = training.predict(params, [samples[r]], config, basis)[0]
+            assert pred.tobytes() == alone.tobytes() == full[r].tobytes()
 
 
 class TestBaselines:
