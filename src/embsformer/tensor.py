@@ -463,12 +463,18 @@ def attention(q, k, v, scale, axis=-2):
     computed in place with max-subtraction, is a read-only array in that
     layout; out = scores @ v has the attended axis moved back.
 
-    The gradient function keeps only the sources, weights, addends and
-    scores its gradients read, and recomputes one projection at a time: v
-    (for the score gradient), then q (for gk), then k (for gq); so no
-    projection outlives the forward. A source that several operands share,
-    as in self-attention, gets one gradient, ((gv wvᵀ) + gk wkᵀ) + gq wqᵀ,
-    moved back once. A constant gets no gradient.
+    Forward drops q and k once the scores have read them. The gradient
+    function keeps only the sources, weights, addends and scores its
+    gradients read, and finishes one operand before it makes the next: v's
+    terms (its weight and addend gradients, and gv wvᵀ of its source's),
+    then k's, then q's, each projection recomputed just before its product.
+    Besides what it keeps, the sources in the attended layout and the
+    source-gradient sums, backward holds at one time only g with gv; or
+    g, v and the score gradient gs (g is dropped once gs = g vᵀ is formed);
+    or gs, q and gk; or gs, k and gq (gs is dropped once gq is formed).
+    A source that several operands share, as in self-attention, gets one
+    gradient, ((gv wvᵀ) + gk wkᵀ) + gq wqᵀ, moved back once. A constant
+    gets no gradient.
     """
     srcs = [(op, None, None) if isinstance(op, Tensor) else op for op in (q, k, v)]
     nd = srcs[0][0].ndim
@@ -514,6 +520,7 @@ def attention(q, k, v, scale, axis=-2):
     arrays = [tuple(None if t is None else t.data for t in src) for src in srcs]
     pq, pk, pv = (_project(x, w, c) for x, (_, w, c) in zip(sources(arrays), arrays))
     p = np.matmul(pq, np.swapaxes(pk, -1, -2))
+    pq = pk = None
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
@@ -524,31 +531,35 @@ def attention(q, k, v, scale, axis=-2):
     def fn(g):
         g = move(g, ax, -2)
         xs = sources(kept)
-        gq = gk = gv = None
-        if need_v:
-            gv = np.matmul(np.swapaxes(p, -1, -2), g)
-        if need_q or need_k:
-            gs = _softmax_grad(p, np.matmul(g, np.swapaxes(_project(xs[2], *kept[2][1:]), -1, -2)))
-            gs *= scale
-            if need_k:
-                gk = np.matmul(np.swapaxes(gs, -1, -2), _project(xs[0], *kept[0][1:]))
-            if need_q:
-                gq = np.matmul(gs, _project(xs[1], *kept[1][1:]))
         grads = [[None] * 3 for _ in kept]
-        sums = {}   # id(source) -> (operand, gradient so far)
-        for i, gy in ((2, gv), (1, gk), (0, gq)):
+        sums = {}   # id(source) -> (operand, gradient so far, whether fn alone holds it)
+
+        def take(i, gy):   # operand i's weight, addend and source terms of its gradient gy
             (nx, nw, nc), w = needs[i], kept[i][1]
             if nw:
                 grads[i][1] = _shared_weight_grad(xs[i], gy)
             if nc:
-                grads[i][2] = _sum_to(gy, c_shapes[i])
+                grads[i][2] = _sum_to(gy, c_shapes[i])   # may be gy itself
             if nx:
                 part = gy if w is None else np.matmul(gy, _transposed(w))
-                j, gx = sums.get(ids[i], (i, None))
+                j, gx, owned = sums.get(ids[i], (i, None, False))
                 if gx is not None:   # in place only into a sum or product made here
-                    part = np.add(gx, part, out=None if any(gx is a for a in (gq, gk, gv)) else gx)
-                sums[ids[i]] = j, part
-        for i, gx in sums.values():
+                    part, owned = np.add(gx, part, out=gx if owned else None), True
+                sums[ids[i]] = j, part, owned or w is not None
+
+        if need_v:   # v's terms, then k's, then q's, one operand at a time
+            take(2, np.matmul(np.swapaxes(p, -1, -2), g))
+        if need_q or need_k:
+            gs = np.matmul(g, np.swapaxes(_project(xs[2], *kept[2][1:]), -1, -2))
+            g = None
+            gs = _softmax_grad(p, gs)
+            gs *= scale
+            if need_k:
+                take(1, np.matmul(np.swapaxes(gs, -1, -2), _project(xs[0], *kept[0][1:])))
+            if need_q:
+                gq, gs = np.matmul(gs, _project(xs[1], *kept[1][1:])), None
+                take(0, gq)
+        for i, gx, _ in sums.values():
             grads[i][0] = move(gx, -2, ax)
         return [g for row in grads for g in row]
 
@@ -665,6 +676,16 @@ def gradient_check(f, x, eps=1e-5, elements=None):
     double evaluation). ``elements`` optionally restricts the check to a list
     of flat indices into ``x`` (used for large lookup tables where only a few
     rows participate); default checks every element.
+
+    Rounding puts each evaluation of f off by a few machine epsilons of
+    the magnitudes it sums, and the central difference divides that by
+    ``eps``, so its rounding bound is 4 * max(|f(x)|, 1) * macheps / eps;
+    the 1 stands for unit-scale summands, which a loss that cancels to
+    near zero still has. A gap within that bound is no error; beyond it,
+    the gap less the bound counts, relative to the larger of the two
+    gradients. A gradient that is zero in exact arithmetic, which both
+    sides see as rounding noise, thus passes, and a wrong one above the
+    noise does not.
     """
     with no_grad():
         y0 = f(x)
@@ -689,6 +710,7 @@ def gradient_check(f, x, eps=1e-5, elements=None):
     flat = x.data.reshape(-1)
     if elements is None:
         elements = range(flat.size)
+    noise = 4.0 * max(abs(y0.item()), 1.0) * np.finfo(np.float64).eps / eps
     worst = 0.0
     with no_grad():
         for i in elements:
@@ -700,7 +722,7 @@ def gradient_check(f, x, eps=1e-5, elements=None):
             flat[i] = orig
             cd = (f_plus - f_minus) / (2.0 * eps)
             a = analytic.reshape(-1)[i]
-            rel = abs(a - cd) / max(abs(a), abs(cd), 1e-8)
-            if rel > worst:
-                worst = rel
+            gap = abs(a - cd) - noise
+            if gap > 0:   # then max(|a|, |cd|) > 0
+                worst = max(worst, gap / max(abs(a), abs(cd)))
     return worst

@@ -232,6 +232,8 @@ def forecast(params, windows, config, basis):
     Both come from one `make_batch` per `FORECAST_BATCH` windows, so no
     split-sized input array is ever built.
     """
+    if not windows:
+        raise ValueError("forecast: empty sample list")
     preds, targets = [], []
     with T.no_grad():
         for lo in range(0, len(windows), FORECAST_BATCH):
@@ -243,6 +245,8 @@ def forecast(params, windows, config, basis):
 
 def predict(params, windows, config, basis):
     """Model predictions for a window list, stacked to [S, n, N] (normalized scale)."""
+    if not windows:
+        raise ValueError("predict: empty sample list")
     return forecast(params, windows, config, basis)[0]
 
 

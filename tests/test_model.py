@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 
 import hypothesis
 import numpy as np
@@ -748,11 +749,11 @@ class TestForward:
         assert np.allclose(moved, base[:, :, perm], atol=1e-10)
 
     @staticmethod
-    def _desk_step_tape(sink=None):
-        """Loss and tape nodes of one training forward at the benchmark's desk shape.
+    def _desk_step_inputs():
+        """Config, parameters, batch and basis at the benchmark's desk shape.
 
         m = n = 12, N = 15, B = 16, two blocks, periods of 24 h and 168 h at
-        15-minute steps. ``sink`` is passed to `forward`.
+        15-minute steps.
         """
         config = ModelConfig(m=12, n=12, n_nodes=15, periods=(96, 672))
         params = init_params(config, seed=0)
@@ -765,8 +766,18 @@ class TestForward:
             recent_calendar=random_calendar(rng, (16, 12)),
             period_calendar=random_calendar(rng, (16, k, 24)),
         )
+        return config, params, batch, basis_for(config)
+
+    @classmethod
+    def _desk_step_tape(cls, sink=None, inputs=None):
+        """Loss and tape nodes of one training forward on `_desk_step_inputs`.
+
+        ``sink`` is passed to `forward`; ``inputs``, when given, are the
+        helper's, built by the caller.
+        """
+        config, params, batch, basis = inputs or cls._desk_step_inputs()
         start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
-        loss = mse_loss(forward(batch, params, config, basis_for(config), sink), batch.target)
+        loss = mse_loss(forward(batch, params, config, basis, sink), batch.target)
         return loss, T.current_tape().nodes[start:]
 
     def test_tape_of_a_training_step(self):
@@ -801,6 +812,22 @@ class TestForward:
         assert ops.count("attention") == 6 and ops.count("matmul") == 31
         assert outputs <= 7_197_720
         assert sum(bases.values()) <= 8_994_840   # + 1,797,120 of scores
+
+    def test_peak_of_a_training_step(self):
+        # every attention gradient finishes one operand before it makes the
+        # next, so no backward holds v, q, k and their gradients at once:
+        # one desk step (forward and backward) peaks at 11.8 MB traced,
+        # against 13.1 MB when each held them all
+        inputs = self._desk_step_inputs()
+        T.drop_tape()
+        tracemalloc.start()
+        try:
+            loss, _ = self._desk_step_tape(inputs=inputs)
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11_800_000
 
     def test_a_kept_prediction_holds_no_graph_after_drop_tape(self):
         # a pass that fails after forward (say, a non-finite loss) ends in

@@ -272,6 +272,12 @@ class TestMetrics:
         with pytest.raises(ValueError, match="empty"):
             evaluate(params, [], stats, config, basis)
 
+    @pytest.mark.parametrize("name", ["forecast", "predict"])
+    def test_forecast_of_no_windows_names_the_function(self, name):
+        config, params, basis, _ = toy_setup()
+        with pytest.raises(ValueError, match=f"^{name}: empty sample list$"):
+            getattr(training, name)(params, [], config, basis)
+
     def test_denormalized_equals_raw_scale_direct(self):
         series, normalized, splits, normalizer, calendar, basis = tiny_dataset(seed=8)
         config = tiny_model()
