@@ -228,21 +228,19 @@ def _run_manifest(cfg):
     return manifest
 
 
-def _load_dataset(cfg):
+def _prepare(cfg, k_cheb):
+    """Load the dataset and derive what every model subcommand needs from it.
+
+    Returns the chronological splits, the normalizer fitted on the train
+    split, the normalized series, the calendar and the Chebyshev basis. The
+    raw readings are not returned: once normalized they are dropped, and the
+    normalized series has their shape, start and step.
+    """
     if not cfg["readings"] or not cfg["adjacency"]:
         raise ConfigError("readings and adjacency paths are required")
     series = data.load_readings(cfg["readings"])
     graph = data.load_adjacency(cfg["adjacency"], series.n_nodes)
     holidays = data.load_holidays(cfg["holidays"]) if cfg["holidays"] else set()
-    return series, graph, holidays
-
-
-def _prepare(series, graph, holidays, k_cheb):
-    """What every model subcommand derives from a dataset.
-
-    Returns the chronological splits, the normalizer fitted on the train
-    split, the normalized series, the calendar and the Chebyshev basis.
-    """
     splits = data.chronological_split(series)
     normalizer = data.fit_normalizer(series, splits[0])
     normalized = series.with_values(normalizer.apply(series.values))
@@ -289,14 +287,13 @@ def cmd_train(args):
     text, cfg = merged_config(args)
     hours = cfg["periods_hours"] if cfg["enable_period"] else ()
     tcfg = _train_config(cfg)
-    series, graph, holidays = _load_dataset(cfg)
+    splits, normalizer, normalized, calendar, basis = _prepare(cfg, cfg["k_cheb"])
     config = model.ModelConfig(
-        n_nodes=series.n_nodes, n_features=series.n_features,
-        periods=tuple(training.hours_to_steps(h, series.step_minutes) for h in sorted(hours)),
+        n_nodes=normalized.n_nodes, n_features=normalized.n_features,
+        periods=tuple(training.hours_to_steps(h, normalized.step_minutes)
+                      for h in sorted(hours)),
         enable_recent=cfg["enable_recent"], **{key: cfg[key] for key in _WIDTHS},
     )
-    splits, normalizer, normalized, calendar, basis = _prepare(
-        series, graph, holidays, config.k_cheb)
     windows = _windows(config, splits, normalized, calendar)
     init = model.init_params(config, tcfg.seed)
     print(f"samples: train={len(windows['train'])} val={len(windows['val'])} "
@@ -325,21 +322,19 @@ def cmd_train(args):
 
 def _load_for_checkpoint(args, cfg):
     params, config = model.load_checkpoint(args.checkpoint)
-    series, graph, holidays = _load_dataset(cfg)
-    if series.n_nodes != config.n_nodes or series.n_features != config.n_features:
+    splits, normalizer, normalized, calendar, basis = _prepare(cfg, config.k_cheb)
+    if normalized.n_nodes != config.n_nodes or normalized.n_features != config.n_features:
         raise ConfigError(
             f"checkpoint built for N={config.n_nodes}, F={config.n_features} but "
-            f"dataset has N={series.n_nodes}, F={series.n_features}"
+            f"dataset has N={normalized.n_nodes}, F={normalized.n_features}"
         )
-    splits, normalizer, normalized, calendar, basis = _prepare(
-        series, graph, holidays, config.k_cheb)
     windows = _windows(config, splits, normalized, calendar)
-    return params, config, series, normalizer, windows, basis
+    return params, config, normalizer, windows, basis
 
 
 def cmd_evaluate(args):
     _, cfg = merged_config(args)
-    params, config, _, normalizer, windows, basis = _load_for_checkpoint(args, cfg)
+    params, config, normalizer, windows, basis = _load_for_checkpoint(args, cfg)
     samples = windows[args.split]
     with np.errstate(all="ignore"):
         report = training.evaluate(
@@ -370,7 +365,7 @@ def cmd_predict(args):
         lo, hi = (int(x) for x in args.anchors.split(":"))
     except ValueError:
         raise ConfigError(f"anchors: expected lo:hi, got {args.anchors!r}") from None
-    params, config, series, normalizer, windows, basis = _load_for_checkpoint(args, cfg)
+    params, config, normalizer, windows, basis = _load_for_checkpoint(args, cfg)
     samples = windows[args.split]
     if lo < 0 or hi > len(samples) or lo >= hi:
         raise ConfigError(
@@ -383,7 +378,8 @@ def cmd_predict(args):
     with data.atomic_write(out) as fh:
         fh.write("anchor_timestamp,node,step,predicted,actual\n")
         for i, window in enumerate(picked):
-            stamp = series.timestamp(window.anchor).isoformat()
+            # the window's series is the normalized one: same start and step
+            stamp = window.series.timestamp(window.anchor).isoformat()
             pred_raw = normalizer.invert_feature(preds[i])
             actual_raw = normalizer.invert_feature(actual[i])
             for node in range(config.n_nodes):
@@ -408,18 +404,15 @@ def cmd_gradcheck(args):
 
 def cmd_ablation(args):
     text, cfg = merged_config(args)
-    series, graph, holidays = _load_dataset(cfg)
-    step_minutes = series.step_minutes
+    model_kwargs = {key: cfg[key] for key in _WIDTHS}
+    splits, normalizer, normalized, calendar, basis = _prepare(cfg, model_kwargs["k_cheb"])
     variants = training.standard_variants()
     max_hours = max(h for v in variants for h in v.periods_hours)
-    span_hours = series.n_steps * step_minutes / 60
+    span_hours = normalized.n_steps * normalized.step_minutes / 60
     if span_hours < 2 * max_hours:
         raise ConfigError(
             f"dataset spans {span_hours:.0f}h, need >= {2 * max_hours}h for the ablation grid"
         )
-    model_kwargs = {key: cfg[key] for key in _WIDTHS}
-    splits, normalizer, normalized, calendar, basis = _prepare(
-        series, graph, holidays, model_kwargs["k_cheb"])
     with np.errstate(all="ignore"):
         rows = training.ablation_grid(
             normalized, basis, variants, model_kwargs, _train_config(cfg), splits, normalizer,

@@ -95,8 +95,10 @@ class NormalizationStats:
     std: np.ndarray
 
     def apply(self, values):
-        """(x - mean) / std over the trailing feature axis."""
-        return (np.asarray(values) - self.mean) / self.std
+        """(x - mean) / std over the trailing feature axis, in one allocation."""
+        out = np.asarray(values) - self.mean
+        out /= self.std
+        return out
 
     def invert_feature(self, values, feature=0):
         return np.asarray(values) * self.std[feature] + self.mean[feature]
@@ -413,9 +415,24 @@ def synth_generate(n_nodes, days, step_minutes, daily_amp=50.0, weekly_amp=15.0,
     same-step neighbor coupling + Gaussian noise. Sinusoid phases use the
     step index modulo the period, so a noise-free daily-only series is
     bit-exactly 1-day periodic.
+
+    The flow is built in place in at most two [T, N] buffers, so its traced
+    peak stays near twice the output. Its bytes stay fixed while every step
+    stays the same elementwise operation on the same operands, in the order
+    written here (writing through ``out=`` changes no bit), and the
+    neighbor sum stays the one ``signal @ a.T`` product. Regrouping a sum,
+    such as adding the weekly wave to the base before the daily one, can
+    change the last bit.
     """
-    if MINUTES_PER_DAY % step_minutes != 0:
-        raise ValueError(f"step_minutes={step_minutes} must divide {MINUTES_PER_DAY}")
+    if step_minutes < 1 or MINUTES_PER_DAY % step_minutes != 0:
+        raise ValueError(
+            f"step_minutes={step_minutes} must be a positive divisor of {MINUTES_PER_DAY}")
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes={n_nodes} must be at least 1")
+    if days < 1:
+        raise ValueError(f"days={days} must be at least 1")
+    if noise_std < 0:
+        raise ValueError(f"noise_std={noise_std} must not be negative")
     if weekly_amp > 0 and days < 15:
         raise ValueError("need days >= 15 when the weekly component is active")
     spd = MINUTES_PER_DAY // step_minutes
@@ -439,27 +456,34 @@ def synth_generate(n_nodes, days, step_minutes, daily_amp=50.0, weekly_amp=15.0,
     base = rng.uniform(80.0, 120.0, n_nodes)
     daily_phase = rng.uniform(0.0, 2.0 * np.pi, n_nodes)
     weekly_phase = rng.uniform(0.0, 2.0 * np.pi, n_nodes)
-    daily = daily_amp * np.sin(
-        2.0 * np.pi * (idx % spd)[:, None] / spd + daily_phase[None, :]
-    )
+    signal = np.empty((t_total, n_nodes))
+    wave = np.empty((t_total, n_nodes))
+    # signal = base + daily_amp * sin(...) + weekly_amp * sin(...)
+    np.add(2.0 * np.pi * (idx % spd)[:, None] / spd, daily_phase[None, :], out=wave)
+    np.sin(wave, out=wave)
+    np.multiply(daily_amp, wave, out=wave)
+    np.add(base[None, :], wave, out=signal)
     wpd = 7 * spd
-    weekly = weekly_amp * np.sin(
-        2.0 * np.pi * (idx % wpd)[:, None] / wpd + weekly_phase[None, :]
-    )
-    signal = base[None, :] + daily + weekly
+    np.add(2.0 * np.pi * (idx % wpd)[:, None] / wpd, weekly_phase[None, :], out=wave)
+    np.sin(wave, out=wave)
+    np.multiply(weekly_amp, wave, out=wave)
+    signal += wave
+    del wave
 
+    # flow = signal + 0.25 * [deg > 0] * (neighbor_mean - signal), then + noise
     deg = graph.degree
-    coupled = signal.copy()
     if np.any(deg > 0):
-        neighbor_mean = signal @ a.T / np.where(deg > 0, deg, 1.0)[None, :]
-        coupled = coupled + 0.25 * np.where(deg > 0, 1.0, 0.0)[None, :] * (
-            neighbor_mean - signal
-        )
-    noise = rng.normal(0.0, noise_std, (t_total, n_nodes)) if noise_std > 0 else 0.0
-    flow = coupled + noise
+        coupling = signal @ a.T
+        coupling /= np.where(deg > 0, deg, 1.0)[None, :]
+        coupling -= signal
+        np.multiply(0.25 * np.where(deg > 0, 1.0, 0.0)[None, :], coupling, out=coupling)
+        signal += coupling
+        del coupling
+    # the noise-free + 0.0 turns a -0.0 into 0.0
+    signal += rng.normal(0.0, noise_std, (t_total, n_nodes)) if noise_std > 0 else 0.0
 
     series = RawSeries(
-        values=flow[:, :, None],
+        values=signal[:, :, None],
         start=datetime(2023, 4, 3, 0, 0),  # a Monday
         step_minutes=step_minutes,
     )

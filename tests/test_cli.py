@@ -51,6 +51,12 @@ class TestSynth:
         rows = (out / "readings.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == 30 * 288  # header + one row per step
 
+    def test_bad_step_fails_with_one_error_line(self, tmp_path, capsys):
+        assert run_cli(["synth", "--step-minutes", 0, "--out", tmp_path / "d"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: step_minutes=0")
+        assert not (tmp_path / "d").exists()
+
     def test_adjacency_ids_in_range(self, tmp_path):
         out = tmp_path / "d"
         assert run_cli(["synth", "--nodes", 20, "--days", 2, "--step-minutes", 60,

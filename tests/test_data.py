@@ -1,7 +1,9 @@
 """Ingestion, splitting, normalization, windowing, and synthetic generation."""
 
 import dataclasses
+import hashlib
 import re
+import tracemalloc
 import warnings
 from datetime import date, datetime
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from embsformer import data
 from embsformer.data import (
+    NormalizationStats,
     RawSeries,
     atomic_write,
     calendar_features,
@@ -378,6 +381,20 @@ class TestNormalizer:
         with pytest.raises(ValueError, match="constant"):
             fit_normalizer(s, (0, 12))
 
+    def test_apply_is_one_allocation(self):
+        rng = np.random.default_rng(3)
+        x = rng.random((2000, 20, 3)) * 50
+        stats = NormalizationStats(mean=np.array([10.0, 20.0, 30.0]),
+                                   std=np.array([3.0, 7.0, 11.0]))
+        tracemalloc.start()
+        try:
+            y = stats.apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.tobytes() == ((x - stats.mean) / stats.std).tobytes()
+        assert peak <= 1.1 * y.nbytes
+
     def test_stats_differ_across_ranges(self):
         series, _ = synth_generate(n_nodes=3, days=4, step_minutes=60,
                                    weekly_amp=0.0, seed=3)
@@ -588,3 +605,53 @@ class TestSynth:
         _, rnd = synth_generate(n_nodes=6, days=2, step_minutes=60, weekly_amp=0.0,
                                 graph_model="random", seed=1)
         assert np.array_equal(rnd.adjacency, rnd.adjacency.T)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(step_minutes=0), "step_minutes"),
+        (dict(step_minutes=-5), "step_minutes"),
+        (dict(step_minutes=7), "step_minutes"),
+        (dict(n_nodes=0), "n_nodes"),
+        (dict(n_nodes=-1), "n_nodes"),
+        (dict(days=0), "days"),
+        (dict(noise_std=-1.0), "noise_std"),
+    ])
+    def test_bad_parameter_named(self, kwargs, name):
+        params = {**dict(n_nodes=3, days=2, step_minutes=60, weekly_amp=0.0), **kwargs}
+        with pytest.raises(ValueError, match=rf"^{name}="):
+            synth_generate(**params)
+
+    # SHA-256 of values and adjacency as generated by the out-of-place
+    # formulation the in-place one replaced; a numpy whose `sin` rounds
+    # differently changes them
+    @pytest.mark.parametrize("kwargs, values_sha, adjacency_sha", [
+        (dict(n_nodes=4, days=3, step_minutes=30, weekly_amp=0.0, noise_std=0.0, seed=5),
+         "4447189f367e12c3dc223444c82b3745f1edaab6f654101501fd404bd750a4e1",
+         "f22114af2870f38bce1ea2c8bc21ca36a52b2c48707502bb42d9dffd8d88f053"),
+        (dict(n_nodes=5, days=2, step_minutes=60, weekly_amp=0.0, seed=7),
+         "889ff79b33ec84053cf5f69b739f908cb4f97bd8223a5d348583ddba70212b1a",
+         "6a15c971fb6021fd4f9a9d2b857a2b15c7df74c966b03b6d4a1a78bf29fcd664"),
+        (dict(n_nodes=3, days=15, step_minutes=1, seed=2),
+         "c5f9324178c75078c253f1f974f985653d0c6028fb10ceb3981757204257330e",
+         "177bf32f649b55debe586b18182fc9839802f0ba8be9847f3b473c66cea64656"),
+        # node 4 has no edge
+        (dict(n_nodes=6, days=16, step_minutes=60, graph_model="random", seed=4),
+         "60debad92ca20907bfb4e11fd94212f33723c72b11aa5e3f8c50e1ebab335b6b",
+         "3954b98331c512f751dc82977fd47841045d386f6946e0c0e084a58b563021b9"),
+        # no edge at all: the coupling is skipped
+        (dict(n_nodes=1, days=15, step_minutes=60, graph_model="random", seed=0),
+         "23be0fc9bf9bc184e3a49862d4924e27216b1c4724d429bcb7e4b93cc3f128d8",
+         "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    ])
+    def test_bytes_pinned(self, kwargs, values_sha, adjacency_sha):
+        series, graph = synth_generate(**kwargs)
+        assert hashlib.sha256(series.values.tobytes()).hexdigest() == values_sha
+        assert hashlib.sha256(graph.adjacency.tobytes()).hexdigest() == adjacency_sha
+
+    def test_traced_peak_near_output(self):
+        tracemalloc.start()
+        try:
+            series, _ = synth_generate(n_nodes=170, days=15, step_minutes=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * series.values.nbytes
