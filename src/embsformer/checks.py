@@ -196,9 +196,9 @@ def check_cheb_conv():
     graph = TrafficGraph(adjacency=adj)
     lap = normalized_laplacian(graph)
     basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
-    x, theta = _tensors(rng, (4, 2, 3), (3, 3, 2))   # node-first x [N, T, C]
+    x, *thetas = _tensors(rng, (4, 2, 3), *[(3, 2)] * 3)   # node-first x [N, T, C]
     x.data += 0.5
-    return _check(lambda: cheb_graph_conv(x, basis, theta), [x, theta], rng)
+    return _check(lambda: cheb_graph_conv(x, basis, thetas), [x, *thetas], rng)
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def check_similarity_attention():
 
 
 def check_transition_block():
-    """The activation input and every weight of the block: attentions, theta, conv_t, residual."""
+    """The activation input and every weight of the block: attentions, taps, conv_t, residual."""
     rng = _rng(21)
     config, params, basis, batch = toy_setup()
     e = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))

@@ -165,13 +165,8 @@ def load_readings(path) -> RawSeries:
                 raise ValueError(f"{path}: malformed meta entry {part!r}")
             key, val = part.split("=", 1)
             meta[key.strip()] = val.strip()
-        try:
-            n_nodes = int(meta["n_nodes"])
-            n_features = int(meta["n_features"])
-            step_minutes = int(meta["step_minutes"])
-            start = datetime.fromisoformat(meta["start"])
-        except KeyError as exc:
-            raise ValueError(f"{path}: header missing {exc.args[0]}") from None
+        keys = ("n_nodes", "n_features", "step_minutes", "start")
+        n_nodes, n_features, step_minutes, start = (_header_value(path, meta, k) for k in keys)
 
         width = n_nodes * n_features
         body = fh.tell()
@@ -198,6 +193,20 @@ def load_readings(path) -> RawSeries:
         start=start,
         step_minutes=step_minutes,
     )
+
+
+def _header_value(path, meta, key):
+    """The header's ``key``: ``start`` an ISO 8601 date-time, any other an integer of at least 1."""
+    if key not in meta:
+        raise ValueError(f"{path}: header missing {key}")
+    try:
+        value = datetime.fromisoformat(meta[key]) if key == "start" else int(meta[key])
+        if key == "start" or value >= 1:
+            return value
+    except ValueError:
+        pass
+    what = "an ISO 8601 date-time" if key == "start" else "an integer of at least 1"
+    raise ValueError(f"{path}: header {key}={meta[key]!r} is not {what}")
 
 
 def _raise_bad_row(fh, path, width):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from embsformer.tensor import Tensor, gather_rows, matmul, relu, reshape
+from embsformer.tensor import Tensor, matmul, relu, reshape
 
 __all__ = [
     "TrafficGraph",
@@ -141,32 +141,24 @@ def chebyshev_basis(lap: np.ndarray, lambda_max: float, k_cheb: int) -> Chebyshe
     return ChebyshevBasis(order=k_cheb, matrices=mats, lambda_max=float(lambda_max))
 
 
-def cheb_graph_conv(x: Tensor, basis: ChebyshevBasis, theta: Tensor) -> Tensor:
+def cheb_graph_conv(x: Tensor, basis: ChebyshevBasis, thetas) -> Tensor:
     """ReLU( sum_k T_k(L~) . x . theta_k ), independently per trailing index.
 
-    x: [N, ..., C_in], node-first, theta: [K, C_in, C_out] -> [N, ..., C_out].
-    The sum is taken as sum_k T_k (x theta_k): theta_k maps the channels
-    first, and each hop is then one [N, N] @ [N, rest] GEMM on a reshape
-    view of x theta_k whose rows are the nodes, with the running sum as
-    its addend. So backward reads x, for the theta gradients, and no hop
-    output. Differentiable in both x and theta.
+    x: [N, ..., C_in], node-first, thetas: the K taps theta_k, a sequence of
+    [C_in, C_out] tensors -> [N, ..., C_out]. Each tap enters its matmul as
+    it is, so no op slices a weight. The sum is taken as sum_k T_k (x theta_k):
+    theta_k maps the channels first, and each hop is then one [N, N] @
+    [N, rest] GEMM on a reshape view of x theta_k whose rows are the nodes,
+    with the running sum as its addend. So backward reads x, for the tap
+    gradients, and no hop output. Differentiable in x and in every tap.
     """
-    if theta.shape[0] != basis.order:
-        raise ValueError(
-            f"theta has {theta.shape[0]} filter taps but basis order is {basis.order}"
-        )
-    n_nodes = x.shape[0]
-    if n_nodes != basis.num_nodes:
-        raise ValueError(
-            f"x has {n_nodes} nodes but basis was built for {basis.num_nodes}"
-        )
-    out_shape = x.shape[:-1] + theta.shape[-1:]
-    rows = (n_nodes, math.prod(out_shape[1:]))
-
-    def mapped(k):   # x theta_k as [N, rest]
-        return reshape(matmul(x, gather_rows(theta, np.asarray(k))), rows)
-
-    acc = mapped(0)   # T_0 = I
+    if len(thetas) != basis.order:
+        raise ValueError(f"thetas has {len(thetas)} filter taps but basis order is {basis.order}")
+    if x.shape[0] != basis.num_nodes:
+        raise ValueError(f"x has {x.shape[0]} nodes but basis was built for {basis.num_nodes}")
+    out_shape = x.shape[:-1] + thetas[0].shape[-1:]
+    rows = (x.shape[0], math.prod(out_shape[1:]))
+    acc = reshape(matmul(x, thetas[0]), rows)   # T_0 = I
     for k in range(1, basis.order):
-        acc = matmul(basis.tensors()[k], mapped(k), acc)
+        acc = matmul(basis.tensors()[k], reshape(matmul(x, thetas[k]), rows), acc)
     return relu(reshape(acc, out_shape))

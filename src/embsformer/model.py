@@ -222,7 +222,8 @@ def init_params(config: ModelConfig, seed=0) -> ModelParameters:
                     p.new(f"{pre}.{layer}.{nm}", _uniform(rng, c.d_e, (c.d_e, c.d_e)))
                 for nm in ("bq", "bv"):
                     p.new(f"{pre}.{layer}.{nm}", np.zeros(c.d_e))
-            p.new(f"{pre}.theta", _uniform(rng, c.d_e * c.k_cheb, (c.k_cheb, c.d_e, c.h_prime)))
+            for k, tap in enumerate(_uniform(rng, c.d_e * c.k_cheb, (c.k_cheb, c.d_e, c.h_prime))):
+                p.new(f"{pre}.theta.{k}", tap)   # the K rows of one draw
             p.new(f"{pre}.conv_t", _uniform(rng, c.h_prime, (c.h_prime, c.d_e)))
             p.new(f"{pre}.residual", _uniform(rng, c.d_e, (c.d_e, c.d_e)))
         p.new("readout.time_mix", _uniform(rng, c.m, (c.m, c.n)))
@@ -235,9 +236,9 @@ def init_params(config: ModelConfig, seed=0) -> ModelParameters:
         for nm in ("bq", "bv"):
             p.new(f"{pre}.{nm}", np.zeros(c.h_prime))
         if c.m != c.n:
-            width = c.m - c.n + 1
-            p.new(f"{pre}.align_q", _uniform(rng, width * c.h_prime, (width, c.h_prime, c.h_prime)))
-            p.new(f"{pre}.align_k", _uniform(rng, width * c.h_prime, (width, c.h_prime, c.h_prime)))
+            rows = (c.m - c.n + 1) * c.h_prime   # w*h', a flattened alignment window
+            for nm in ("align_q", "align_k"):
+                p.new(f"{pre}.{nm}", _uniform(rng, rows, (rows, c.h_prime)))
         p.new(f"{pre}.conv_t", _uniform(rng, c.h_prime, (c.h_prime, c.h_prime)))
         p.new(f"{pre}.conv_c", _uniform(rng, c.h_prime, (c.h_prime, 1)))
 
@@ -394,7 +395,7 @@ def transition_block(params, prefix, e, basis: ChebyshevBasis, config, sink=None
     """
     s = spatial_self_attention(params, prefix, e, sink)
     t = temporal_self_attention(params, prefix, s, sink)
-    g = cheb_graph_conv(t, basis, params[f"{prefix}.theta"])  # [N, B, m, h']
+    g = cheb_graph_conv(t, basis, [params[f"{prefix}.theta.{k}"] for k in range(basis.order)])
     res = T.matmul(e, params[f"{prefix}.residual"])
     return T.matmul(g, params[f"{prefix}.conv_t"], res)        # [N, B, m, d_e]
 
@@ -421,17 +422,18 @@ def transition_readout(params, h, config):
 def _align(x, kernel):
     """Valid correlation over time as one matmul on gathered windows (im2col).
 
-    x: [N, B, L, C], kernel: [w, C, C_out] -> [N, B, L-w+1, C_out], where
-    output step s is sum_j x[:, :, s+j] @ kernel[j]. The L-w+1 overlapping
-    windows are gathered at once along the time-leading layout.
+    x: [N, B, L, C], kernel: [w*C, C_out] -> [N, B, L-w+1, C_out], where
+    output step s is sum_j x[:, :, s+j] @ kernel[j*C:(j+1)*C]. The L-w+1
+    overlapping windows are gathered at once along the time-leading layout
+    and flattened to the w*C rows the kernel maps.
     """
-    w, c, c_out = kernel.shape
+    w = kernel.shape[0] // x.shape[3]
     steps = x.shape[2] - w + 1
     windows = T.gather_rows(T.permute(x, (2, 0, 1, 3)),
                             np.arange(steps)[:, None] + np.arange(w))  # [L', w, N, B, C]
     windows = T.permute(windows, (2, 3, 0, 1, 4))                      # [N, B, L', w, C]
-    windows = T.reshape(windows, windows.shape[:3] + (w * c,))
-    return T.matmul(windows, T.reshape(kernel, (w * c, c_out)))
+    windows = T.reshape(windows, windows.shape[:3] + kernel.shape[:1])
+    return T.matmul(windows, kernel)
 
 
 def _project_embedding(params, x, clock, w, b=None, out=None):
@@ -628,6 +630,12 @@ def load_checkpoint(path):
     if pos != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after parameter table")
     layout = {name: t.shape for name, t in init_params(config).items()}
-    if {name: t.shape for name, t in params.items()} != layout:
-        raise CheckpointError(f"{path}: parameter names or shapes do not match the model config")
+    shapes = {name: t.shape for name, t in params.items()}
+    for name in sorted(layout.keys() | shapes.keys()):
+        got, want = shapes.get(name), layout.get(name)
+        if got != want:
+            what = (f"{name} {list(want)} is missing" if got is None else
+                    f"unexpected {name} {list(got)}" if want is None else
+                    f"{name} is {list(got)}, expected {list(want)}")
+            raise CheckpointError(f"{path}: parameters do not match the model config: {what}")
     return params, config

@@ -227,19 +227,24 @@ def compute_metrics(pred, actual, meta=None) -> MetricsReport:
 
 
 def forecast(params, windows, config, basis):
-    """Predictions and targets for a window list, each stacked to [S, n, N] (normalized scale).
-
-    Both come from one `make_batch` per `FORECAST_BATCH` windows, so no
-    split-sized input array is ever built.
-    """
+    """Predictions and targets for a window list, each stacked to [S, n, N] (normalized scale)."""
     if not windows:
         raise ValueError("forecast: empty sample list")
-    preds, targets = [], []
     with T.no_grad():
-        for lo in range(0, len(windows), FORECAST_BATCH):
-            batch = make_batch(windows[lo:lo + FORECAST_BATCH])
-            preds.append(forward(batch, params, config, basis).data)
-            targets.append(batch.target)
+        return _stacked(windows, lambda batch: forward(batch, params, config, basis).data)
+
+
+def _stacked(windows, fn):
+    """``fn(batch)`` and the targets, stacked over batches of `FORECAST_BATCH` windows.
+
+    One `make_batch` per `FORECAST_BATCH` windows, so no split-sized input
+    array is ever built.
+    """
+    preds, targets = [], []
+    for lo in range(0, len(windows), FORECAST_BATCH):
+        batch = make_batch(windows[lo:lo + FORECAST_BATCH])
+        preds.append(fn(batch))
+        targets.append(batch.target)
     return np.concatenate(preds, axis=0), np.concatenate(targets, axis=0)
 
 
@@ -276,10 +281,10 @@ def persistence_baseline(batch):
     return np.repeat(batch.recent[:, -1:, :, 0], n, axis=1)
 
 
-def _baseline_metrics(windows, fn, normalizer):
-    batch = make_batch(windows)
-    return compute_metrics(normalizer.invert_feature(fn(batch)),
-                           normalizer.invert_feature(batch.target))
+def _baseline_metrics(windows, normalizer):
+    """`persistence_baseline` metrics, its batches gathered as `forecast` gathers them."""
+    pred, actual = _stacked(windows, persistence_baseline)
+    return compute_metrics(normalizer.invert_feature(pred), normalizer.invert_feature(actual))
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +357,7 @@ def ablation_grid(series, basis, variants, model_kwargs, tcfg: TrainConfig,
             log(f"[{variant.name}] training on {len(splits['train'])} samples")
         result = train(config, basis, splits["train"], splits["val"], tcfg, normalizer)
         report = evaluate(result.params, splits["test"], normalizer, config, basis)
-        persistence = _baseline_metrics(splits["test"], persistence_baseline, normalizer)
+        persistence = _baseline_metrics(splits["test"], normalizer)
         row = {
             "variant": variant.name,
             "mae": report.mae_avg,

@@ -277,6 +277,7 @@ def periodic_dataset():
     return series, normalized, splits, normalizer, calendar, basis
 
 
+@pytest.mark.slow
 def test_ablation_ordering(periodic_dataset):
     series, normalized, splits, normalizer, calendar, basis = periodic_dataset
     start = time.perf_counter()
@@ -305,6 +306,7 @@ def test_ablation_ordering(periodic_dataset):
 # --------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_lookup_sanity():
     series, graph = data.synth_generate(
         n_nodes=8, days=12, step_minutes=15, daily_amp=50.0, weekly_amp=0.0,

@@ -69,6 +69,16 @@ class TestSynth:
 
 
 class TestTrain:
+    def test_bad_readings_header_fails_with_one_error_line(self, dataset, tmp_path, capsys):
+        readings = dataset / "readings.csv"
+        header, body = readings.read_text().split("\n", 1)
+        readings.write_text(header.replace("n_nodes=6", "n_nodes=abc") + "\n" + body)
+        out = tmp_path / "runs"
+        assert run_cli(train_args(dataset, out)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {readings}: header n_nodes='abc' is not an integer of at least 1"]
+        assert not list(out.glob("run-*"))
+
     def test_horizon_short_preset(self, dataset, tmp_path):
         out = tmp_path / "runs"
         assert run_cli(train_args(dataset, out, ["--horizon", "short",

@@ -87,6 +87,26 @@ class TestReadingsIO:
         with pytest.raises(ValueError, match="#meta"):
             load_readings(path)
 
+    @pytest.mark.parametrize("entry,message", [
+        ("n_nodes=abc", "header n_nodes='abc' is not an integer of at least 1"),
+        ("n_nodes=-2", "header n_nodes='-2' is not an integer of at least 1"),
+        ("n_features=0", "header n_features='0' is not an integer of at least 1"),
+        ("step_minutes=0", "header step_minutes='0' is not an integer of at least 1"),
+        ("step_minutes=2.5", "header step_minutes='2.5' is not an integer of at least 1"),
+        ("start=yesterday", "header start='yesterday' is not an ISO 8601 date-time"),
+        ("n_features=", "header n_features='' is not an integer of at least 1"),
+    ])
+    def test_bad_header_value_names_file_and_key(self, tmp_path, entry, message):
+        key = entry.split("=", 1)[0]
+        meta = {"n_nodes": "2", "n_features": "1", "step_minutes": "5",
+                "start": "2018-01-01T00:00:00", key: entry.split("=", 1)[1]}
+        path = tmp_path / "hdr.csv"
+        path.write_text("#meta," + ",".join(f"{k}={v}" for k, v in meta.items())
+                        + "\n1.0,2.0\n")
+        with pytest.raises(ValueError) as exc:
+            load_readings(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 def write_readings(path, body, n_nodes, n_features=1):
     path.write_text(

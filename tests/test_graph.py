@@ -21,6 +21,11 @@ def random_graph(seed, n):
     return TrafficGraph(adjacency=a)
 
 
+def taps(theta, requires_grad=False):
+    """A [K, C_in, C_out] stack -> the K tap tensors `cheb_graph_conv` takes."""
+    return [T.Tensor(t, requires_grad=requires_grad) for t in theta]
+
+
 def node_first(x):
     """[T, N, C] -> the node-first [N, T, C] that `cheb_graph_conv` takes."""
     return np.ascontiguousarray(np.moveaxis(x, 1, 0))
@@ -140,8 +145,7 @@ class TestChebGraphConv:
     def test_identity_filter_passes_nonnegative_input(self):
         basis = chebyshev_basis(normalized_laplacian(PATH2), 2.0, 1)
         x = T.Tensor(node_first(np.abs(np.random.default_rng(3).standard_normal((3, 2, 4)))))
-        theta = T.Tensor(np.eye(4)[None, :, :])
-        out = cheb_graph_conv(x, basis, theta)
+        out = cheb_graph_conv(x, basis, [T.Tensor(np.eye(4))])
         assert np.allclose(out.data, x.data, atol=1e-14)
 
     def test_zero_laplacian_reduction(self):
@@ -152,7 +156,7 @@ class TestChebGraphConv:
         rng = np.random.default_rng(4)
         x = node_first(rng.standard_normal((2, 3, 2)))
         theta = rng.standard_normal((2, 2, 2))
-        out = cheb_graph_conv(T.Tensor(x), basis, T.Tensor(theta))
+        out = cheb_graph_conv(T.Tensor(x), basis, taps(theta))
         expected = np.maximum(
             np.einsum("ntc,cd->ntd", x, theta[0]) - np.einsum("ntc,cd->ntd", x, theta[1]),
             0.0,
@@ -168,7 +172,7 @@ class TestChebGraphConv:
         basis = chebyshev_basis(lap, lam, 3)
         x = node_first(rng.standard_normal((2, 4, 3)))
         theta = rng.standard_normal((3, 3, 2))
-        got = cheb_graph_conv(T.Tensor(x), basis, T.Tensor(theta)).data
+        got = cheb_graph_conv(T.Tensor(x), basis, taps(theta)).data
         expected = np.zeros((4, 2, 2))
         for t in range(2):
             for k in range(3):
@@ -182,8 +186,7 @@ class TestChebGraphConv:
     def test_order_mismatch_rejected(self):
         basis = chebyshev_basis(normalized_laplacian(PATH2), 2.0, 2)
         with pytest.raises(ValueError, match="order"):
-            cheb_graph_conv(T.Tensor(np.zeros((2, 1, 1))), basis,
-                            T.Tensor(np.zeros((3, 1, 1))))
+            cheb_graph_conv(T.Tensor(np.zeros((2, 1, 1))), basis, taps(np.zeros((3, 1, 1))))
 
     def test_disconnected_components_never_mix(self):
         # two disjoint 2-cliques; perturbing component A must not move B
@@ -195,11 +198,11 @@ class TestChebGraphConv:
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
         rng = np.random.default_rng(9)
         x = node_first(rng.standard_normal((2, 4, 3)))
-        theta = T.Tensor(rng.standard_normal((3, 3, 2)))
-        base = cheb_graph_conv(T.Tensor(x), basis, theta).data
+        thetas = taps(rng.standard_normal((3, 3, 2)))
+        base = cheb_graph_conv(T.Tensor(x), basis, thetas).data
         x2 = x.copy()
         x2[:2] += node_first(rng.standard_normal((2, 2, 3)))
-        moved = cheb_graph_conv(T.Tensor(x2), basis, theta).data
+        moved = cheb_graph_conv(T.Tensor(x2), basis, thetas).data
         assert np.array_equal(base[2:], moved[2:])
 
     def test_gradients_pass_finite_differences(self):
@@ -208,17 +211,14 @@ class TestChebGraphConv:
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
         rng = np.random.default_rng(77)
         x = T.Tensor(node_first(rng.standard_normal((2, 4, 3)) + 0.3))
-        theta = T.Tensor(rng.standard_normal((3, 3, 2)))
-        w = node_first(rng.standard_normal((2, 4, 2)))
+        thetas = taps(rng.standard_normal((3, 3, 2)))
+        w = T.Tensor(node_first(rng.standard_normal((2, 4, 2))))
 
-        def f_x(t):
-            return T.reduce(T.mul(cheb_graph_conv(t, basis, theta), T.Tensor(w)), kind="sum")
+        def f(_):   # gradient_check perturbs x and the taps in place
+            return T.reduce(T.mul(cheb_graph_conv(x, basis, thetas), w), kind="sum")
 
-        def f_theta(t):
-            return T.reduce(T.mul(cheb_graph_conv(x, basis, t), T.Tensor(w)), kind="sum")
-
-        assert T.gradient_check(f_x, x) <= 1e-4
-        assert T.gradient_check(f_theta, theta) <= 1e-4
+        for t in [x, *thetas]:
+            assert T.gradient_check(f, t) <= 1e-4
 
     def test_basis_is_constant_on_the_tape(self):
         g = random_graph(78, 5)
@@ -226,9 +226,9 @@ class TestChebGraphConv:
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
         rng = np.random.default_rng(78)
         x = T.Tensor(node_first(rng.standard_normal((2, 5, 3))), requires_grad=True)
-        theta = T.Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
-        y = cheb_graph_conv(x, basis, theta)
-        # x and theta are leaves, so the only constant operands are the basis
+        thetas = taps(rng.standard_normal((3, 3, 2)), requires_grad=True)
+        y = cheb_graph_conv(x, basis, thetas)
+        # x and the taps are leaves, so the only constant operands are the basis
         # matrices: their parent slot is None and their gradient is never built
         slots = [ig for node in T.current_tape().nodes
                  for p, ig in zip(node.parents, node.fn(np.ones(node.shape)))
@@ -237,20 +237,21 @@ class TestChebGraphConv:
         assert len(slots) == basis.order - 1  # T_0 = I is applied as x itself
         assert all(ig is None for ig in slots)
         assert all(t.grad is None for t in basis.tensors())
-        assert x.grad is not None and theta.grad is not None
+        assert x.grad is not None and all(t.grad is not None for t in thetas)
 
     def test_each_hop_is_one_gemm(self):
-        # at K=3: per tap one theta gather, one x theta_k matmul and its
-        # [N, rest] view; per hop one [N, N] @ [N, rest] matmul whose addend
-        # is the running sum; one reshape back to [N, ..., C_out]
+        # at K=3: per tap one x theta_k matmul and its [N, rest] view; per
+        # hop one [N, N] @ [N, rest] matmul whose addend is the running sum;
+        # one reshape back to [N, ..., C_out]. The taps are leaves: no node
+        # slices them out of a weight
         g = random_graph(79, 5)
         lap = normalized_laplacian(g)
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
         rng = np.random.default_rng(79)
         x = T.Tensor(rng.standard_normal((5, 2, 4, 3)), requires_grad=True)
-        theta = T.Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
+        thetas = taps(rng.standard_normal((3, 3, 2)), requires_grad=True)
         start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
-        y = cheb_graph_conv(x, basis, theta)
+        y = cheb_graph_conv(x, basis, thetas)
         nodes = T.current_tape().nodes[start:]
         # a hop's constant [N, N] basis matrix has no parent; its other
         # parents are the [N, rest] view of x theta_k and the running sum
@@ -259,23 +260,22 @@ class TestChebGraphConv:
         T.backward(T.reduce(y, kind="sum"))
         ops = [node.op for node in nodes]
         assert {op: ops.count(op) for op in set(ops)} == {
-            "reshape": 4, "matmul": 5, "gather_rows": 3, "relu": 1}
+            "reshape": 4, "matmul": 5, "relu": 1}
         assert hops == [((5, 16), "reshape", (5, 16), "reshape"),
                         ((5, 16), "reshape", (5, 16), "matmul")]
 
     def test_backward_keeps_no_hop_output(self):
-        # the hops act on x theta_k, so the gradients read x and the theta
-        # taps: at the end of forward the only outputs still alive are the
-        # gathered taps and the result
+        # the hops act on x theta_k, so the gradients read x and the taps,
+        # both leaves: at the end of forward no output is alive but the result
         g = random_graph(80, 5)
         lap = normalized_laplacian(g)
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 3)
         rng = np.random.default_rng(80)
         x = T.Tensor(rng.standard_normal((5, 2, 4, 3)), requires_grad=True)
-        theta = T.Tensor(rng.standard_normal((3, 3, 2)), requires_grad=True)
+        thetas = taps(rng.standard_normal((3, 3, 2)), requires_grad=True)
         start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
-        y = cheb_graph_conv(x, basis, theta)
+        y = cheb_graph_conv(x, basis, thetas)
         nodes = T.current_tape().nodes[start:]
         alive = [node.op for node in nodes if node.out.data.size and node is not y._node]
         T.backward(T.reduce(y, kind="sum"))
-        assert alive == ["gather_rows"] * 3
+        assert alive == []

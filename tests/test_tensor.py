@@ -528,7 +528,7 @@ class TestConvTime:
 
     def test_hand_case(self):
         x = T.Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1))
-        k = T.Tensor(np.array([1.0, 1.0]).reshape(2, 1, 1))
+        k = T.Tensor(np.array([1.0, 1.0]).reshape(2, 1))
         out = _align(x, k)
         assert np.array_equal(out.data.ravel(), [3.0, 5.0])
 
@@ -546,7 +546,7 @@ class TestConvTime:
                         for j in range(w):
                             for c in range(ci):
                                 expected[v, bi, s, d] += x[v, bi, s + j, c] * k[j, c, d]
-        got = _align(T.Tensor(x), T.Tensor(k)).data
+        got = _align(T.Tensor(x), T.Tensor(k.reshape(w * ci, co))).data   # [w*C, C_out]
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -963,7 +963,7 @@ def test_gather_rows_accumulates_repeats():
 
 @pytest.mark.parametrize("table_shape,indices", [
     ((6, 4), [[0, 5, 5], [2, 5, 0], [5, 5, 5]]),            # repeated rows
-    ((3, 2, 5), np.array(1)),                               # 0-d, as cheb_graph_conv's theta
+    ((3, 2, 5), np.array(1)),                               # 0-d: one row, no index axis
     ((7, 3, 2), [[[6, 0], [6, 6]], [[1, 6], [0, 0]]]),       # a 3-D table under 3-D indices
     ((1449, 8), [[[30, 1443, 1447]] * 4] * 3),               # the calendar rows of a repeated clock
 ], ids=["repeats", "0d-index", "3d-table", "calendar"])
