@@ -244,11 +244,17 @@ def _names(params, prefix):
     return [name for name in params.names() if name.startswith(prefix)]
 
 
+def _block_input(salt):
+    """(rng, params, basis, e): the toy model, and e [N, 1, m, d_e] drawn from `_rng(salt)`."""
+    rng = _rng(salt)
+    config, params, basis, _ = toy_setup()
+    e = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))
+    return rng, params, basis, e
+
+
 def check_spatial_attention():
     """The activation input and every spatial weight and bias."""
-    rng = _rng(18)
-    config, params, basis, batch = toy_setup()
-    e = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))
+    rng, params, _, e = _block_input(18)
     return _check_layer(
         lambda: spatial_self_attention(params, "transition.0", e),
         [e], params, _names(params, "transition.0.spatial."), rng)
@@ -256,9 +262,7 @@ def check_spatial_attention():
 
 def check_temporal_attention():
     """The activation input and every temporal weight and bias."""
-    rng = _rng(19)
-    config, params, basis, batch = toy_setup()
-    x = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))
+    rng, params, _, x = _block_input(19)
     return _check_layer(
         lambda: temporal_self_attention(params, "transition.0", x),
         [x], params, _names(params, "transition.0.temporal."), rng)
@@ -288,11 +292,9 @@ def check_similarity_attention():
 
 def check_transition_block():
     """The activation input and every weight of the block: attentions, taps, conv_t, residual."""
-    rng = _rng(21)
-    config, params, basis, batch = toy_setup()
-    e = T.Tensor(rng.standard_normal((config.n_nodes, 1, config.m, config.d_e)))
+    rng, params, basis, e = _block_input(21)
     return _check_layer(
-        lambda: transition_block(params, "transition.0", e, basis, config),
+        lambda: transition_block(params, "transition.0", e, basis),
         [e], params, _names(params, "transition.0."), rng)
 
 
@@ -331,7 +333,7 @@ def check_full_model():
 
     worst = max(worst, T.gradient_check(f_input, x))
     for name, tens in params.items():
-        def f(t):
+        def f(_t):
             return loss_fn()
 
         elems = _used_table_elements(batch, tens.shape[1]) if name == "embed.calendar" else None

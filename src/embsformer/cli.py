@@ -390,7 +390,7 @@ def cmd_predict(args):
     return 0
 
 
-def cmd_gradcheck(args):
+def cmd_gradcheck(_args):
     rows = checks.run_all()
     failed = [name for name, _, ok in rows if not ok]
     for name, err, ok in rows:
@@ -406,17 +406,10 @@ def cmd_ablation(args):
     text, cfg = merged_config(args)
     model_kwargs = {key: cfg[key] for key in _WIDTHS}
     splits, normalizer, normalized, calendar, basis = _prepare(cfg, model_kwargs["k_cheb"])
-    variants = training.standard_variants()
-    max_hours = max(h for v in variants for h in v.periods_hours)
-    span_hours = normalized.n_steps * normalized.step_minutes / 60
-    if span_hours < 2 * max_hours:
-        raise ConfigError(
-            f"dataset spans {span_hours:.0f}h, need >= {2 * max_hours}h for the ablation grid"
-        )
     with np.errstate(all="ignore"):
         rows = training.ablation_grid(
-            normalized, basis, variants, model_kwargs, _train_config(cfg), splits, normalizer,
-            calendar=calendar, log=print,
+            normalized, basis, training.standard_variants(), model_kwargs, _train_config(cfg),
+            splits, normalizer, calendar=calendar, log=print,
         )
     ranked = sorted(rows, key=lambda r: r["mae"])
     groups = list(ranked[0]["param_groups"])

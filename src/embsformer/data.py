@@ -377,18 +377,17 @@ def window_offsets(m, n, periods):
     return recent, target, period
 
 
-def make_windows(series: RawSeries, split_range, m, n, periods,
-                 calendar=None, anchor_floor=None):
+def make_windows(series: RawSeries, split_range, m, n, periods, calendar=None):
     """Every valid Window for one chronological split, in anchor order.
 
-    Recent and target (see `window_offsets`) stay inside the split; period
-    branches are inputs and may reach into earlier history, but anchors
-    whose largest-period window underflows the series are dropped.
-    ``calendar`` is the series' [T, 3] `calendar_features` array, built
-    without holidays when omitted. ``anchor_floor`` optionally raises the
-    first admissible anchor (used to keep anchor sets identical across
-    period configurations).
+    An anchor is valid when, at its `window_offsets`, the recent block
+    starts inside the split, every period window starts inside the series
+    (period branches are inputs and may reach into earlier history) and the
+    target ends inside the split. ``calendar`` is the series' [T, 3]
+    `calendar_features` array, built without holidays when omitted.
     """
+    if min(m, n) < 1:
+        raise ValueError(f"m={m} and n={n} must both be positive")
     periods = tuple(periods)
     if sorted(periods) != list(periods):
         raise ValueError(f"periods must be sorted ascending, got {list(periods)}")
@@ -399,11 +398,9 @@ def make_windows(series: RawSeries, split_range, m, n, periods,
         calendar = calendar_features(series)
 
     lo, hi = split_range
-    max_period = max(periods) if periods else 0
-    first = max(lo + m - 1, m + max_period - 1 if periods else 0)
-    if anchor_floor is not None:
-        first = max(first, anchor_floor)
-    last = hi - 1 - n  # target must end inside the split
+    recent, target, period = window_offsets(m, n, periods)
+    first = max(lo - recent[0], -period.min(initial=0))
+    last = hi - 1 - target[-1]
     if first > last:
         raise ValueError(
             f"no valid anchors in split {split_range} for m={m}, n={n}, periods={list(periods)}"
@@ -440,6 +437,10 @@ def synth_generate(n_nodes, days, step_minutes, daily_amp=50.0, weekly_amp=15.0,
         raise ValueError(f"n_nodes={n_nodes} must be at least 1")
     if days < 1:
         raise ValueError(f"days={days} must be at least 1")
+    for name, value in (("daily_amp", daily_amp), ("weekly_amp", weekly_amp),
+                        ("noise_std", noise_std)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name}={value} must be finite")
     if noise_std < 0:
         raise ValueError(f"noise_std={noise_std} must not be negative")
     if weekly_amp > 0 and days < 15:

@@ -9,7 +9,7 @@ flow to k-hop neighborhoods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,22 +59,18 @@ class TrafficGraph:
 
 @dataclass
 class ChebyshevBasis:
-    """Precomputed T_0..T_{K-1} of the scaled Laplacian; immutable after build."""
+    """T_0..T_{K-1} of the scaled Laplacian as constant tensors, shared read-only."""
 
-    order: int
-    matrices: list
+    tensors: list
     lambda_max: float
-    _tensors: list = field(default=None, repr=False, compare=False)
+
+    @property
+    def order(self):
+        return len(self.tensors)
 
     @property
     def num_nodes(self):
-        return self.matrices[0].shape[0]
-
-    def tensors(self):
-        # Constant (non-trainable) wrappers, cached since the basis is read-only.
-        if self._tensors is None:
-            self._tensors = [Tensor(m) for m in self.matrices]
-        return self._tensors
+        return self.tensors[0].shape[0]
 
 
 def normalized_laplacian(g: TrafficGraph) -> np.ndarray:
@@ -133,12 +129,12 @@ def chebyshev_basis(lap: np.ndarray, lambda_max: float, k_cheb: int) -> Chebyshe
     lap = np.asarray(lap, dtype=np.float64)
     n = lap.shape[0]
     scaled = (2.0 / lambda_max) * lap - np.eye(n)
-    mats = [np.eye(n)]
+    tensors = [Tensor(np.eye(n))]
     if k_cheb >= 2:
-        mats.append(scaled)
+        tensors.append(Tensor(scaled))
     for _ in range(2, k_cheb):
-        mats.append(2.0 * scaled @ mats[-1] - mats[-2])
-    return ChebyshevBasis(order=k_cheb, matrices=mats, lambda_max=float(lambda_max))
+        tensors.append(Tensor(2.0 * scaled @ tensors[-1].data - tensors[-2].data))
+    return ChebyshevBasis(tensors=tensors, lambda_max=float(lambda_max))
 
 
 def cheb_graph_conv(x: Tensor, basis: ChebyshevBasis, thetas) -> Tensor:
@@ -160,5 +156,5 @@ def cheb_graph_conv(x: Tensor, basis: ChebyshevBasis, thetas) -> Tensor:
     rows = (x.shape[0], math.prod(out_shape[1:]))
     acc = reshape(matmul(x, thetas[0]), rows)   # T_0 = I
     for k in range(1, basis.order):
-        acc = matmul(basis.tensors()[k], reshape(matmul(x, thetas[k]), rows), acc)
+        acc = matmul(basis.tensors[k], reshape(matmul(x, thetas[k]), rows), acc)
     return relu(reshape(acc, out_shape))

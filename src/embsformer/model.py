@@ -387,7 +387,7 @@ def temporal_self_attention(params, prefix, x, sink=None):
     return _self_attention(params, f"{prefix}.temporal", x, -2, sink)
 
 
-def transition_block(params, prefix, e, basis: ChebyshevBasis, config, sink=None):
+def transition_block(params, prefix, e, basis: ChebyshevBasis, sink=None):
     """One stacked flow-transition unit; output shape equals input shape.
 
     residual(e) + conv_t(gcn(temporal_sa(spatial_sa(e)))), where conv_t is the
@@ -503,7 +503,7 @@ def generation_branch(y):
     return T.permute(T.reshape(y, y.shape[:3]), (1, 2, 0))
 
 
-def fuse(params, config, y_recent, y_branches):
+def fuse(params, y_recent, y_branches):
     """Elementwise trainable fusion: W_r . Y_r + sum_i W_p^i . (Y_p^i / count)."""
     if y_recent is None and not y_branches:
         raise ValueError("fuse: no active paths")
@@ -542,7 +542,7 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
     if config.enable_recent:
         h = e_recent
         for b in range(config.n_blocks):
-            h = transition_block(params, f"transition.{b}", h, basis, config, sink)
+            h = transition_block(params, f"transition.{b}", h, basis, sink)
         y_recent = transition_readout(params, h, config)
 
     m = config.m
@@ -553,7 +553,7 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
         future = _embed_parts(params, config, block[:, m:], calendar[:, m:], first_step=m)
         y = similarity_attention(params, i, e_recent, past, future, config, sink)
         y_branches.append(generation_branch(y))
-    return fuse(params, config, y_recent, y_branches)
+    return fuse(params, y_recent, y_branches)
 
 
 # --------------------------------------------------------------------------

@@ -168,31 +168,30 @@ class Tape:
         return len(self.nodes)
 
 
-_STATE = threading.local()
+class _State(threading.local):
+    """Each thread's recording switch and active tape; a new thread starts with these defaults."""
+
+    enabled = True
+    tape = None
 
 
-def _st():
-    if not hasattr(_STATE, "enabled"):
-        _STATE.enabled = True
-        _STATE.tape = None
-    return _STATE
+_STATE = _State()
 
 
 def current_tape():
     """The thread's active tape, or None if nothing has been recorded."""
-    return _st().tape
+    return _STATE.tape
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (evaluation / finite differences)."""
-    st = _st()
-    prev = st.enabled
-    st.enabled = False
+    prev = _STATE.enabled
+    _STATE.enabled = False
     try:
         yield
     finally:
-        st.enabled = prev
+        _STATE.enabled = prev
 
 
 def _parent(t):
@@ -203,7 +202,7 @@ def _parent(t):
     discarded pass is a constant, and so is an absent operand (None).
     Nothing gets a gradient under `no_grad`.
     """
-    if t is None or not _st().enabled:
+    if t is None or not _STATE.enabled:
         return None
     node = t._node
     if node is not None and node.fn is not None:
@@ -218,11 +217,10 @@ def _needs_grad(t):
 def _record(op, inputs, out, fn):
     parents = tuple(_parent(t) for t in inputs)
     if any(p is not None for p in parents):
-        st = _st()
-        if st.tape is None:
-            st.tape = Tape()
+        if _STATE.tape is None:
+            _STATE.tape = Tape()
         out._node = _Node(op, parents, out.data, fn)
-        st.tape.nodes.append(out._node)
+        _STATE.tape.nodes.append(out._node)
     return out
 
 
@@ -247,8 +245,7 @@ def backward(loss):
     read-only broadcasts, but never an array they keep. Leaf ``.grad`` is
     always accumulated out of place.
     """
-    st = _st()
-    tape, st.tape = st.tape, None
+    tape, _STATE.tape = _STATE.tape, None
     nodes = [] if tape is None else tape.nodes
     try:
         if loss.data.size != 1:
@@ -287,8 +284,7 @@ def backward(loss):
 
 def drop_tape():
     """Discard the thread's tape: the end of a pass that raised before `backward`."""
-    st = _st()
-    tape, st.tape = st.tape, None
+    tape, _STATE.tape = _STATE.tape, None
     for node in [] if tape is None else tape.nodes:
         node.release()
 

@@ -62,8 +62,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
-            raise ValueError("learning_rate and batch_size must be positive, epochs >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate={self.learning_rate} must be finite and positive")
+        if self.batch_size <= 0 or self.epochs < 0:
+            raise ValueError("batch_size must be positive, epochs >= 0")
 
 
 class AdamState:
@@ -322,25 +324,20 @@ def ablation_grid(series, basis, variants, model_kwargs, tcfg: TrainConfig,
                   split_ranges, normalizer, calendar=None, log=None):
     """Train every variant with an identical seed/budget and one anchor set.
 
-    All variants share the anchor floor implied by the largest period in
-    the grid so test MAE is comparable across rows. Returns one dict per
-    variant with metrics and the persistence-baseline MAE on the same
-    anchors.
+    Each split's anchors are those `make_windows` admits under the union of
+    the grid's periods, so test MAE is comparable across rows; a split with
+    none raises before any variant trains. Returns one dict per variant
+    with metrics and the persistence-baseline MAE on the same anchors.
     """
-    train_range, val_range, test_range = split_ranges
-    step_minutes = series.step_minutes
-    all_periods = sorted({p for v in variants for p in v.periods_hours})
-    max_period_steps = max(
-        (hours_to_steps(h, step_minutes) for h in all_periods), default=0
-    )
     m, n = model_kwargs["m"], model_kwargs["n"]
-    floor = m + max_period_steps - 1
+    union = sorted({hours_to_steps(h, series.step_minutes)
+                    for v in variants for h in v.periods_hours})
+    firsts = [make_windows(series, rng_, m, n, union, calendar=calendar)[0].anchor
+              for rng_ in split_ranges]
 
     rows = []
     for variant in variants:
-        period_steps = tuple(
-            hours_to_steps(h, step_minutes) for h in variant.periods_hours
-        )
+        period_steps = tuple(hours_to_steps(h, series.step_minutes) for h in variant.periods_hours)
         config = ModelConfig(
             n_nodes=series.n_nodes,
             n_features=series.n_features,
@@ -348,11 +345,11 @@ def ablation_grid(series, basis, variants, model_kwargs, tcfg: TrainConfig,
             enable_recent=variant.enable_recent,
             **model_kwargs,
         )
-        splits = {}
-        for label, rng_ in (("train", train_range), ("val", val_range), ("test", test_range)):
-            splits[label] = make_windows(
-                series, rng_, m, n, period_steps, calendar=calendar, anchor_floor=floor
-            )
+        splits = {
+            label: [w for w in make_windows(series, rng_, m, n, period_steps, calendar=calendar)
+                    if w.anchor >= first]
+            for label, rng_, first in zip(("train", "val", "test"), split_ranges, firsts)
+        }
         if log:
             log(f"[{variant.name}] training on {len(splits['train'])} samples")
         result = train(config, basis, splits["train"], splits["val"], tcfg, normalizer)

@@ -83,14 +83,14 @@ def test_spectral_correctness():
         w, u = np.linalg.eigh((2.0 / est) * lap - np.eye(n))
         for k in range(4):
             ref = u @ np.diag(chebyshev_scalar(k, w)) @ u.T
-            worst_basis = max(worst_basis, float(np.max(np.abs(basis.matrices[k] - ref))))
+            worst_basis = max(worst_basis, float(np.max(np.abs(basis.tensors[k].data - ref))))
 
     path = TrafficGraph(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
     lap2 = normalized_laplacian(path)
     basis2 = chebyshev_basis(lap2, 2.0, 3)
     exact_path = (
-        np.array_equal(basis2.matrices[1], [[0.0, -1.0], [-1.0, 0.0]])
-        and np.array_equal(basis2.matrices[2], np.eye(2))
+        np.array_equal(basis2.tensors[1].data, [[0.0, -1.0], [-1.0, 0.0]])
+        and np.array_equal(basis2.tensors[2].data, np.eye(2))
     )
     ok = worst_basis <= 1e-8 and worst_lam <= 1e-6 and exact_path
     report(

@@ -57,6 +57,16 @@ class TestSynth:
         assert len(err) == 1 and err[0].startswith("error: step_minutes=0")
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise-std", "nan"), ("--daily-amp", "nan"), ("--weekly-amp", "inf"),
+    ])
+    def test_non_finite_amplitude_fails_with_one_error_line(self, tmp_path, capsys, flag, value):
+        assert run_cli(["synth", flag, value, "--out", tmp_path / "d"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        name = flag[2:].replace("-", "_")
+        assert err == [f"error: {name}={value} must be finite"]
+        assert not (tmp_path / "d").exists()
+
     def test_adjacency_ids_in_range(self, tmp_path):
         out = tmp_path / "d"
         assert run_cli(["synth", "--nodes", 20, "--days", 2, "--step-minutes", 60,
@@ -203,6 +213,16 @@ class TestTrain:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not list(out.glob("run-train-*"))
         assert T.current_tape() is None
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_fails_before_training(self, dataset, tmp_path, capsys, lr):
+        out = tmp_path / "runs"
+        assert run_cli(train_args(dataset, out, ["--lr", lr])) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            f"error: learning_rate={lr} must be finite and positive"]
+        assert "epoch" not in captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra,file_line,message", [
         (["--periods", "24,abc"], "",
@@ -482,6 +502,46 @@ class TestAblationCommand:
         by_name = {row["variant"]: row for row in doc}
         assert by_name["w/o-recent"]["param_groups"]["transition"] == 0
         assert by_name["w/o-period"]["param_groups"]["branch"] == 0
+
+    def test_variants_share_one_anchor_set(self, tmp_path, capsys):
+        # 13 days of 15-minute steps: the train split is [0, 748), and the
+        # 168 h period (672 steps) admits anchors 683..735 there, for m = n = 12
+        dataset = tmp_path / "data"
+        assert run_cli(["synth", "--nodes", 3, "--days", 13, "--weekly-amp", 0,
+                        "--seed", 4, "--out", dataset]) == 0
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        assert run_cli(["ablation", "--readings", dataset / "readings.csv",
+                        "--adjacency", dataset / "adjacency.csv", "--out", out,
+                        "--epochs", 1, "--d-e", 4, "--h-prime", 4,
+                        "--k-cheb", 2, "--n-blocks", 1, "--seed", 2]) == 0
+        sizes = re.findall(r"^\[(.+)\] training on (\d+) samples$", capsys.readouterr().out,
+                           re.MULTILINE)
+        assert len(sizes) == 5 and {n for _, n in sizes} == {"53"}
+        doc = json.loads((next(out.glob("run-ablation-*")) / "ablation.json").read_text())
+        assert len(doc) == 5 and len({row["persistence_mae"] for row in doc}) == 1
+
+    def test_too_short_for_the_grid_fails_before_training(self, tmp_path, capsys):
+        dataset = tmp_path / "data"
+        assert run_cli(["synth", "--nodes", 3, "--days", 7, "--weekly-amp", 0,
+                        "--seed", 4, "--out", dataset]) == 0
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        assert run_cli(["ablation", "--readings", dataset / "readings.csv",
+                        "--adjacency", dataset / "adjacency.csv", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            "error: no valid anchors in split (0, 403) for m=12, n=12, periods=[32, 48, 96, 672]"]
+        assert "training on" not in captured.out
+        assert not out.exists()
+
+    def test_empty_input_block_fails_with_one_error_line(self, dataset, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli(["ablation", "--readings", dataset / "readings.csv",
+                        "--adjacency", dataset / "adjacency.csv", "--out", tmp_path / "runs",
+                        "--m", 0, "--n", 4]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: m=0 and n=4 must both be positive"]
 
     def test_too_short_dataset_rejected(self, tmp_path):
         dataset = tmp_path / "data"

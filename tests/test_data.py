@@ -534,6 +534,11 @@ class TestWindows:
         with pytest.raises(ValueError, match="sorted"):
             make_windows(index_series(80), (0, 80), 2, 2, [12, 8])
 
+    @pytest.mark.parametrize("m, n", [(0, 4), (4, 0), (-1, 2)])
+    def test_empty_block_rejected(self, m, n):
+        with pytest.raises(ValueError, match=rf"^m={m} and n={n} must both be positive$"):
+            make_windows(index_series(80), (0, 80), m, n, [24])
+
     def test_no_valid_anchor_raises(self):
         with pytest.raises(ValueError, match="anchors"):
             make_windows(index_series(20), (0, 20), 4, 4, [16])
@@ -634,6 +639,10 @@ class TestSynth:
         (dict(n_nodes=-1), "n_nodes"),
         (dict(days=0), "days"),
         (dict(noise_std=-1.0), "noise_std"),
+        (dict(noise_std=float("nan")), "noise_std"),
+        (dict(daily_amp=float("nan")), "daily_amp"),
+        (dict(weekly_amp=float("inf")), "weekly_amp"),
+        (dict(daily_amp=-float("inf")), "daily_amp"),
     ])
     def test_bad_parameter_named(self, kwargs, name):
         params = {**dict(n_nodes=3, days=2, step_minutes=60, weekly_amp=0.0), **kwargs}

@@ -104,22 +104,22 @@ class TestChebyshevBasis:
     def test_two_node_path_exact(self):
         lap = normalized_laplacian(PATH2)
         basis = chebyshev_basis(lap, 2.0, 3)
-        assert np.array_equal(basis.matrices[1], [[0.0, -1.0], [-1.0, 0.0]])
-        assert np.array_equal(basis.matrices[2], np.eye(2))
+        assert np.array_equal(basis.tensors[1].data, [[0.0, -1.0], [-1.0, 0.0]])
+        assert np.array_equal(basis.tensors[2].data, np.eye(2))
 
     def test_order_one_is_identity_only(self):
         basis = chebyshev_basis(normalized_laplacian(PATH2), 2.0, 1)
-        assert len(basis.matrices) == 1
-        assert np.array_equal(basis.matrices[0], np.eye(2))
+        assert len(basis.tensors) == 1
+        assert np.array_equal(basis.tensors[0].data, np.eye(2))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_recurrence_residual(self, seed):
         g = random_graph(2000 + seed, 6)
         lap = normalized_laplacian(g)
         basis = chebyshev_basis(lap, estimate_lambda_max(lap), 5)
-        scaled = basis.matrices[1]
+        scaled = basis.tensors[1].data
         for k in range(2, 5):
-            resid = basis.matrices[k] - (2 * scaled @ basis.matrices[k - 1] - basis.matrices[k - 2])
+            resid = basis.tensors[k].data - (2 * scaled @ basis.tensors[k - 1].data - basis.tensors[k - 2].data)
             assert np.max(np.abs(resid)) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
@@ -134,7 +134,7 @@ class TestChebyshevBasis:
         w, u = np.linalg.eigh(scaled)
         for k in range(4):
             expected = u @ np.diag(chebyshev_scalar(k, w)) @ u.T
-            assert np.max(np.abs(basis.matrices[k] - expected)) < 1e-8
+            assert np.max(np.abs(basis.tensors[k].data - expected)) < 1e-8
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -152,7 +152,7 @@ class TestChebGraphConv:
         # a zero Laplacian with the 2.0 fallback gives L~ = -I, so K=2
         # reduces to ReLU(x theta_0 - x theta_1)
         basis = chebyshev_basis(np.zeros((3, 3)), estimate_lambda_max(np.zeros((3, 3))), 2)
-        assert np.array_equal(basis.matrices[1], -np.eye(3))
+        assert np.array_equal(basis.tensors[1].data, -np.eye(3))
         rng = np.random.default_rng(4)
         x = node_first(rng.standard_normal((2, 3, 2)))
         theta = rng.standard_normal((2, 2, 2))
@@ -176,7 +176,7 @@ class TestChebGraphConv:
         expected = np.zeros((4, 2, 2))
         for t in range(2):
             for k in range(3):
-                tk = basis.matrices[k]
+                tk = basis.tensors[k].data
                 for i in range(4):
                     for j in range(4):
                         expected[i, t] += tk[i, j] * (x[j, t] @ theta[k])
@@ -236,7 +236,7 @@ class TestChebGraphConv:
         T.backward(T.reduce(y, kind="sum"))
         assert len(slots) == basis.order - 1  # T_0 = I is applied as x itself
         assert all(ig is None for ig in slots)
-        assert all(t.grad is None for t in basis.tensors())
+        assert all(t.grad is None for t in basis.tensors)
         assert x.grad is not None and all(t.grad is not None for t in thetas)
 
     def test_each_hop_is_one_gemm(self):

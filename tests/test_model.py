@@ -379,13 +379,13 @@ class TestTransitionBlock:
         params["transition.0.conv_t"].data[:] = 0.0
         params["transition.0.residual"].data[:] = np.eye(config.d_e)
         e = T.Tensor(node_first(np.random.default_rng(10).standard_normal((1, 3, 4, 4))))
-        out = transition_block(params, "transition.0", e, basis, config)
+        out = transition_block(params, "transition.0", e, basis)
         assert np.allclose(out.data, e.data, atol=1e-14)
 
     def test_shape_preserved_for_stacking(self):
         config, params, basis, _ = toy_setup()
         e = T.Tensor(node_first(np.random.default_rng(11).standard_normal((2, 3, 4, 4))))
-        out = transition_block(params, "transition.0", e, basis, config)
+        out = transition_block(params, "transition.0", e, basis)
         assert out.shape == e.shape
 
     def test_gradient_reaches_every_live_weight(self):
@@ -409,7 +409,7 @@ class TestTransitionBlock:
                      requires_grad=True)
         start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
         if layer == "transition_block":
-            out = transition_block(params, "transition.0", e, basis, config)
+            out = transition_block(params, "transition.0", e, basis)
         else:
             out = cheb_graph_conv(e, basis, [params[f"transition.0.theta.{k}"] for k in range(3)])
         ops = [node.op for node in T.current_tape().nodes[start:]]
@@ -613,7 +613,7 @@ class TestFuse:
     def test_identity_fusion(self):
         config, params, basis, _ = toy_setup(periods=0)
         y_r = T.Tensor(np.random.default_rng(21).standard_normal((1, 3, 4)))
-        out = fuse(params, config, y_r, [])
+        out = fuse(params, y_r, [])
         assert np.array_equal(out.data, y_r.data)
 
     def test_single_branch_only(self):
@@ -623,7 +623,7 @@ class TestFuse:
         rng = np.random.default_rng(22)
         y_r = T.Tensor(rng.standard_normal((1, 3, 4)))
         y_p = T.Tensor(rng.standard_normal((1, 3, 4)))
-        out = fuse(params, config, y_r, [y_p])
+        out = fuse(params, y_r, [y_p])
         assert np.allclose(out.data, y_p.data, atol=1e-15)
 
     def test_analytic_head_gradient(self):
@@ -632,9 +632,9 @@ class TestFuse:
         params.zero_grads()
         rng = np.random.default_rng(23)
         e = embed(params, config, batch.recent, batch.recent_calendar)
-        h = transition_block(params, "transition.0", e, basis, config)
+        h = transition_block(params, "transition.0", e, basis)
         y_r = transition_readout(params, h, config)
-        pred = fuse(params, config, y_r, [])
+        pred = fuse(params, y_r, [])
         target = rng.standard_normal(pred.shape)
         loss = mse_loss(pred, target)
         T.backward(loss)
@@ -645,7 +645,7 @@ class TestFuse:
     def test_all_absent_rejected(self):
         config, params, basis, _ = toy_setup()
         with pytest.raises(ValueError):
-            fuse(params, config, None, [])
+            fuse(params, None, [])
 
 
 class TestMseLoss:

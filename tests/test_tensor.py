@@ -6,12 +6,14 @@ import itertools
 import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import embsformer
 from embsformer import checks, graph, model
 from embsformer import tensor as T
 from embsformer.model import _align
@@ -1244,3 +1246,21 @@ def test_every_op_is_called_by_the_model():
                 elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "T":
                     called.add(f.attr)
     assert set(T.__all__) - T.NOT_OPS - called == set()
+
+
+def test_no_function_takes_an_argument_it_never_reads():
+    # every def and lambda of the package; a leading underscore declares a
+    # parameter unused
+    unread = []
+    for path in sorted(Path(embsformer.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p.arg})"
+                       for p in params if p.arg not in read and not p.arg.startswith("_")]
+    assert unread == []

@@ -86,6 +86,11 @@ class TestAdam:
         adam_step(params, AdamState(params), cfg)
         assert np.allclose(p.data, [2.0, -3.0], atol=1e-290)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match=r"^learning_rate="):
+            TrainConfig(learning_rate=lr)
+
     def test_identical_runs_identical_trajectories(self):
         def run():
             config, params, basis, batch = toy_setup(seed=11)
