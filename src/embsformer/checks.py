@@ -252,12 +252,26 @@ def _block_input(salt):
     return rng, params, basis, e
 
 
+def _check_dense_and_pair(layer, salt, prefix):
+    """`_check_layer` of ``layer`` on a dense input, then on an embedding pair.
+
+    The pair is (x [N, 1, m, 1], clock [1, m, d_e]), as `embed` gives it,
+    checked with embed.proj, which the layer applies to x; both runs check
+    every weight under ``prefix``.
+    """
+    rng, params, basis, e = _block_input(salt)
+    names = _names(params, prefix)
+    dense = _check_layer(lambda: layer(params, e, basis), [e], params, names, rng)
+    pair = _tensors(rng, e.shape[:-1] + (1,), e.shape[1:])
+    return max(dense, _check_layer(lambda: layer(params, tuple(pair), basis), pair, params,
+                                   ["embed.proj"] + names, rng))
+
+
 def check_spatial_attention():
-    """The activation input and every spatial weight and bias."""
-    rng, params, _, e = _block_input(18)
-    return _check_layer(
-        lambda: spatial_self_attention(params, "transition.0", e),
-        [e], params, _names(params, "transition.0.spatial."), rng)
+    """The input and every spatial weight and bias, on an activation and on an embedding pair."""
+    return _check_dense_and_pair(
+        lambda params, e, _basis: spatial_self_attention(params, "transition.0", e),
+        18, "transition.0.spatial.")
 
 
 def check_temporal_attention():
@@ -291,11 +305,13 @@ def check_similarity_attention():
 
 
 def check_transition_block():
-    """The activation input and every weight of the block: attentions, taps, conv_t, residual."""
-    rng, params, basis, e = _block_input(21)
-    return _check_layer(
-        lambda: transition_block(params, "transition.0", e, basis),
-        [e], params, _names(params, "transition.0."), rng)
+    """The input and every weight of the block: attentions, taps, conv_t, residual.
+
+    On an activation and on an embedding pair, as the first block takes it.
+    """
+    return _check_dense_and_pair(
+        lambda params, e, basis: transition_block(params, "transition.0", e, basis),
+        21, "transition.0.")
 
 
 def check_transition_readout():

@@ -16,34 +16,38 @@ Branch outputs are sum-normalized (divided by the branch count) and fused
 with the transition forecast through elementwise trainable weights.
 
 Everything operates on batches and runs node-first: `embed` turns a
-[B, steps, N, F] data block into a [N, B, steps, d_e] activation, and the
-readouts turn [N, B, ...] back into the [B, n, N] forecast. On that layout
-the per-step clock [B, steps, d_e] broadcasts as a suffix, temporal and
-similarity attention act on the last two axes as they stand, spatial
-attention attends over axis 0 (`tensor.attention` moves it in a transient
-copy), and the Chebyshev hops are one [N, N] @ [N, rest] GEMM each. Only
-the m != n alignment permutes around its window gather; nothing else
-moves an activation on the tape. Every learned linear map is a matmul,
-but for the q, k and v projections of every attention: each attention is
-one `tensor.attention` node, which takes its operands as source triples,
-keeps only their sources, weights and addends, and recomputes the
-projections in backward (queries and keys aligned when m != n are the
-exception: they enter as tensors). Each weight has the shape of the map
-it applies.
+[B, steps, N, F] data block into its [N, B, steps, F] permutation and a
+[B, steps, d_e] clock, each transition block maps [N, B, m, d_e] to the
+same shape, and the readouts turn [N, B, ...] back into the [B, n, N]
+forecast. On that layout the per-step clock broadcasts as a suffix,
+temporal and similarity attention act on the last two axes as they stand,
+spatial attention attends over axis 0 (`tensor.attention` moves it in a
+transient copy), and the Chebyshev hops are one [N, N] @ [N, rest] GEMM
+each. Only the m != n alignment permutes around its window gather;
+nothing else moves an activation on the tape. Every learned linear map
+is a matmul, but for the q, k and v projections of every attention: each
+attention is one `tensor.attention` node, which takes its operands as
+source triples, keeps only their sources, weights and addends, and
+recomputes the projections in backward (queries and keys aligned when
+m != n are the exception: they enter as tensors). Each weight has the
+shape of the map it applies.
 
-Only the recent window is embedded. The embedding is affine (data block
-times ``embed.proj`` plus the clock), and a branch uses its window only
-through the key and value projections, so each branch projects its
-window's data block and clock directly: k = x (P W_k) + clock W_k, a
-rank-F product carrying a [B, m, h'] clock addend. Keys carry no bias:
-q (k_j + b) = q k_j + q b shifts a whole score row by one amount, which
-the row softmax cancels. The pseudo-input and the pseudo-future each get
-their own data block and clock, so no [N, B, m+n, d_e] period embedding
-is built and nothing is sliced. The branch readout (channel map conv_t,
-then feature map conv_c) is linear and follows the attention directly,
-so its product c = conv_t conv_c [h', 1] is folded into the values:
-v = x ((P W_v) c) + (clock W_v + b_v) c is one column, [N, B, n, 1], and
-only queries and keys are h' wide.
+No embedding is built densely. The embedding is affine (data block x
+times ``embed.proj`` P plus the clock), and every first use of one is a
+linear map W: so each projects the (data, clock) pair directly,
+e W + b = x (P W) + (clock W + b), a rank-F product carrying a clock
+addend (`_project_embedding`). The recent window's pair feeds the first
+transition block (the q, k and v of its spatial attention, and its
+residual) and every branch's queries; only the block outputs are dense.
+A branch uses its own window only through the key and value projections,
+so its pseudo-input and pseudo-future each get their own pair: no
+[N, B, m+n, d_e] period embedding is built and nothing is sliced. Keys
+carry no bias: q (k_j + b) = q k_j + q b shifts a whole score row by one
+amount, which the row softmax cancels. The branch readout (channel map
+conv_t, then feature map conv_c) is linear and follows the attention
+directly, so its product c = conv_t conv_c [h', 1] is folded into the
+values: v = x ((P W_v) c) + (clock W_v + b_v) c is one column,
+[N, B, n, 1], and only queries and keys are h' wide.
 """
 
 from __future__ import annotations
@@ -309,16 +313,19 @@ def make_batch(windows) -> Batch:
 # --------------------------------------------------------------------------
 
 
-def _embed_parts(params, config, block, calendar, first_step=0):
+def embed(params, config, block, calendar, first_step=0):
     """The two terms of an embedding: (node-first data block, per-step clock).
 
-    block: [B, steps, N, F] -> [N, B, steps, F], permuted, so a constant
-    data block costs no tape node. ``calendar`` is the [B, steps, 3] index
-    array of `CALENDAR_COLUMNS`, one clock per time step shared across
-    nodes: its three rows of ``embed.calendar`` are gathered at once and
-    summed, and the positional table is added, giving [B, steps, d_e].
-    ``first_step`` is the window position of the block's first step, so a
-    block cut from a longer window takes that window's positional rows.
+    The embedding they stand for is data @ ``embed.proj`` + clock,
+    [N, B, steps, d_e]; it is never built (`_project_embedding` maps the
+    pair). block: [B, steps, N, F] -> [N, B, steps, F], permuted, so a
+    constant data block costs no tape node. ``calendar`` is the
+    [B, steps, 3] index array of `CALENDAR_COLUMNS`, one clock per time
+    step shared across nodes: its three rows of ``embed.calendar`` are
+    gathered at once and summed, and the positional table is added, giving
+    [B, steps, d_e]. ``first_step`` is the window position of the block's
+    first step, so a block cut from a longer window takes that window's
+    positional rows.
     """
     bad = (calendar < 0) | (calendar >= CALENDAR_VOCAB)
     if bad.any():
@@ -334,18 +341,6 @@ def _embed_parts(params, config, block, calendar, first_step=0):
     return T.permute(x, (2, 0, 1, 3)), clock
 
 
-def embed(params, config, block, calendar):
-    """Project a data block and add calendar + positional embeddings.
-
-    block: [B, steps, N, F] -> [N, B, steps, d_e], node-first: the
-    projection of the permuted block (`_embed_parts`) takes the
-    [B, steps, d_e] clock as its addend, broadcast over the node axis as a
-    suffix.
-    """
-    x, clock = _embed_parts(params, config, block, calendar)
-    return T.matmul(x, params["embed.proj"], clock)                # [N, B, steps, d_e]
-
-
 def _collect(sink, label, result):
     """The output of an (out, scores) attention result; ``sink`` gets the labelled scores."""
     out, scores = result
@@ -354,28 +349,56 @@ def _collect(sink, label, result):
     return out
 
 
-def _self_attention(params, name, x, axis, sink):
-    """Self-attention of x [..., d_e] over ``axis``; the output has x's shape.
+def _project_embedding(params, e, w, b=None, out=None):
+    """e @ w (+ b) as a source triple, for a dense activation or an embedding pair.
 
-    q, k and v are projected from ``x`` by the ``<name>.w*`` weights; only
-    q and v have biases (``<name>.bq``, ``<name>.bv``), since the row softmax
-    cancels a key bias. One `T.attention` node keeps only ``x`` and the
-    weights, and recomputes the projections in backward. The scale is
+    A dense e [..., d_e] gives (e, w, b). The (data, clock) pair of
+    `embed`, x [N, B, L, F] and clock [B, L, d_e], gives (x, embed.proj @ w,
+    clock @ w (+ b)): the [N, B, L, h'] projection `T.matmul` of the
+    triple computes, a rank-F product whose addend, the clock term, is
+    shared by every node, so the embedding is never built (spatial
+    attention passes its clock as [B, L, 1, d_e], laid out as it attends).
+    ``out`` [h', r], when given with a pair, is a map applied to the
+    projection, folded into both terms: -> [N, B, L, r].
+    """
+    if isinstance(e, Tensor):
+        return e, w, b
+    x, clock = e
+    data_w, clock_term = T.matmul(params["embed.proj"], w), T.matmul(clock, w, b)
+    if out is not None:
+        data_w, clock_term = T.matmul(data_w, out), T.matmul(clock_term, out)
+    return x, data_w, clock_term
+
+
+def _self_attention(params, name, e, axis, sink):
+    """Self-attention of e [..., d_e] over ``axis``; the output has e's shape.
+
+    q, k and v are projected from ``e``, a dense activation or an embedding
+    pair (`_project_embedding`), by the ``<name>.w*`` weights; only q and v
+    have biases (``<name>.bq``, ``<name>.bv``), since the row softmax
+    cancels a key bias. One `T.attention` node keeps only the source and
+    the weights, and recomputes the projections in backward. The scale is
     1/sqrt(d_e), and ``sink`` gets the scores labelled with the last part
     of ``name``.
     """
     wq, wk, wv, bq, bv = (params[f"{name}.{nm}"] for nm in ("wq", "wk", "wv", "bq", "bv"))
+    q, k, v = (_project_embedding(params, e, w, b) for w, b in ((wq, bq), (wk, None), (wv, bv)))
     return _collect(sink, name.rsplit(".", 1)[-1],
-                    T.attention((x, wq, bq), (x, wk, None), (x, wv, bv),
-                                1.0 / np.sqrt(x.shape[-1]), axis))
+                    T.attention(q, k, v, 1.0 / np.sqrt(wq.shape[0]), axis))
 
 
 def spatial_self_attention(params, prefix, e, sink=None):
     """Attention over the node axis, one score matrix per time step.
 
-    e: [N, B, m, d_e] -> [N, B, m, d_e]; nodes, axis 0, are the attended
-    axis. Scores are [B, m, N, N] row-stochastic.
+    e: [N, B, m, d_e], or the (data, clock) pair of `embed`, ->
+    [N, B, m, d_e]; nodes, axis 0, are the attended axis. Scores are
+    [B, m, N, N] row-stochastic. `T.attention` reads the sources as
+    [B, m, N, ·], where a pair's clock, shared by every node, enters as
+    [B, m, 1, d_e].
     """
+    if not isinstance(e, Tensor):
+        x, clock = e
+        e = x, T.reshape(clock, clock.shape[:-1] + (1,) + clock.shape[-1:])
     return _self_attention(params, f"{prefix}.spatial", e, 0, sink)
 
 
@@ -391,12 +414,14 @@ def transition_block(params, prefix, e, basis: ChebyshevBasis, sink=None):
     """One stacked flow-transition unit; output shape equals input shape.
 
     residual(e) + conv_t(gcn(temporal_sa(spatial_sa(e)))), where conv_t is the
-    per-step channel map h' -> d_e, so blocks stack. e: [N, B, m, d_e].
+    per-step channel map h' -> d_e, so blocks stack. e: [N, B, m, d_e], or
+    the first block's (data, clock) pair of `embed`, which its spatial
+    attention and its residual each project directly.
     """
     s = spatial_self_attention(params, prefix, e, sink)
     t = temporal_self_attention(params, prefix, s, sink)
     g = cheb_graph_conv(t, basis, [params[f"{prefix}.theta.{k}"] for k in range(basis.order)])
-    res = T.matmul(e, params[f"{prefix}.residual"])
+    res = T.matmul(*_project_embedding(params, e, params[f"{prefix}.residual"]))
     return T.matmul(g, params[f"{prefix}.conv_t"], res)        # [N, B, m, d_e]
 
 
@@ -436,32 +461,17 @@ def _align(x, kernel):
     return T.matmul(windows, kernel)
 
 
-def _project_embedding(params, x, clock, w, b=None, out=None):
-    """(x @ embed.proj + clock) @ w (+ b) as a source triple, so the embedding is never built.
-
-    x: [N, B, L, F], clock: [B, L, d_e] -> (x, embed.proj @ w,
-    clock @ w (+ b)), which stands for the [N, B, L, h'] projection
-    `T.matmul` of the triple computes: a rank-F product whose addend, the
-    clock term, broadcasts over nodes. ``out`` [h', r], when given, is a
-    map applied to the projection, folded into both terms: -> [N, B, L, r].
-    """
-    data_w, clock_term = T.matmul(params["embed.proj"], w), T.matmul(clock, w, b)
-    if out is not None:
-        data_w, clock_term = T.matmul(data_w, out), T.matmul(clock_term, out)
-    return x, data_w, clock_term
-
-
 def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, config,
                          sink=None):
     """Soft lookup of a branch's pseudo-future keyed by its pseudo-input, read out.
 
-    e_recent: [N, B, m, d_e]. The branch window comes as two (data, clock)
-    pairs of `_embed_parts`: its first m steps, the pseudo-input
-    ([N, B, m, F], [B, m, d_e]), and its last n, the pseudo-future
-    ([N, B, n, F], [B, n, d_e]). Queries come from the recent embedding,
-    keys from the pseudo-input, values from the pseudo-future. Keys and
-    values are projected straight from each half's data and clock
-    (`_project_embedding`), so no period embedding is materialized. All
+    e_recent: [N, B, m, d_e], or the recent window's (data, clock) pair of
+    `embed`. The branch window comes as two more pairs: its first m steps,
+    the pseudo-input ([N, B, m, F], [B, m, d_e]), and its last n, the
+    pseudo-future ([N, B, n, F], [B, n, d_e]). Queries come from the recent
+    embedding, keys from the pseudo-input, values from the pseudo-future.
+    Each is projected straight from its data and clock
+    (`_project_embedding`), so no embedding is materialized. All
     three go to `T.attention` as source triples, which it projects itself,
     so no q, k or v node is recorded. When m != n a width-(m-n+1)
     correlation over time (`_align`) maps query/key length to n, on
@@ -480,10 +490,10 @@ def similarity_attention(params, branch, e_recent, pseudo_input, pseudo_future, 
         if x.shape[2] != steps:
             raise ValueError(f"{half} has {x.shape[2]} steps, expected {steps}")
     pre = f"branch.{branch}"
-    q = (e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])                    # [N, B, m, h']
-    k = _project_embedding(params, *pseudo_input, params[f"{pre}.wk"])
+    q = _project_embedding(params, e_recent, params[f"{pre}.wq"], params[f"{pre}.bq"])
+    k = _project_embedding(params, pseudo_input, params[f"{pre}.wk"])          # [N, B, m, h']
     readout = T.matmul(params[f"{pre}.conv_t"], params[f"{pre}.conv_c"])        # [h', 1]
-    v = _project_embedding(params, *pseudo_future, params[f"{pre}.wv"], params[f"{pre}.bv"],
+    v = _project_embedding(params, pseudo_future, params[f"{pre}.wv"], params[f"{pre}.bv"],
                            readout)                                             # [N, B, n, 1]
     if m != n:
         q = _align(T.matmul(*q), params[f"{pre}.align_q"])  # [N, B, n, h']
@@ -549,8 +559,8 @@ def forward(batch: Batch, params: ModelParameters, config: ModelConfig,
     y_branches = []
     for i in range(config.n_branches):
         block, calendar = batch.periods[:, i], batch.period_calendar[:, i]
-        past = _embed_parts(params, config, block[:, :m], calendar[:, :m])
-        future = _embed_parts(params, config, block[:, m:], calendar[:, m:], first_step=m)
+        past = embed(params, config, block[:, :m], calendar[:, :m])
+        future = embed(params, config, block[:, m:], calendar[:, m:], first_step=m)
         y = similarity_attention(params, i, e_recent, past, future, config, sink)
         y_branches.append(generation_branch(y))
     return fuse(params, y_recent, y_branches)

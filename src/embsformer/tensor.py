@@ -33,8 +33,9 @@ bias-add), matmul only broadcasts a 2-D operand across the other side's
 leading batch dims, its optional addend ``c`` (``matmul(a, b, c)`` is
 a @ b + c in one node) must be a suffix of the output shape, and
 attention broadcasts only inside the projections of its operands, each a
-2-D weight and an addend under matmul's rules. Anything else needs an
-explicit reshape, which keeps shape errors loud.
+2-D weight and an addend under matmul's rules, except that an addend may
+hold length 1 on the attended axis and so be shared by every position.
+Anything else needs an explicit reshape, which keeps shape errors loud.
 """
 
 from __future__ import annotations
@@ -306,11 +307,15 @@ def _check_suffix_broadcast(op, sa, sb):
 
 
 def _sum_to(g, shape):
-    # Collapse the leading axes a suffix-broadcast introduced.
+    # Collapse the axes a broadcast introduced: the leading ones a suffix
+    # adds, then any that ``shape`` holds at length 1.
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
-    return g.sum(axis=tuple(range(extra)))
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    ones = tuple(i for i, (a, b) in enumerate(zip(g.shape, shape)) if b == 1 != a)
+    return g.sum(axis=ones, keepdims=True) if ones else g
 
 
 def _as_tensor_pair(op, a, b):
@@ -454,7 +459,10 @@ def attention(q, k, v, scale, axis=-2):
     optional. The op reads every source with ``axis`` moved to -2, in a
     transient contiguous copy, and in that layout the projections
     q [..., L_q, d_k], k [..., L_k, d_k] and v [..., L_k, d_v] must have
-    equal batch dims, and each addend must be a suffix of its projection.
+    equal batch dims. Each addend must be a suffix of its projection, or
+    such a suffix with length 1 on the attended axis (-2): an addend shared
+    by every position, such as a [B, m, 1, d] term of a [B, m, N, d]
+    projection attended over N, whose gradient is summed over that axis.
     scores [..., L_q, L_k] = softmax(scale * q kᵀ) along the last axis,
     computed in place with max-subtraction, is a read-only array in that
     layout; out = scores @ v has the attended axis moved back.
@@ -488,8 +496,13 @@ def attention(q, k, v, scale, axis=-2):
         if w is not None and (w.ndim != 2 or w.shape[0] != s[-1]):
             raise ShapeError(f"attention: weight {w.shape} does not map a source {x.shape}")
         s = s if w is None else s[:-1] + w.shape[1:]
-        if c is not None and (c.ndim > len(s) or s[len(s) - c.ndim:] != c.shape):
-            raise ShapeError(f"attention: addend {c.shape} is not a suffix of its projection {s}")
+        if c is not None:
+            want = s[len(s) - c.ndim:]
+            if c.ndim >= 2 and c.shape[-2] == 1:   # shared by every attended position
+                want = want[:-2] + (1,) + want[-1:]
+            if c.ndim > len(s) or c.shape != want:
+                raise ShapeError(f"attention: addend {c.shape} is not a suffix of its "
+                                 f"projection {s}")
         shapes.append(s)
     sq, sk, sv = shapes
     if not sq[:-2] == sk[:-2] == sv[:-2] or sq[-1] != sk[-1] or sk[-2] != sv[-2] or not sk[-2]:

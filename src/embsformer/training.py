@@ -78,15 +78,18 @@ class AdamState:
 
 
 def adam_step(params: ModelParameters, state: AdamState, cfg: TrainConfig):
-    """Standard bias-corrected Adam update; params without grads are skipped."""
-    state.step += 1
-    t = state.step
-    for name, tens in params.items():
-        g = tens.grad
-        if g is None:
-            continue
+    """Standard bias-corrected Adam update; params without grads are skipped.
+
+    Every gradient is checked before anything moves, so a non-finite one
+    raises `DivergenceError` with the parameters, moments and step as they were.
+    """
+    grads = [(name, tens, tens.grad) for name, tens in params.items() if tens.grad is not None]
+    for name, _, g in grads:
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+    state.step += 1
+    t = state.step
+    for name, tens, g in grads:
         m = state.m[name]
         v = state.v[name]
         m *= BETA1

@@ -18,7 +18,6 @@ from embsformer.checks import toy_setup
 from embsformer.graph import TrafficGraph, cheb_graph_conv, chebyshev_basis, normalized_laplacian
 from embsformer.model import (
     _align,
-    _embed_parts,
     _project_embedding,
     Batch,
     CheckpointError,
@@ -160,10 +159,16 @@ class TestInitParams:
                                         if name.startswith(prefixes))
 
 
-def tiled_embed(params, config, block, calendar):
-    """Reference for `embed`: every calendar index tiled over the N nodes.
+def dense_embed(params, config, block, calendar):
+    """The embedding `embed`'s (data, clock) pair stands for: data @ embed.proj + clock."""
+    x, clock = embed(params, config, block, calendar)
+    return T.matmul(x, params["embed.proj"], clock)
 
-    Node-first like `embed`, and sums in its order: projection +
+
+def tiled_embed(params, config, block, calendar):
+    """Reference for `dense_embed`: every calendar index tiled over the N nodes.
+
+    Node-first like `dense_embed`, and sums in its order: projection +
     ((minute + dow + holiday) + position).
     """
     steps, n_nodes = block.shape[1], block.shape[2]
@@ -182,7 +187,7 @@ class TestEmbed:
         params["embed.calendar"].data[:] = 0.0
         rng = np.random.default_rng(1)
         block = rng.standard_normal((2, 4, 3, 1))
-        out = embed(params, config, block, random_calendar(rng, (2, 4)))
+        out = dense_embed(params, config, block, random_calendar(rng, (2, 4)))
         proj = np.einsum("bsnf,fd->nbsd", block, params["embed.proj"].data)
         expected = proj + positional_table(4, 4)[None, None, :, :]
         assert np.allclose(out.data, expected, atol=1e-14)
@@ -192,7 +197,7 @@ class TestEmbed:
         params = init_params(config, seed=3)
         calendar = np.array([[[30, 2, 1], [30, 2, 1]]])  # (minute, dow, holiday) per step
         zero = np.zeros((1, 2, 2, 1))
-        out = embed(params, config, zero, calendar).data
+        out = dense_embed(params, config, zero, calendar).data
         # same (minute, dow, holiday); only position differs, remove it
         depos = out - positional_table(2, 4)[None, None, :, :]
         assert np.allclose(depos[:, 0, 0], depos[:, 0, 1], atol=1e-14)
@@ -201,9 +206,9 @@ class TestEmbed:
         config = ModelConfig(m=5, n=3, n_nodes=4, d_e=8, periods=(8,))
         params = init_params(config, seed=0)
         rng = np.random.default_rng(2)
-        rec = embed(params, config, rng.standard_normal((1, 5, 4, 1)), np.zeros((1, 5, 3), int))
+        rec = dense_embed(params, config, rng.standard_normal((1, 5, 4, 1)), np.zeros((1, 5, 3), int))
         assert rec.shape == (4, 1, 5, 8)
-        per = embed(params, config, rng.standard_normal((1, 8, 4, 1)), np.zeros((1, 8, 3), int))
+        per = dense_embed(params, config, rng.standard_normal((1, 8, 4, 1)), np.zeros((1, 8, 3), int))
         assert per.shape == (4, 1, 8, 8)
 
     @pytest.mark.parametrize("column,name", [(0, "minute-of-day"), (1, "day-of-week"),
@@ -224,7 +229,7 @@ class TestEmbed:
         rng = np.random.default_rng(3)
         block, calendar = rng.standard_normal((2, 4, 3, 1)), random_calendar(rng, (2, 4))
         start = len(T.current_tape() or ())   # earlier tests may leave a tape unreplayed
-        out = embed(params, config, block, calendar)
+        out = dense_embed(params, config, block, calendar)
         ops = [node.op for node in T.current_tape().nodes[start:]]
         T.backward(T.reduce(out, kind="sum"))
         assert ops.count("gather_rows") == 1
@@ -250,10 +255,10 @@ class TestEmbed:
         rows = params["embed.calendar"].data[calendar + CALENDAR_OFFSETS]
         whole = rows.sum(axis=-2) + positional_table(m + n, config.d_e)   # positions 0..m+n-1
         with T.no_grad():
-            x, clock = _embed_parts(params, config, block, calendar)
+            x, clock = embed(params, config, block, calendar)
             assert clock.data.tobytes() == whole.tobytes()
             for first, last in ((0, m), (m, m + n)):
-                x_h, clock_h = _embed_parts(params, config, block[:, first:last],
+                x_h, clock_h = embed(params, config, block[:, first:last],
                                             calendar[:, first:last], first_step=first)
                 assert x_h.data.tobytes() == x.data[:, :, first:last].tobytes()
                 assert clock_h.data.tobytes() == clock.data[:, first:last].tobytes()
@@ -277,7 +282,7 @@ class TestEmbed:
             grads = [params[k].grad for k in names]
             return out.data, grads + ([block.grad] if tensor_block else [])
 
-        got, got_grads = run(embed)
+        got, got_grads = run(dense_embed)
         ref, ref_grads = run(tiled_embed)
         assert got.tobytes() == ref.tobytes()
         for g, r in zip(got_grads, ref_grads):
@@ -308,7 +313,7 @@ class TestEmbed:
             T.backward(T.reduce(T.mul(out, w), kind="sum"))
             return [out.data] + [params[k].grad for k in names]
 
-        for got, ref in zip(run(embed), run(matmul_then_add)):
+        for got, ref in zip(run(dense_embed), run(matmul_then_add)):
             assert got.tobytes() == ref.tobytes()
 
 
@@ -417,6 +422,37 @@ class TestTransitionBlock:
         assert "add" not in ops
         # a self-attention layer is one node, which projects q, k and v itself
         assert ops.count("matmul") == (7 if layer == "transition_block" else 5)
+
+
+    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("n_features", [1, 3])
+    def test_pair_equals_the_dense_embedding(self, m, n_features):
+        # the first block projects the embedding's data and clock directly:
+        # its output and every gradient equal the block's on the dense
+        # embedding, at B = N = 3, so at m = 3 a [B, m, d_e] clock has the
+        # shape of a [m, N, d_e] one
+        config = ModelConfig(m=m, n=2, n_nodes=3, n_features=n_features, d_e=6, h_prime=5,
+                             k_cheb=2, n_blocks=1, periods=(m + 2,))
+        params = init_params(config, seed=31)
+        rng = np.random.default_rng(32 + n_features)
+        block, calendar = rng.standard_normal((3, m, 3, n_features)), random_calendar(rng, (3, m))
+        basis = basis_for(config)
+        w = T.Tensor(rng.standard_normal((3, 3, m, 6)))
+
+        def run(dense):
+            params.zero_grads()
+            e = (dense_embed if dense else embed)(params, config, block, calendar)
+            T.backward(T.reduce(T.mul(transition_block(params, "transition.0", e, basis), w)))
+            return {name: t.grad for name, t in params.items() if t.grad is not None}
+
+        got, ref = run(False), run(True)
+        assert list(got) == list(ref) and "embed.proj" in got and "embed.calendar" in got
+        with T.no_grad():
+            outs = [transition_block(params, "transition.0", e, basis).data
+                    for e in (embed(params, config, block, calendar),
+                              dense_embed(params, config, block, calendar))]
+        for a, b in [outs] + [(got[name], ref[name]) for name in ref]:
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 class TestTransitionReadout:
@@ -554,15 +590,15 @@ class TestSimilarityAttention:
         calendar = random_calendar(rng, (3, m + n))
         e_r = T.Tensor(node_first(rng.standard_normal((3, m, 4, config.d_e))))
         with T.no_grad():
-            halves = (_embed_parts(params, config, block[:, :m], calendar[:, :m]),
-                      _embed_parts(params, config, block[:, m:], calendar[:, m:], first_step=m))
-            e_p = embed(params, config, block, calendar).data
+            halves = (embed(params, config, block[:, :m], calendar[:, :m]),
+                      embed(params, config, block[:, m:], calendar[:, m:], first_step=m))
+            e_p = dense_embed(params, config, block, calendar).data
             dense = {}
             for name, (x, clock), steps in (("k", halves[0], slice(0, m)),
                                             ("v", halves[1], slice(m, m + n))):
                 w, b = params[f"branch.0.w{name}"], params.tensors.get(f"branch.0.b{name}")
                 dense[name] = e_p[:, :, steps] @ w.data + (0.0 if b is None else b.data)
-                factored = T.matmul(*_project_embedding(params, x, clock, w, b)).data
+                factored = T.matmul(*_project_embedding(params, (x, clock), w, b)).data
                 assert np.max(np.abs(factored - dense[name])) <= 1e-12 * np.max(np.abs(dense[name]))
             q = T.matmul(e_r, params["branch.0.wq"], params["branch.0.bq"])
             k = T.Tensor(dense["k"])
@@ -573,6 +609,33 @@ class TestSimilarityAttention:
             ref = np.moveaxis(unfolded_readout(params, ref)[..., 0], 0, -1)    # [B, n, N]
             out = generation_branch(similarity_attention(params, 0, e_r, *halves, config)).data
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (5, 2)])
+    @pytest.mark.parametrize("n_features", [1, 3])
+    def test_pair_query_equals_the_dense_embedding(self, m, n, n_features):
+        # queries projected from the recent window's data and clock: the
+        # branch output and every gradient equal those from the dense
+        # embedding
+        config = self._config(m=m, n=n, n_nodes=3, n_features=n_features, d_e=6, h_prime=5,
+                              periods=(m + n,))
+        params = init_params(config, seed=34)
+        rng = np.random.default_rng(35 + n_features)
+        block, calendar = rng.standard_normal((3, m, 3, n_features)), random_calendar(rng, (3, m))
+        halves = period_halves(rng, 3, 3, m, n, n_features, 6)
+        w = T.Tensor(rng.standard_normal((3, n, 3)))
+
+        def run(dense):
+            params.zero_grads()
+            e = (dense_embed if dense else embed)(params, config, block, calendar)
+            y = generation_branch(similarity_attention(params, 0, e, *halves, config))
+            T.backward(T.reduce(T.mul(y, w)))
+            return {"output": y.data, **{name: t.grad for name, t in params.items()
+                                         if t.grad is not None}}
+
+        got, ref = run(False), run(True)
+        assert list(got) == list(ref) and "embed.proj" in got and "branch.0.wq" in got
+        for name in ref:
+            assert np.max(np.abs(got[name] - ref[name])) <= 1e-12 * np.max(np.abs(ref[name]))
 
     def test_width_h_prime_only_for_queries_and_keys(self):
         # the readout rides on the values: no value, attention output or
@@ -805,11 +868,11 @@ class TestForward:
         for _, scores in sink:
             bases[id(scores if scores.base is None else scores.base)] = scores.nbytes
         T.backward(loss)
-        assert len(ops) == 79 and ops.count("gather_rows") == 5
+        assert len(ops) == 91 and ops.count("gather_rows") == 5
         assert ops.count("add") == 8
         assert ops.count("permute") == 3 and ("permute", "attention") not in around
         assert ("attention", "permute") not in around
-        assert ops.count("attention") == 6 and ops.count("matmul") == 31
+        assert ops.count("attention") == 6 and ops.count("matmul") == 42
         assert outputs <= 7_148_568
         assert sum(bases.values()) <= 8_945_688   # + 1,797,120 of scores
 
@@ -868,6 +931,21 @@ class TestForward:
         T.backward(loss)
         assert (15, 16, 12, 32) in shapes   # the recent embedding is still dense
         assert (15, 16, 24, 32) not in shapes
+
+    def test_no_dense_recent_embedding_on_the_tape(self):
+        # the recent window enters the first block and the branch queries as
+        # its data and clock: no node before the first attention (block 0's
+        # spatial) outputs a [N, B, m, d_e] embedding, and embed.proj only
+        # ever multiplies a weight, into an [F, width] map
+        inputs = self._desk_step_inputs()
+        proj = inputs[1]["embed.proj"]
+        loss, nodes = self._desk_step_tape(inputs=inputs)
+        ops = [node.op for node in nodes]
+        before = [node.shape for node in nodes[:ops.index("attention")]]
+        proj_maps = [node.shape for node in nodes if any(p is proj for p in node.parents)]
+        T.backward(loss)
+        assert before and (15, 16, 12, 32) not in before
+        assert proj_maps and all(len(s) == 2 and s[0] == 1 for s in proj_maps)
 
     def test_attention_sink_covers_all_mechanisms(self):
         config, params, basis, batch = toy_setup()

@@ -358,6 +358,31 @@ class TestSelfAttention:
         got = self_attention_run(arrays, [True] * 6, axis=0)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in self_attention_oracle(arrays, 0)]
 
+    @pytest.mark.parametrize("shape", [(4, 2, 3, 5), (3, 3, 3, 5)], ids=["distinct", "N=B=m"])
+    def test_addend_shared_across_the_attended_axis(self, shape):
+        # attention over axis 0 of x [N, B, m, d] whose addends hold length 1
+        # on the attended axis, [B, m, 1, d'], equals the same addends
+        # broadcast to the full [B, m, N, d'] projections: the output, the
+        # scores, and gradients that are the full addends' summed over N
+        rng = rng_for(16)
+        n, b, m, d = shape
+        x = rng.standard_normal(shape)
+        ws = [rng.standard_normal((d, w)) for w in (4, 4, 6)]
+        cs = [rng.standard_normal((b, m, 1, w.shape[1])) for w in ws]
+
+        def run(full):
+            ts = [T.Tensor(a, requires_grad=True) for a in [x, *ws]]
+            addends = [T.Tensor(np.broadcast_to(c, (b, m, n, c.shape[-1])) if full else c,
+                                requires_grad=True) for c in cs]
+            out, scores = T.attention(*((ts[0], w, c) for w, c in zip(ts[1:], addends)), 0.5, 0)
+            T.backward(T.reduce(T.mul(out, T.Tensor(loss_weights(out.shape)))))
+            return ([out.data, scores] + [t.grad for t in ts]
+                    + [c.grad.sum(axis=-2, keepdims=True) if full else c.grad for c in addends])
+
+        for got, ref in zip(run(False), run(True)):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
     def test_gradient_function_keeps_x_and_no_projection(self):
         # q, k and v are recomputed in backward, and x is moved to the
         # attended layout again there: of the arrays the node's gradient

@@ -1,5 +1,6 @@
 """Adam updates, the training loop, metrics, and baselines."""
 
+import re
 import tracemalloc
 from datetime import datetime
 
@@ -118,6 +119,30 @@ class TestAdam:
         with pytest.raises(DivergenceError, match="head.w_r"):
             adam_step(params, AdamState(params), TrainConfig(epochs=1))
 
+    def test_nan_gradient_updates_nothing(self):
+        # a step that raises leaves the parameters, both moments and the
+        # step count as they were, even when every gradient before the bad
+        # one is finite
+        config, params, basis, batch = toy_setup()
+        state, cfg = AdamState(params), TrainConfig(epochs=1)
+        T.backward(mse_loss(forward(batch, params, config, basis), batch.target))
+        adam_step(params, state, cfg)   # moments that a second step would move
+        rng = np.random.default_rng(5)
+        for _, t in params.items():
+            t.grad = rng.standard_normal(t.shape)
+        last = params.names()[-1]
+        params[last].grad.flat[-1] = np.nan
+
+        def snapshot():
+            return ([t.data.tobytes() for _, t in params.items()],
+                    [state.m[k].tobytes() for k in params.names()],
+                    [state.v[k].tobytes() for k in params.names()], state.step)
+
+        before = snapshot()
+        with pytest.raises(DivergenceError, match=re.escape(repr(last))):
+            adam_step(params, state, cfg)
+        assert snapshot() == before
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
@@ -221,7 +246,7 @@ class TestTrain:
         loss = mse_loss(forward(batch, init_params(big), big,
                                 chebyshev_basis(lap, estimate_lambda_max(lap), 3)),
                         batch.target)
-        assert len(T.current_tape()) == 79
+        assert len(T.current_tape()) == 91
         T.backward(loss)
 
 
